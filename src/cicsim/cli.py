@@ -118,12 +118,20 @@ def main(argv=None) -> int:
         except experiments.DivergenceDetected as exc:
             print(f"divergence: {exc}", file=sys.stderr)
             return 1
+        except protocol.ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(json.dumps(report, sort_keys=True))
         return 0
 
     if args.command == "protocol-run" and args.scenario:
         with open(args.scenario) as fh:
-            scenario = protocol.Scenario.from_json(fh.read())
+            text = fh.read()
+        try:
+            scenario = protocol.Scenario.from_json(text)
+        except protocol.ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         result = protocol.run_scenario(scenario)
         audit = experiments.audit_event_log(result.events)
         if args.log:

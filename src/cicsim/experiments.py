@@ -18,13 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import adversary, miracle, protocol, rice
+from . import __version__, adversary, miracle, protocol, rice
 from .hashing import be8, sha256
 from .merkle_state import CicState
-from .toy_vm import ComputeModel, compute_data, random_program, run_full
+from .toy_vm import ClosedFormCursor, ComputeModel, compute_data, random_program, run_full
 
 FORMAT_VERSION = 1
-LIB_VERSION = "0.1.0"
 
 KINDS = ("miracle_sweep", "adaptive_rounds", "es_sizing", "rice_overhead",
          "rice_unmatched", "protocol_run", "utility_surface")
@@ -240,26 +239,10 @@ class SyntheticRunner:
         self.salt = salt
 
     def start(self, state, data: bytes = b"", gas_limit=None, fun_id=None):
-        return _SyntheticCursor(runner=self, dynamic_index=0, halted=False)
+        return ClosedFormCursor(self.total, self.root_at, gas_limit=gas_limit)
 
-    def resume(self, cursor: "_SyntheticCursor", t_i: int, t_f: int):
-        if cursor.halted or t_i != cursor.dynamic_index + 1 or t_i > t_f:
-            raise ValueError("invalid resume")
-        last = min(t_f, self.total)
-        cursor.dynamic_index = last
-        cursor.halted = last == self.total
-        return cursor, last
-
-
-@dataclass
-class _SyntheticCursor:
-    runner: SyntheticRunner
-    dynamic_index: int
-    halted: bool
-
-    def root_bytes(self) -> bytes:
-        return sha256(b"synthetic-root", self.runner.salt,
-                      be8(self.dynamic_index))
+    def root_at(self, t: int) -> bytes:
+        return sha256(b"synthetic-root", self.salt, be8(t))
 
 
 def rice_run(backend: str, total_target: int, salt: bytes, round_index: int,
@@ -550,7 +533,7 @@ def run(spec: ExperimentSpec):
     else:  # unreachable: validated at construction
         raise ConfigError(spec.kind)
     meta = {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
-            "lib": LIB_VERSION}
+            "lib": __version__}
     if spec.out:
         write_csv(spec.out, rows, meta)
     return rows, meta
@@ -559,7 +542,7 @@ def run(spec: ExperimentSpec):
 # --- protocol log files and replay ------------------------------------------------
 
 def write_event_log(path: str, result: protocol.RunResult) -> None:
-    header = {"format": FORMAT_VERSION, "lib": LIB_VERSION,
+    header = {"format": FORMAT_VERSION, "lib": __version__,
               "scenario": json.loads(result.scenario.to_json())}
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
@@ -572,9 +555,14 @@ def replay(path: str) -> dict:
     DivergenceDetected on any mismatch."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = json.loads(lines[0])
-    scenario = protocol.Scenario.from_json(
-        json.dumps(header["scenario"], sort_keys=True, separators=(",", ":")))
+    if not lines:
+        raise protocol.ScenarioError(f"{path}: empty event log")
+    try:
+        header = json.loads(lines[0])
+        text = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise protocol.ScenarioError(f"{path}: malformed log header: {exc!r}") from exc
+    scenario = protocol.Scenario.from_json(text)
     report = protocol.replay_check(scenario, lines[1:])
     out = {
         "identical": report.identical,
@@ -583,8 +571,8 @@ def replay(path: str) -> dict:
         "replayed_events": report.replayed_events,
         "log_format": header.get("format"),
         "log_lib": header.get("lib"),
-        "lib": LIB_VERSION,
-        "version_match": header.get("lib") == LIB_VERSION,
+        "lib": __version__,
+        "version_match": header.get("lib") == __version__,
     }
     if not report.identical:
         raise DivergenceDetected(json.dumps(out, sort_keys=True))

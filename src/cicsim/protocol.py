@@ -27,7 +27,7 @@ from .hashing import be8, sha256, to_word
 from .merkle_state import CicState, MerkleRoot, prove_inclusion, verify_inclusion
 from .randomness import NodeKeys, SortResult, SortitionOracle, check_sort, keygen, random_gen
 from .rice import Digest, rice_execute
-from .toy_vm import ComputeModel, Transaction, compute_data, compute_length
+from .toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
 
 
 class ProtocolError(Exception):
@@ -68,6 +68,10 @@ class NoCommitment(ProtocolError):
 
 class MissingStateWitness(ProtocolError):
     pass
+
+
+class ScenarioError(ValueError):
+    """A scenario document or event log that cannot be parsed."""
 
 
 DEPLOYED = "deployed"
@@ -257,12 +261,6 @@ class MasterContract:
                   commit_close=record.commit_close, reveal_open=record.reveal_open,
                   reveal_close=record.reveal_close)
 
-    def round_nonce(self, cid: bytes, round_index: int) -> bytes:
-        it = self.active[cid]
-        if round_index == 1:
-            return it.tx.nonce
-        return sha256(it.tx.nonce, be8(round_index))
-
     # -- S3: commitment and release -------------------------------------------
 
     def submit_commit(self, node_id: int, cid: bytes, se: bytes, block: int) -> None:
@@ -304,7 +302,25 @@ class MasterContract:
         self.emit(block, "reveal", cid=cid, round=rnd.round_index, node=node_id,
                   root=digest.root.value, seed=digest.seed, sort=sort.encode())
 
-    # -- S4: one consensus round ------------------------------------------------
+    # -- S4: the phase clock and one consensus round -----------------------------
+
+    def tick(self, block: int) -> None:
+        """Advance every active transaction's phases to `block`: close the
+        commit window, open the reveal window, close the round at the reveal
+        deadline, or settle a decision whose witness deadline has passed."""
+        for cid in list(self.active):
+            it = self.active[cid]
+            # sequential ifs so zero-width windows cascade in one block
+            if it.phase == COMMITTING and block >= it.round.commit_close:
+                it.phase = BUFFERING
+                self.emit(block, "buffering", cid=cid, round=it.round.round_index)
+            if it.phase == BUFFERING and block >= it.round.reveal_open - 1:
+                it.phase = REVEALING
+                self.emit(block, "revealing", cid=cid, round=it.round.round_index)
+            if it.phase == REVEALING and block >= it.round.reveal_close:
+                self.close_round(cid, block)
+            elif it.phase == DECIDING:
+                self.witness_deadline_passed(cid, block)
 
     def close_round(self, cid: bytes, block: int) -> miracle.Decision:
         """At the reveal deadline: forfeit silent committers, fold the round's
@@ -418,8 +434,7 @@ class MasterContract:
         # unit gas per instruction; every simulated contract is an instance
         # of the iterated-update benchmark, whose length is affine in the
         # iteration count carried by the first input word
-        eta = int.from_bytes(it.tx.data[:32].ljust(32, b"\0"), "big") if it.tx.data else 0
-        return compute_length(eta)
+        return compute_length(compute_eta(it.tx.data))
 
     def _abort(self, it: ItContext, block: int, reason: str) -> None:
         cid = it.tx.cid
@@ -499,13 +514,23 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        doc = json.loads(text)
-        doc["strategies"] = tuple(tuple(s) for s in doc["strategies"])
-        doc["cics"] = tuple(CicSpec(**c) for c in doc["cics"])
-        doc["its"] = tuple(ItSpec(**i) for i in doc["its"])
-        doc["policy"] = SettlementPolicy(**doc["policy"])
-        doc["windows"] = WindowConfig(**doc["windows"])
-        return cls(**doc)
+        """Parse a `to_json` document; anything malformed, including a
+        strategy list that does not fill the pool, raises ScenarioError."""
+        try:
+            doc = json.loads(text)
+            for key in ("strategies", "cics", "its"):
+                if not isinstance(doc[key], list):
+                    raise TypeError(f"{key} must be a list")
+            doc["strategies"] = tuple(tuple(s) for s in doc["strategies"])
+            doc["cics"] = tuple(CicSpec(**c) for c in doc["cics"])
+            doc["its"] = tuple(ItSpec(**i) for i in doc["its"])
+            doc["policy"] = SettlementPolicy(**doc["policy"])
+            doc["windows"] = WindowConfig(**doc["windows"])
+            scenario = cls(**doc)
+            scenario.expand_strategies()
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ScenarioError(f"malformed scenario: {exc!r}") from exc
+        return scenario
 
     def expand_strategies(self) -> list:
         out = []
@@ -570,7 +595,6 @@ class Simulation:
         self.inbox: dict = {}
         self._msg_seq = 0
         self._honest_digests: dict = {}
-        self._pending_rounds_from = 0
 
     # -- node-side planning ----------------------------------------------------
 
@@ -592,7 +616,7 @@ class Simulation:
             pre = self.mc.states[cid]
             digest = rice_execute(model, pre, it.tx.data, round_index,
                                   it.round1_entropy, gas_limit=it.tx.gas_limit)
-            final = model.final_state(pre, model.eta_of(it.tx.data))
+            final = model.final_state(pre, compute_eta(it.tx.data))
             self._honest_digests[key] = (digest, final)
         return self._honest_digests[key]
 
@@ -708,24 +732,12 @@ class Simulation:
             block += 1
             seen = len(self.mc.events)
             self._deliver(block)
-            for cid in list(self.mc.active):
-                it = self.mc.active[cid]
-                # sequential ifs so zero-width windows cascade in one block
-                if it.phase == COMMITTING and block >= it.round.commit_close:
-                    it.phase = BUFFERING
-                    self.mc.emit(block, "buffering", cid=cid, round=it.round.round_index)
-                if it.phase == BUFFERING and block >= it.round.reveal_open - 1:
-                    it.phase = REVEALING
-                    self.mc.emit(block, "revealing", cid=cid, round=it.round.round_index)
-                if it.phase == REVEALING and block >= it.round.reveal_close:
-                    decision = self.mc.close_round(cid, block)
-                    if decision.accepted:
-                        self._plan_witnesses(cid, block)
-                elif it.phase == DECIDING:
-                    self.mc.witness_deadline_passed(cid, block)
+            self.mc.tick(block)
             for event in self.mc.events[seen:]:
                 if event["type"] == "round_started":
                     self._plan_round(bytes.fromhex(event["cid"]), block)
+                elif event["type"] == "round_closed" and event["accepted"]:
+                    self._plan_witnesses(bytes.fromhex(event["cid"]), block)
             if self.mc.total_value() != baseline:
                 conserved = False
                 self.mc.emit(block, "conservation_violated",
@@ -749,7 +761,6 @@ class ReplayReport:
     first_divergence: Optional[int]
     recorded_events: int
     replayed_events: int
-    lib_version_match: bool = True
 
 
 def replay_check(scenario: Scenario, recorded_lines: list) -> ReplayReport:

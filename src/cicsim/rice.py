@@ -95,35 +95,25 @@ def update_seed(seed: Seed, state_root: bytes) -> Seed:
 
 @dataclass(frozen=True)
 class SegmentCursor:
-    """Position in the segment schedule plus the next subarray bounds.
-
-    After `advance`, [t_i, t_f] is the next subarray to execute: t_f is the
-    scheduled update index inside segment `segment_index`, strictly within
-    [segment_start, segment_start + 2^k - 1].
+    """Position in the segment schedule: the last scheduled segment and its
+    update index t_f, which lies in [segment_start, segment_start + 2^k - 1]
+    for the segment's exponent k. The next subarray starts at t_f + 1.
     """
 
     segment_index: int
-    k: int
-    segment_start: int
-    offset: int
-    t_i: int
     t_f: int
 
     @classmethod
     def initial(cls) -> "SegmentCursor":
-        return cls(segment_index=0, k=0, segment_start=0, offset=0, t_i=0, t_f=0)
+        return cls(segment_index=0, t_f=0)
 
 
 def next_indices(cursor: SegmentCursor, seed: Seed):
     """Bounds of the next subarray: t_i follows the previous update index and
     t_f is the next segment's update index drawn from the current seed."""
     index = cursor.segment_index + 1
-    k = segment_exponent(index)
-    start = segment_start(index)
-    offset = first_bits(seed.value, k)
-    advanced = SegmentCursor(segment_index=index, k=k, segment_start=start,
-                             offset=offset, t_i=cursor.t_f + 1, t_f=start + offset)
-    return advanced.t_i, advanced.t_f, advanced
+    t_f = segment_start(index) + first_bits(seed.value, segment_exponent(index))
+    return cursor.t_f + 1, t_f, SegmentCursor(segment_index=index, t_f=t_f)
 
 
 # --- digests and the execution driver ---------------------------------------
@@ -158,10 +148,6 @@ class RiceTrace:
     def phi(self) -> int:
         return len(self.update_indices)
 
-    @property
-    def last_update_index(self) -> Optional[int]:
-        return self.update_indices[-1] if self.update_indices else None
-
     def last_update_fraction(self) -> Optional[float]:
         if not self.update_indices:
             return None
@@ -192,8 +178,13 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
                         fun_id: Optional[str] = None):
     """Run one round: alternate subarray execution with seed updates.
 
-    `executable` is anything with the cursor protocol (`start`/`resume`):
-    an assembled Program, a ComputeModel, or a synthetic substrate. Returns
+    `executable` is any substrate with the cursor protocol: its
+    `start(state, data, gas_limit=, fun_id=)` returns a cursor whose
+    `resume(t_i, t_f)` runs the dynamic-index subarray [t_i, t_f] and returns
+    (cursor, last index run), with `halted`, `dynamic_index` and
+    `root_bytes()`; `toy_vm.check_resume` holds the rules every resume
+    obeys. Substrates are an assembled Program (the interpreter), a
+    ComputeModel and the synthetic runner (both closed form). Returns
     (Digest, RiceTrace).
     """
     seed = init_seed(round_index, round1_entropy)
@@ -202,7 +193,7 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
     updates: list = []
     while True:
         t_i, t_f, schedule = next_indices(schedule, seed)
-        cursor, last = executable.resume(cursor, t_i, t_f)
+        cursor, last = cursor.resume(t_i, t_f)
         if cursor.halted:
             digest = Digest(seed=seed.value, root=MerkleRoot(cursor.root_bytes()))
             return digest, RiceTrace(round_index=round_index, total=last,
@@ -255,9 +246,6 @@ class RoundScheduleStats:
 class ScheduleReport:
     total: int
     rounds: tuple
-
-    def strong_unmatched_counts(self) -> list:
-        return [r.strong_unmatched for r in self.rounds]
 
 
 def analyze_schedule(total: int, traces: Sequence[RiceTrace]) -> ScheduleReport:

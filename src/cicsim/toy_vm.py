@@ -23,7 +23,7 @@ r8..r15 before execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
 from .merkle_state import CicState
@@ -88,9 +88,6 @@ class Program:
     def start(self, state: CicState, data: bytes = b"",
               gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> "ExecCursor":
         return start(self, state, data, gas_limit=gas_limit, fun_id=fun_id)
-
-    def resume(self, cursor: "ExecCursor", t_i: int, t_f: int):
-        return run_sub(self, cursor, t_i, t_f)
 
 
 def _parse_reg(tok: str, line_no: int) -> int:
@@ -222,6 +219,21 @@ class ExecCursor:
     def root_bytes(self) -> bytes:
         return self.state.root().value
 
+    def resume(self, t_i: int, t_f: int):
+        return run_sub(self.program, self, t_i, t_f)
+
+
+def check_resume(cursor, t_i: int, t_f: int) -> None:
+    """Reject a resume of a halted cursor, a gap or overlap with the
+    instructions already run, and an empty subarray."""
+    if cursor.halted:
+        raise InvalidResume("cursor already halted")
+    if t_i != cursor.dynamic_index + 1:
+        raise InvalidResume(
+            f"resume at t_i={t_i}, cursor expects {cursor.dynamic_index + 1}")
+    if t_i > t_f:
+        raise InvalidResume(f"empty subarray [{t_i}, {t_f}]")
+
 
 def start(program: Program, state: CicState, data: bytes = b"",
           gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> ExecCursor:
@@ -300,15 +312,9 @@ def run_sub(program: Program, cursor: ExecCursor, t_i: int, t_f: int,
     Returns (cursor, t_f) when the program is still running, or (cursor, T)
     with cursor.halted set when it halted at T <= t_f.
     """
-    if cursor.halted:
-        raise InvalidResume("cursor already halted")
+    check_resume(cursor, t_i, t_f)
     if data is not None and data != cursor.data:
         raise InvalidResume("input data differs from the original run")
-    if t_i != cursor.dynamic_index + 1:
-        raise InvalidResume(
-            f"resume at t_i={t_i}, cursor expects {cursor.dynamic_index + 1}")
-    if t_i > t_f:
-        raise InvalidResume(f"empty subarray [{t_i}, {t_f}]")
     _step_until(cursor, t_f)
     return cursor, cursor.dynamic_index
 
@@ -349,6 +355,36 @@ def compute_data(eta: int) -> bytes:
     return to_word(eta)
 
 
+def compute_eta(data: bytes) -> int:
+    """The benchmark's iteration count: the first input-data word, 0 if none."""
+    return int.from_bytes(data[:32].ljust(32, b"\0"), "big") if data else 0
+
+
+@dataclass
+class ClosedFormCursor:
+    """Cursor of a closed-form substrate: a resume jumps straight to
+    min(t_f, total), and the root is a function of the dynamic index alone.
+    Gas is checked as in the interpreter, before the cursor moves."""
+
+    total: int
+    root_at: Callable[[int], bytes]
+    gas_limit: Optional[int] = None
+    dynamic_index: int = 0
+    halted: bool = False
+
+    def resume(self, t_i: int, t_f: int):
+        check_resume(self, t_i, t_f)
+        last = min(t_f, self.total)
+        if self.gas_limit is not None and last > self.gas_limit:
+            raise GasExhausted(f"gas limit {self.gas_limit} reached before halt")
+        self.dynamic_index = last
+        self.halted = last == self.total
+        return self, last
+
+    def root_bytes(self) -> bytes:
+        return self.root_at(self.dynamic_index)
+
+
 class ComputeModel:
     """Closed-form twin of compute_program: same states, same roots, O(1) skips.
 
@@ -365,9 +401,6 @@ class ComputeModel:
         self.increment = increment
         self.code_id = compute_program(key=key, increment=increment).code_id
 
-    def eta_of(self, data: bytes) -> int:
-        return int.from_bytes(data[:32].ljust(32, b"\0"), "big") if data else 0
-
     def state_at(self, base: CicState, eta: int, t: int) -> CicState:
         count = min(max(t - 1, 0) // 6, eta) * self.increment
         if count == 0:
@@ -379,42 +412,11 @@ class ComputeModel:
         return self.state_at(base, eta, compute_length(eta))
 
     def start(self, state: CicState, data: bytes = b"",
-              gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> "ModelCursor":
-        return ModelCursor(model=self, base=state, eta=self.eta_of(data),
-                           gas_limit=gas_limit, dynamic_index=0, halted=False)
-
-    def resume(self, cursor: "ModelCursor", t_i: int, t_f: int):
-        if cursor.halted:
-            raise InvalidResume("cursor already halted")
-        if t_i != cursor.dynamic_index + 1:
-            raise InvalidResume(
-                f"resume at t_i={t_i}, cursor expects {cursor.dynamic_index + 1}")
-        if t_i > t_f:
-            raise InvalidResume(f"empty subarray [{t_i}, {t_f}]")
-        total = compute_length(cursor.eta)
-        last = min(t_f, total)
-        if cursor.gas_limit is not None and last > cursor.gas_limit:
-            raise GasExhausted(f"gas limit {cursor.gas_limit} reached before halt")
-        cursor.dynamic_index = last
-        cursor.halted = last == total
-        return cursor, last
-
-
-@dataclass
-class ModelCursor:
-    model: ComputeModel
-    base: CicState
-    eta: int
-    gas_limit: Optional[int]
-    dynamic_index: int
-    halted: bool
-
-    @property
-    def state(self) -> CicState:
-        return self.model.state_at(self.base, self.eta, self.dynamic_index)
-
-    def root_bytes(self) -> bytes:
-        return self.state.root().value
+              gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> ClosedFormCursor:
+        eta = compute_eta(data)
+        return ClosedFormCursor(compute_length(eta),
+                                lambda t: self.state_at(state, eta, t).root().value,
+                                gas_limit=gas_limit)
 
 
 def random_program(rng, max_iterations: int = 64, body_ops: int = 6) -> Program:

@@ -1,0 +1,71 @@
+"""Pinned artifact hashes: event logs, CSVs and traces stay byte-identical.
+
+Every root, digest, event line and CSV byte must reproduce from a seed, so a
+refactor proves itself by leaving these SHA-256 pins unchanged. Only
+artifacts computed by pure-Python code are pinned (no numpy linear algebra),
+so the pins do not depend on the BLAS build.
+"""
+
+import hashlib
+
+from cicsim import cli, experiments, protocol
+from cicsim.hashing import sha256
+
+SEED = sha256(b"artifact-pins")
+
+
+def file_hash(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_random_scenario_event_logs():
+    h = hashlib.sha256()
+    for index in range(100):
+        result = protocol.run_scenario(experiments.random_scenario(index, SEED))
+        h.update("\n".join(result.lines).encode() + b"\n\n")
+    assert h.hexdigest() == (
+        "a271664e087836379c82cc280f88eb6199d0e370d001905e3d7dd50bef582010")
+
+
+def test_paper_scale_event_log(tmp_path):
+    scenario = protocol.Scenario(
+        seed=SEED.hex(), m_total=1600, q=0.125, f_max=0.45, beta=1e-6,
+        strategies=(("honest", 880), ("byz_single", 720)))
+    path = tmp_path / "paper.jsonl"
+    experiments.write_event_log(str(path), protocol.run_scenario(scenario))
+    assert file_hash(path) == (
+        "520e58509e2330e49fa996cd873c47a6e9a59d53126d090af41904c1ac05c89e")
+
+
+def test_protocol_run_csv():
+    spec = experiments.ExperimentSpec(kind="protocol_run", trials=12, seed=SEED.hex())
+    csv_text = experiments.render_csv(*experiments.run(spec))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "bbc130fa7fe7f58e90c9514f604f0c434a8ae03ce6d5bd27d6a449894f89af80")
+
+
+def test_rice_unmatched_csv():
+    # the synthetic substrate
+    spec = experiments.ExperimentSpec(kind="rice_unmatched", trials=40,
+                                      params={"k": 9, "rounds": 3}, seed=SEED.hex())
+    csv_text = experiments.render_csv(*experiments.run(spec))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "eba5d6afc39b24552815da3cfd250a579dbae41b3a2f4c055cce48ddb05b5c7b")
+
+
+def test_rice_overhead_rows():
+    # all three substrates: interpreter, closed-form model and synthetic; the
+    # rows are pinned without the least-squares fit, which uses numpy
+    rows = experiments.rice_overhead_rows(60, 100, 20_000, SEED, vm_fraction=0.4)
+    csv_text = experiments.render_csv(rows, {})
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "220d643a82cbe7236d599c736961417a2cec30e9fb096813bde4ea7430db1fde")
+
+
+def test_cli_rice_trace(tmp_path):
+    # the closed-form model substrate
+    path = tmp_path / "trace.jsonl"
+    assert cli.main(["rice-trace", "--seed", SEED.hex(), "--eta", "500",
+                     "--rounds", "3", "--out", str(path)]) == 0
+    assert file_hash(path) == (
+        "22f0516f2e26f0ab5a80a4da807ee4dec4bcfcb587b9e44c5f66d21b9d13d85f")

@@ -168,6 +168,23 @@ def test_cli_protocol_scenario_and_replay(tmp_path):
     assert cli.main(["replay", str(log_path)]) == 1
 
 
+@pytest.mark.parametrize("log_text", ["", "\n\n", "not json\n", '{"format":1}\n'])
+def test_malformed_event_log_is_a_scenario_error(tmp_path, capsys, log_text):
+    path = tmp_path / "log.jsonl"
+    path.write_text(log_text)
+    with pytest.raises(protocol.ScenarioError):
+        experiments.replay(str(path))
+    assert cli.main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"seed": "00"}')
+    assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
+    assert "malformed scenario" in capsys.readouterr().err
+
+
 def test_cli_miracle_mc(tmp_path):
     out = tmp_path / "mc.csv"
     code = cli.main(["miracle-mc", "--m", "200", "--q", "0.2", "--beta", "1e-3",

@@ -13,11 +13,12 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, REVEALING,
                              InsufficientEscrow, InvalidSortition, ItSpec,
                              MasterContract, NoCommitment, NodeRecord,
                              OutsideWindow, QueueOrderViolation, Scenario,
-                             SettlementPolicy, WindowConfig, replay_check,
-                             run_scenario)
+                             ScenarioError, SettlementPolicy, WindowConfig,
+                             replay_check, run_scenario)
 from cicsim.randomness import SortitionOracle, check_sort, keygen
 from cicsim.rice import Digest, rice_execute
-from cicsim.toy_vm import ComputeModel, Transaction, compute_data, compute_length
+from cicsim.toy_vm import (ComputeModel, Transaction, compute_data, compute_eta,
+                           compute_length)
 
 SEED = sha256(b"protocol-tests")
 
@@ -254,7 +255,7 @@ def test_witness_updates_state_and_settles():
     mc, model, state = build_mc(n_nodes=10, q=1.0, beta=0.01)
     it = deploy(mc, state)
     run_one_full_round(mc, model, state, range(10))
-    final = model.final_state(state, model.eta_of(it.tx.data))
+    final = model.final_state(state, compute_eta(it.tx.data))
     modified = {k: final.get(k) for k in final.storage}
     from cicsim.merkle_state import prove_inclusion
     proofs = [prove_inclusion(final, k) for k in sorted(modified)]
@@ -277,6 +278,38 @@ def test_invalid_witness_is_rejected_then_deadline_settles_without_update():
     assert it.phase == SETTLED
     assert mc.states[state.cid] == state  # no update happened
     assert any(e["type"] == "missing_state_witness" for e in mc.events)
+
+
+def test_tick_cascades_zero_buffer_and_keeps_the_witness_deadline():
+    mc, model, state = build_mc(n_nodes=10, q=1.0, beta=0.01, w_buf=0)
+    it = deploy(mc, state)
+    rnd = it.round
+    material = {i: honest_material(mc, model, state, it, i) for i in range(10)}
+    for node_id, (_, _, se) in material.items():
+        mc.submit_commit(node_id, state.cid, se, rnd.commit_open)
+
+    def events_of(block):
+        seen = len(mc.events)
+        mc.tick(block)
+        return [e["type"] for e in mc.events[seen:]]
+
+    for block in range(rnd.commit_open, rnd.commit_close):
+        assert events_of(block) == []
+    assert events_of(rnd.commit_close) == ["buffering", "revealing"]
+    assert it.phase == REVEALING and rnd.reveal_open == rnd.commit_close + 1
+    for node_id, (digest, sort, _) in material.items():
+        mc.submit_reveal(node_id, state.cid, digest, sort, rnd.reveal_open)
+    for block in range(rnd.reveal_open, rnd.reveal_close):
+        assert events_of(block) == []
+    # the round closes at its reveal deadline; the witness deadline does
+    # not settle in the same block
+    assert events_of(rnd.reveal_close) == ["round_closed"]
+    assert it.phase == DECIDING
+    for block in range(rnd.reveal_close + 1, it.decide_deadline):
+        assert events_of(block) == []
+    closing = events_of(it.decide_deadline)
+    assert closing[0] == "missing_state_witness" and "settled" in closing
+    assert it.phase == SETTLED and state.cid not in mc.active
 
 
 # --- settlement branches (th1 / th2 rules) -----------------------------------------
@@ -404,6 +437,25 @@ def test_scenario_json_round_trip():
     again = Scenario.from_json(sc.to_json())
     assert again == sc
     assert again.to_json() == sc.to_json()
+
+
+def _edited_scenario_json(**changes) -> str:
+    doc = json.loads(scenario().to_json())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",                                              # every key missing
+    _edited_scenario_json(colour="red"),               # unknown key
+    _edited_scenario_json(strategies={"honest": 12}),  # strategies not a list
+    _edited_scenario_json(strategies=[["honest", 5]]), # pool not filled
+    "not json",
+    "[1, 2]",
+])
+def test_malformed_scenario_json_raises_scenario_error(text):
+    with pytest.raises(ScenarioError):
+        Scenario.from_json(text)
 
 
 def test_full_run_is_replayable_and_conserved():

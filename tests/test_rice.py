@@ -54,9 +54,10 @@ def test_update_index_from_seed_prefix_bits():
     cursor = SegmentCursor.initial()
     _, _, cursor = next_indices(cursor, seed)      # segment 1
     t_i, t_f, cursor = next_indices(cursor, seed)  # segment 2
-    assert cursor.k == 2 and cursor.segment_start == 3
-    assert cursor.offset == 2
-    assert t_f == 5
+    index = cursor.segment_index
+    assert segment_exponent(index) == 2 and segment_start(index) == 3
+    assert t_f - segment_start(index) == 2
+    assert cursor.t_f == t_f == 5
 
 
 def test_next_indices_cover_contiguously():
@@ -66,7 +67,8 @@ def test_next_indices_cover_contiguously():
     for _ in range(12):
         t_i, t_f, cursor = next_indices(cursor, seed)
         assert t_i == previous_end + 1
-        assert cursor.segment_start <= t_f < cursor.segment_start + 2 ** cursor.k
+        start = segment_start(cursor.segment_index)
+        assert start <= t_f < start + 2 ** segment_exponent(cursor.segment_index)
         previous_end = t_f
         seed = update_seed(seed, sha256(b"root", to_word(t_f)))
 

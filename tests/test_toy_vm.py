@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cicsim.experiments import SyntheticRunner
 from cicsim.hashing import sha256, to_word
 from cicsim.merkle_state import CicState
 from cicsim.toy_vm import (ComputeModel, GasExhausted, InvalidResume, Program,
@@ -95,11 +96,20 @@ def test_resume_validation():
     cursor = start(program, state, compute_data(3))
     cursor, _ = run_sub(program, cursor, 1, 4)
     with pytest.raises(InvalidResume):
-        run_sub(program, cursor, 9, 12)          # skips index 5
-    with pytest.raises(InvalidResume):
-        run_sub(program, cursor, 5, 4)           # empty subarray
-    with pytest.raises(InvalidResume):
         run_sub(program, cursor, 5, 9, data=b"different")
+    # every substrate shares the same resume rules
+    total = compute_length(3)
+    for executable in (program, ComputeModel(), SyntheticRunner(total, b"salt")):
+        cursor = executable.start(state, compute_data(3))
+        cursor, _ = cursor.resume(1, 4)
+        with pytest.raises(InvalidResume):
+            cursor.resume(9, 12)                 # skips index 5
+        with pytest.raises(InvalidResume):
+            cursor.resume(5, 4)                  # empty subarray
+        cursor, last = cursor.resume(5, total + 100)
+        assert cursor.halted and last == cursor.dynamic_index == total
+        with pytest.raises(InvalidResume):
+            cursor.resume(total + 1, total + 2)  # already halted
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,7 +178,7 @@ def test_compute_model_gas_semantics_match_the_vm():
     state = CicState(4, model.code_id)
     cursor = model.start(state, compute_data(4), gas_limit=compute_length(4) - 1)
     with pytest.raises(GasExhausted):
-        model.resume(cursor, 1, compute_length(4))
+        cursor.resume(1, compute_length(4))
 
 
 def test_transaction_validation():
