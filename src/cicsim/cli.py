@@ -4,8 +4,11 @@ Subcommands map one-to-one onto experiment kinds plus two utilities:
 `rice-trace` emits a single run's update schedule as JSON lines, and
 `replay` re-executes a recorded protocol log and verifies it bit-exactly.
 Every run is pinned by --seed; identical invocations produce identical
-artifacts. The process exits nonzero if any invariant audited by the
-requested experiment fails.
+artifacts. The process exits 1 if any invariant audited by the requested
+experiment fails, and 2 with an `error:` line on input it cannot use: a
+missing or unreadable file, a malformed scenario or event log, a config
+file that is not a JSON object, or a parameter the experiment does not
+read.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
 def _spec(args: argparse.Namespace, kind: str, params: dict) -> experiments.ExperimentSpec:
     if args.config:
         with open(args.config) as fh:
-            params = {**params, **json.load(fh)}
+            try:
+                extra = json.load(fh)
+            except ValueError as exc:
+                raise experiments.ConfigError(f"{args.config}: not JSON: {exc}") from None
+        if not isinstance(extra, dict):
+            raise experiments.ConfigError(f"{args.config}: not a JSON object")
+        params = {**params, **extra}
     return experiments.ExperimentSpec(kind=kind, params=params,
                                       trials=args.trials, seed=args.seed,
                                       out=args.out)
@@ -90,7 +99,14 @@ def main(argv=None) -> int:
     p.add_argument("log", help="event log produced by protocol-run")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (OSError, protocol.ScenarioError, experiments.ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "rice-trace":
         entropy = bytes.fromhex(args.seed)
         model = ComputeModel()
@@ -118,20 +134,12 @@ def main(argv=None) -> int:
         except experiments.DivergenceDetected as exc:
             print(f"divergence: {exc}", file=sys.stderr)
             return 1
-        except protocol.ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(json.dumps(report, sort_keys=True))
         return 0
 
     if args.command == "protocol-run" and args.scenario:
         with open(args.scenario) as fh:
-            text = fh.read()
-        try:
-            scenario = protocol.Scenario.from_json(text)
-        except protocol.ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            scenario = protocol.Scenario.from_json(fh.read())
         result = protocol.run_scenario(scenario)
         audit = experiments.audit_event_log(result.events)
         if args.log:

@@ -25,8 +25,17 @@ from .toy_vm import ClosedFormCursor, ComputeModel, compute_data, random_program
 
 FORMAT_VERSION = 1
 
-KINDS = ("miracle_sweep", "adaptive_rounds", "es_sizing", "rice_overhead",
-         "rice_unmatched", "protocol_run", "utility_surface")
+# the parameter keys each experiment kind reads; any other key is an error
+PARAMS = {
+    "miracle_sweep": {"m", "q", "betas", "f_values", "f_max"},
+    "adaptive_rounds": {"m", "beta", "f_max", "target_rounds", "f_values"},
+    "es_sizing": {"m", "beta", "f_max_values"},
+    "rice_overhead": {"t_lo", "t_hi"},
+    "rice_unmatched": {"k", "rounds"},
+    "protocol_run": {"max_parallel"},
+    "utility_surface": set(),
+}
+KINDS = tuple(PARAMS)
 
 
 class ConfigError(ValueError):
@@ -48,6 +57,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind: {self.kind}")
+        unknown = sorted(set(self.params) - PARAMS[self.kind])
+        if unknown:
+            raise ConfigError(f"unknown parameter for {self.kind}: {', '.join(unknown)}")
         if self.trials <= 0:
             raise ConfigError("trial count must be positive")
         try:

@@ -11,11 +11,20 @@ Tree shape: leaves are sha256(key || value) over keys in ascending byte
 order; internal nodes are sha256(left || right); an odd node is promoted
 unchanged to the next level. The root of empty storage is a fixed sentinel.
 The full root is sha256(cid || code || storage_root).
+
+`storage_root` computes the storage root from scratch. `StorageTree` keeps
+every level of the tree between calls, for a single owner whose storage
+changes a few keys at a time (the interpreter cursor, at each RICE seed
+update): given the keys written since its last root, it rehashes only the
+paths above rewritten leaves and, where keys were inserted, the nodes whose
+positions shifted. Its root is the same function of storage as
+`storage_root`.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -42,15 +51,21 @@ class MerkleRoot:
         return self.value
 
 
+def _parents(level: list[bytes]) -> list[bytes]:
+    """The level above `level`: pairs are hashed, an odd last node is
+    promoted. On the slice `level[2 * lo:2 * hi]` it gives nodes lo..hi-1."""
+    nxt = [sha256(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+    if len(level) % 2:
+        nxt.append(level[-1])
+    return nxt
+
+
 def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
-    """All tree levels bottom-up; leaves must be non-empty."""
+    """All tree levels bottom-up; the root is the one node of the last
+    level when there are leaves."""
     levels = [leaves]
     while len(levels[-1]) > 1:
-        prev = levels[-1]
-        nxt = [sha256(prev[i], prev[i + 1]) for i in range(0, len(prev) - 1, 2)]
-        if len(prev) % 2:
-            nxt.append(prev[-1])
-        levels.append(nxt)
+        levels.append(_parents(levels[-1]))
     return levels
 
 
@@ -59,6 +74,92 @@ def storage_root(storage: Mapping[bytes, bytes]) -> bytes:
         return EMPTY_STORAGE_ROOT
     leaves = [sha256(k, storage[k]) for k in sorted(storage)]
     return _tree_levels(leaves)[-1][0]
+
+
+class StorageTree:
+    """The storage tree of one mutable storage map, kept between roots.
+
+    The first `root` call builds the tree from all of storage. Each later
+    call is told which keys were written since the previous one; keys are
+    never removed. A rewritten key rehashes its leaf and its path to the
+    root. Inserted keys go in by bisection: their leaves are hashed and every
+    node right of the first inserted position is recomputed, because
+    positions shift; nodes to its left, and the leaves of unchanged keys,
+    are kept.
+    """
+
+    __slots__ = ("keys", "levels")
+
+    def __init__(self):
+        self.keys: list[bytes] = []
+        self.levels: list[list[bytes]] | None = None
+
+    def root(self, storage: Mapping[bytes, bytes], written) -> bytes:
+        """Storage root of `storage`, which differs from the storage of the
+        previous call only at the keys in `written`."""
+        if self.levels is None:
+            self.keys = sorted(storage)
+            self.levels = _tree_levels([sha256(k, storage[k]) for k in self.keys])
+        elif written:
+            self._refresh(storage, written)
+        return self.levels[-1][0] if self.keys else EMPTY_STORAGE_ROOT
+
+    def _refresh(self, storage: Mapping[bytes, bytes], written) -> None:
+        keys, levels = self.keys, self.levels
+        leaves = levels[0]
+        rewritten, fresh = [], []
+        for k in written:
+            i = bisect_left(keys, k)
+            if i < len(keys) and keys[i] == k:
+                rewritten.append(i)
+            else:
+                fresh.append(k)
+        # from position `start` of a level on, every node is recomputed; left
+        # of it, only the nodes in `runs`
+        start = len(keys)
+        if fresh:
+            fresh_set = set(fresh)
+            start = bisect_left(keys, min(fresh))
+            old = iter(leaves[start:])
+            tail = sorted(keys[start:] + fresh)
+            new_leaves = []
+            for k in tail:
+                leaf = None if k in fresh_set else next(old)
+                new_leaves.append(sha256(k, storage[k]) if k in written else leaf)
+            keys[start:] = tail
+            leaves[start:] = new_leaves
+        # sorted, disjoint runs [lo, hi) of rewritten positions left of `start`
+        runs = []
+        for i in sorted(rewritten):
+            if i >= start:
+                break
+            leaves[i] = sha256(keys[i], storage[keys[i]])
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        level = 0
+        while len(levels[level]) > 1:
+            prev = levels[level]
+            if level + 1 == len(levels):
+                levels.append([])
+            nxt = levels[level + 1]
+            if start < len(prev):
+                start >>= 1
+                nxt[start:] = _parents(prev[2 * start:])
+            else:
+                start = len(nxt)
+            up = []
+            for lo, hi in runs:
+                lo, hi = lo >> 1, min((hi + 1) >> 1, start)
+                if up and up[-1][1] >= lo:
+                    up[-1][1] = hi
+                elif lo < hi:
+                    up.append([lo, hi])
+            for lo, hi in up:
+                nxt[lo:hi] = _parents(prev[2 * lo:2 * hi])
+            runs = up
+            level += 1
 
 
 class CicState:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
-from .merkle_state import CicState
+from .merkle_state import CicState, StorageTree
 
 NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
@@ -189,17 +189,22 @@ class ExecCursor:
     `dynamic_index` counts instructions executed so far; resuming must start
     at `dynamic_index + 1`. The underlying storage dict is private to the
     cursor: `state` materializes a value-semantics snapshot on demand.
+    Stores add their key to `written`; `root_bytes` hands those keys to the
+    cursor's `StorageTree`, so a root rehashes only what changed since the
+    last one.
     """
 
-    __slots__ = ("program", "cid", "code", "storage", "regs", "pc",
-                 "dynamic_index", "halted", "data", "gas_limit")
+    __slots__ = ("program", "cid", "code", "storage", "written", "tree", "regs",
+                 "pc", "dynamic_index", "halted", "data", "gas_limit")
 
     def __init__(self, program: Program, state: CicState, data: bytes,
                  gas_limit: Optional[int], pc: int):
         self.program = program
         self.cid = state.cid
         self.code = state.code
-        self.storage = dict(state.storage)
+        self.storage = state.storage  # already a private copy
+        self.written: set = set()
+        self.tree = StorageTree()
         self.regs = [0] * NUM_REGISTERS
         self.pc = pc
         self.dynamic_index = 0
@@ -217,7 +222,10 @@ class ExecCursor:
         return CicState(self.cid, self.code, self.storage)
 
     def root_bytes(self) -> bytes:
-        return self.state.root().value
+        """The state root, `state.root().value`, from the kept tree."""
+        tree_root = self.tree.root(self.storage, self.written)
+        self.written.clear()
+        return sha256(self.cid, self.code, tree_root)
 
     def resume(self, t_i: int, t_f: int):
         return run_sub(self.program, self, t_i, t_f)
@@ -245,6 +253,7 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
     code = cursor.program.instructions
     regs = cursor.regs
     storage = cursor.storage
+    written = cursor.written
     pc = cursor.pc
     t = cursor.dynamic_index
     limit = cursor.gas_limit
@@ -268,7 +277,9 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
             regs[a] = int.from_bytes(
                 storage.get(regs[b].to_bytes(32, "big"), b"\0" * 32), "big")
         elif op == OP_STORE:
-            storage[regs[a].to_bytes(32, "big")] = regs[b].to_bytes(32, "big")
+            key = regs[a].to_bytes(32, "big")
+            storage[key] = regs[b].to_bytes(32, "big")
+            written.add(key)
         elif op == OP_SUB:
             regs[a] = (regs[b] - regs[c]) & WORD_MASK
         elif op == OP_MUL:

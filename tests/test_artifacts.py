@@ -8,8 +8,9 @@ so the pins do not depend on the BLAS build.
 
 import hashlib
 
-from cicsim import cli, experiments, protocol
-from cicsim.hashing import sha256
+from cicsim import cli, experiments, protocol, rice, toy_vm
+from cicsim.hashing import sha256, to_word
+from cicsim.merkle_state import CicState
 
 SEED = sha256(b"artifact-pins")
 
@@ -69,3 +70,76 @@ def test_cli_rice_trace(tmp_path):
                      "--rounds", "3", "--out", str(path)]) == 0
     assert file_hash(path) == (
         "22f0516f2e26f0ab5a80a4da807ee4dec4bcfcb587b9e44c5f66d21b9d13d85f")
+
+
+# r8 = key count, r9 = first key, r10 = increment. REWRITE_SRC reads and
+# rewrites keys already in storage; INSERT_SRC stores keys that are not.
+REWRITE_SRC = """
+func rewrite
+  mov r0 r8
+  mov r1 r9
+  mov r5 r10
+  const r3 1
+loop:
+  jnz r0 body
+  halt
+body:
+  load r2 r1
+  add r2 r2 r5
+  store r1 r2
+  add r1 r1 r3
+  sub r0 r0 r3
+  jmp loop
+"""
+
+INSERT_SRC = """
+func insert
+  mov r0 r8
+  mov r1 r9
+  mov r5 r10
+  const r3 1
+loop:
+  jnz r0 body
+  halt
+body:
+  add r2 r1 r5
+  store r1 r2
+  add r1 r1 r3
+  sub r0 r0 r3
+  jmp loop
+"""
+
+
+def keyed_rice_digests(src: str, count: int, storage: dict, base: int) -> str:
+    """Hash of three RICE rounds' digests and update indices on one input.
+
+    The seed chain absorbs the state root at every update index, so the pin
+    fixes every intermediate root of the run, not only the final one.
+    """
+    program = toy_vm.assemble(src)
+    state = CicState(sha256(SEED, b"keyed-cid"), program.code_id, storage)
+    data = to_word(count) + to_word(base) + to_word(7)
+    h = hashlib.sha256()
+    for round_index in (1, 2, 3):
+        digest, trace = rice.rice_execute_traced(program, state, data, round_index,
+                                                 sha256(SEED, b"keyed-entropy"))
+        h.update(digest.encode())
+        h.update(repr(trace.update_indices).encode())
+    return h.hexdigest()
+
+
+def test_rice_rewrite_digests():
+    # 500 keys present; every store rewrites one of them
+    base = int.from_bytes(sha256(SEED, b"rewrite-base"), "big") >> 1
+    storage = {to_word(base + n): sha256(SEED, b"rewrite", to_word(n)) for n in range(500)}
+    assert keyed_rice_digests(REWRITE_SRC, 500, storage, base) == (
+        "000b4e0db2830c9b763c6b2f732a9b0c8f3cf41aff161ec1b754b0e0b7fa48c4")
+
+
+def test_rice_insert_digests():
+    # 2,000 fresh keys stored among 32 random present ones
+    base = int.from_bytes(sha256(SEED, b"insert-base"), "big") >> 1
+    storage = {sha256(SEED, b"insert-key", to_word(n)): sha256(SEED, b"insert", to_word(n))
+               for n in range(32)}
+    assert keyed_rice_digests(INSERT_SRC, 2000, storage, base) == (
+        "4f50962feabe57f82dc19581c5b3cc83648721aa004aad7ae3ca2588669bd874")

@@ -185,6 +185,48 @@ def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
     assert "malformed scenario" in capsys.readouterr().err
 
 
+def test_cli_missing_scenario_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_cli_missing_event_log_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.jsonl"
+    assert cli.main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert cli.main(["es-sizing", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+def test_cli_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["es-sizing", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_misspelled_parameter_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(experiments.ConfigError, match="tirals"):
+        experiments.ExperimentSpec(kind="es_sizing", params={"tirals": 5})
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tirals": 5, "betaz": [0.001]}')
+    assert cli.main(["es-sizing", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "betaz, tirals" in err
+    # a key the kind reads is still accepted from the config file
+    path.write_text('{"f_max_values": [0.2]}')
+    assert cli.main(["es-sizing", "--config", str(path)]) == 0
+
+
 def test_cli_miracle_mc(tmp_path):
     out = tmp_path / "mc.csv"
     code = cli.main(["miracle-mc", "--m", "200", "--q", "0.2", "--beta", "1e-3",

@@ -1,12 +1,13 @@
 """Merkle state: root determinism, write sensitivity, proofs, fixtures."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cicsim.hashing import to_word
+from cicsim.hashing import sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
-                                 dump_fixture, load_fixture, prove_inclusion,
-                                 root, storage_root, verify_inclusion)
+                                 StorageTree, dump_fixture, load_fixture,
+                                 prove_inclusion, root, storage_root,
+                                 verify_inclusion)
 
 from oracles import merkle_root_oracle, sha
 
@@ -106,3 +107,56 @@ def test_fixture_round_trip_is_canonical():
     assert again == state
     assert dump_fixture(again) == text
     assert text.index("\"cid\"") < text.index("\"storage\"")
+
+
+# --- the kept tree against the from-scratch oracle --------------------------------
+
+CID, CODE = to_word(5), to_word(6)
+# a narrow key range, so inserts land before, among and after present keys
+small_words = st.integers(0, 300).map(to_word)
+# one batch: rewrites of present keys, picked by index into the sorted keys
+# and given values no key holds yet, plus a map of keys that may or may not
+# be present
+batches = st.lists(st.tuples(st.lists(st.integers(0, 2 ** 16), max_size=8),
+                             st.dictionaries(small_words, small_words, max_size=8)),
+                   max_size=8)
+
+
+def tree_root_after_batches(initial: dict, writes) -> None:
+    """Apply each batch of writes to one storage map and check the tree's
+    root against the oracle after every batch."""
+    storage = dict(initial)
+    tree = StorageTree()
+    for picks, batch in [((), {})] + list(writes):
+        present = sorted(storage)
+        batch = {**{present[p % len(present)]: to_word(1000 + p % 2 ** 16)
+                    for p in picks if present},
+                 **batch}
+        storage.update(batch)
+        got = tree.root(storage, set(batch))
+        assert sha256(CID, CODE, got) == merkle_root_oracle(CID, CODE, storage)
+        assert got == storage_root(storage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(small_words, small_words, max_size=40), batches)
+@example(initial={}, writes=[((), {to_word(3): to_word(1)}), ((), {to_word(1): to_word(2)})])
+def test_storage_tree_matches_the_oracle_after_every_batch(initial, writes):
+    tree_root_after_batches(initial, writes)
+
+
+def test_storage_tree_inserts_before_among_and_after_odd_levels():
+    # every present count from 0 to 33 (odd and even level sizes at every
+    # height), with inserts left of all keys, between them and right of all,
+    # and rewrites alone of the first, the last and every key
+    for present in range(34):
+        initial = {to_word(100 + 2 * n): to_word(n) for n in range(present)}
+        writes = [
+            ((), {to_word(1): to_word(1)}),                                   # before all
+            ((), {to_word(101 + 2 * n): to_word(7) for n in range(0, present, 3)}),  # among
+            ((), {to_word(1000 + n): to_word(n) for n in range(5)}),          # after all
+            ((0,), {}), ((-1,), {}), (tuple(range(present + 6)), {}),         # rewrites
+            ((-1,), {to_word(0): to_word(3), to_word(100 + present): to_word(3),
+                     to_word(2000): to_word(3)}),                             # all kinds
+        ]
+        tree_root_after_batches(initial, writes)

@@ -145,6 +145,26 @@ def test_chained_random_partitions_compose():
         assert cursor.state == full_state
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.dictionaries(st.integers(0, 2 ** 32).map(to_word),
+                       st.integers(0, 2 ** 32).map(to_word), max_size=6))
+def test_cursor_root_matches_the_state_root_at_every_interruption(rng, storage):
+    # the cursor's kept tree against the from-scratch root of its snapshot,
+    # with roots taken after some segments and skipped after others
+    program = random_program(rng)
+    state = CicState(21, program.code_id, storage)
+    _, total = run_full(program, state)
+    cursor = start(program, state)
+    t_i = 1
+    while not cursor.halted:
+        cursor, last = cursor.resume(t_i, t_i + rng.randrange(1, 40))
+        t_i = last + 1
+        if cursor.halted or rng.random() < 0.7:
+            assert cursor.root_bytes() == cursor.state.root().value
+    assert last == total
+
+
 def test_random_programs_match_the_stepping_oracle():
     rng = random.Random(99)
     for trial in range(15):
