@@ -1,14 +1,18 @@
 """Command-line entry points for the experiment harness.
 
-Subcommands map one-to-one onto experiment kinds plus two utilities:
-`rice-trace` emits a single run's update schedule as JSON lines, and
-`replay` re-executes a recorded protocol log and verifies it bit-exactly.
+Six subcommands each run one experiment kind (`COMMANDS`); the
+`rice_unmatched` kind has no subcommand and runs only through
+`experiments.run`. A subcommand's flags set its kind's parameters, and a
+flag left out takes the kind's default from `experiments.KINDS`. Two
+utilities complete the set: `rice-trace` emits a single run's update
+schedule as JSON lines, and `replay` re-executes a recorded protocol log
+and verifies it bit-exactly.
 Every run is pinned by --seed; identical invocations produce identical
 artifacts. The process exits 1 if any invariant audited by the requested
 experiment fails, and 2 with an `error:` line on input it cannot use: a
-missing or unreadable file, a malformed scenario or event log, a config
-file that is not a JSON object, or a parameter the experiment does not
-read.
+missing or unreadable file, a malformed scenario or event log, a bad seed,
+a config file that is not a JSON object, or a parameter the experiment
+does not read.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ from .toy_vm import ComputeModel, compute_data
 
 DEFAULT_SEED = sha256(b"cicsim-default-seed").hex()
 
+# experiment subcommand -> the experiment kind it runs
+COMMANDS = {"miracle-mc": "miracle_sweep", "adaptive": "adaptive_rounds",
+            "es-sizing": "es_sizing", "rice-overhead": "rice_overhead",
+            "protocol-run": "protocol_run", "utility": "utility_surface"}
+
 
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
     parser.add_argument("--seed", default=DEFAULT_SEED, help="hex experiment seed")
@@ -33,7 +42,13 @@ def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
                         help="JSON file of extra experiment parameters")
 
 
-def _spec(args: argparse.Namespace, kind: str, params: dict) -> experiments.ExperimentSpec:
+def _spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
+    """The command's spec: one parameter per flag the kind reads, the
+    flag's value if given and the kind's default if not, then `--config`."""
+    kind = COMMANDS[args.command]
+    params = {key: default if getattr(args, key) is None else getattr(args, key)
+              for key, default in experiments.KINDS[kind].defaults.items()
+              if hasattr(args, key)}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -53,26 +68,27 @@ def main(argv=None) -> int:
         prog="cicsim", description="off-chain contract execution simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # experiment flags default to None: the kind's own default applies
     p = sub.add_parser("miracle-mc", help="consensus Monte Carlo sweep")
     _add_common(p, trials=2000)
-    p.add_argument("--m", type=int, default=1600)
-    p.add_argument("--q", type=float, default=0.125)
-    p.add_argument("--beta", type=float, action="append", default=None)
-    p.add_argument("--f", type=float, action="append", default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    p.add_argument("--m", type=int)
+    p.add_argument("--q", type=float)
+    p.add_argument("--beta", dest="betas", type=float, action="append")
+    p.add_argument("--f", dest="f_values", type=float, action="append")
+    p.add_argument("--f-max", type=float)
 
     p = sub.add_parser("adaptive", help="rounds vs actual Byzantine fraction")
     _add_common(p, trials=10_000)
-    p.add_argument("--m", type=int, default=1600)
-    p.add_argument("--beta", type=float, default=1e-20)
-    p.add_argument("--f-max", type=float, default=0.35)
-    p.add_argument("--target-rounds", type=float, default=5.0)
-    p.add_argument("--f", type=float, action="append", default=None)
+    p.add_argument("--m", type=int)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--f-max", type=float)
+    p.add_argument("--target-rounds", type=float)
+    p.add_argument("--f", dest="f_values", type=float, action="append")
 
     p = sub.add_parser("es-sizing", help="one-round set sizing and the majority baseline")
     _add_common(p, trials=1)
-    p.add_argument("--m", type=int, default=1600)
-    p.add_argument("--beta", type=float, default=1e-20)
+    p.add_argument("--m", type=int)
+    p.add_argument("--beta", type=float)
 
     p = sub.add_parser("rice-trace", help="update schedule of one traced run")
     p.add_argument("--seed", default=DEFAULT_SEED, help="hex round-1 entropy")
@@ -82,12 +98,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("rice-overhead", help="schedule bounds over a T sweep")
     _add_common(p, trials=1000)
-    p.add_argument("--t-lo", type=int, default=1000)
-    p.add_argument("--t-hi", type=int, default=10_000_000)
+    p.add_argument("--t-lo", type=int)
+    p.add_argument("--t-hi", type=int)
 
     p = sub.add_parser("protocol-run", help="randomized full-protocol batch")
     _add_common(p, trials=50)
-    p.add_argument("--max-parallel", type=int, default=16)
+    p.add_argument("--max-parallel", type=int)
     p.add_argument("--scenario", default=None,
                    help="run one scenario JSON file and write its event log")
     p.add_argument("--log", default=None, help="event log output path")
@@ -108,7 +124,7 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "rice-trace":
-        entropy = bytes.fromhex(args.seed)
+        entropy = experiments.seed_from_hex(args.seed)
         model = ComputeModel()
         state = CicState(sha256(b"trace-cid", entropy), model.code_id)
         lines = []
@@ -150,37 +166,11 @@ def _run(args: argparse.Namespace) -> int:
                           **audit}, sort_keys=True))
         return 0 if ok else 1
 
-    if args.command == "miracle-mc":
-        params = {"m": args.m, "q": args.q, "f_max": args.f_max,
-                  "betas": args.beta or [1e-10], "f_values": args.f or [0.40]}
-        spec = _spec(args, "miracle_sweep", params)
-    elif args.command == "adaptive":
-        params = {"m": args.m, "beta": args.beta, "f_max": args.f_max,
-                  "target_rounds": args.target_rounds,
-                  "f_values": args.f or [0.0, 0.25]}
-        spec = _spec(args, "adaptive_rounds", params)
-    elif args.command == "es-sizing":
-        spec = _spec(args, "es_sizing", {"m": args.m, "beta": args.beta})
-    elif args.command == "rice-overhead":
-        spec = _spec(args, "rice_overhead", {"t_lo": args.t_lo, "t_hi": args.t_hi})
-    elif args.command == "protocol-run":
-        spec = _spec(args, "protocol_run", {"max_parallel": args.max_parallel})
-    else:  # utility
-        spec = _spec(args, "utility_surface", {})
-
+    spec = _spec(args)
     rows, meta = experiments.run(spec)
     if not spec.out:
         sys.stdout.write(experiments.render_csv(rows, meta))
-    violated = False
-    if spec.kind == "rice_overhead":
-        violated = not all(r["phi_bounds_ok"] and r["k_relation_ok"] for r in rows)
-    elif spec.kind == "protocol_run":
-        violated = not all(r["conserved"] and r["window_discipline"]
-                           and r["reveal_binding"] and r["replay_identical"]
-                           for r in rows)
-    elif spec.kind == "utility_surface":
-        violated = not all(r["agrees"] for r in rows)
-    return 1 if violated else 0
+    return 0 if experiments.KINDS[spec.kind].passed(rows) else 1
 
 
 if __name__ == "__main__":

@@ -14,32 +14,31 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, adversary, miracle, protocol, rice
 from .hashing import be8, sha256
 from .merkle_state import CicState
-from .toy_vm import ClosedFormCursor, ComputeModel, compute_data, random_program, run_full
+from .toy_vm import ClosedFormCursor, ComputeModel, compute_data, random_program
 
 FORMAT_VERSION = 1
-
-# the parameter keys each experiment kind reads; any other key is an error
-PARAMS = {
-    "miracle_sweep": {"m", "q", "betas", "f_values", "f_max"},
-    "adaptive_rounds": {"m", "beta", "f_max", "target_rounds", "f_values"},
-    "es_sizing": {"m", "beta", "f_max_values"},
-    "rice_overhead": {"t_lo", "t_hi"},
-    "rice_unmatched": {"k", "rounds"},
-    "protocol_run": {"max_parallel"},
-    "utility_surface": set(),
-}
-KINDS = tuple(PARAMS)
 
 
 class ConfigError(ValueError):
     pass
+
+
+def seed_from_hex(text: str) -> bytes:
+    """A 32-byte seed from its hex spelling; ConfigError for anything else."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be hex: {exc}") from None
+    if len(raw) != 32:
+        raise ConfigError("seed must be 32 bytes of hex")
+    return raw
 
 
 class DivergenceDetected(RuntimeError):
@@ -57,17 +56,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind: {self.kind}")
-        unknown = sorted(set(self.params) - PARAMS[self.kind])
+        unknown = sorted(set(self.params) - set(KINDS[self.kind].defaults))
         if unknown:
             raise ConfigError(f"unknown parameter for {self.kind}: {', '.join(unknown)}")
         if self.trials <= 0:
             raise ConfigError("trial count must be positive")
-        try:
-            raw = bytes.fromhex(self.seed)
-        except ValueError as exc:
-            raise ConfigError(f"seed must be hex: {exc}") from None
-        if len(raw) != 32:
-            raise ConfigError("seed must be 32 bytes of hex")
+        seed_from_hex(self.seed)
 
     def seed_bytes(self) -> bytes:
         return bytes.fromhex(self.seed)
@@ -250,7 +244,7 @@ class SyntheticRunner:
         self.total = total
         self.salt = salt
 
-    def start(self, state, data: bytes = b"", gas_limit=None, fun_id=None):
+    def start(self, state, data: bytes = b"", gas_limit=None):
         return ClosedFormCursor(self.total, self.root_at, gas_limit=gas_limit)
 
     def root_at(self, t: int) -> bytes:
@@ -292,13 +286,12 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
         if pick < vm_fraction and total_target <= vm_t_cap:
             program = random_program(rng, max_iterations=max(total_target // 12, 1))
             state = CicState(sha256(b"cic", salt), program.code_id)
-            _, total = run_full(program, state, b"")
             _, trace = rice.rice_execute_traced(program, state, b"", 1, entropy)
             backend = "vm"
         else:
             backend = "model" if pick < 0.6 else "synthetic"
             trace = rice_run(backend, total_target, salt, 1, entropy)
-            total = trace.total
+        total = trace.total
         bound = 3.0 / (4.0 * math.log2(total))
         frac = trace.last_update_fraction()
         rows.append({
@@ -326,8 +319,7 @@ def fit_phi_vs_log2_squared(rows: Sequence[dict]):
     return float(coef[0]), float(coef[1]), r2
 
 
-def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes,
-                        backend: str = "synthetic"):
+def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes):
     """Strong-unmatched counts for runs ending in a 2^k segment, across
     consecutive rounds of the same synthetic computation."""
     lo, hi = rice.group_end(k - 1) + 1, rice.group_end(k)
@@ -337,7 +329,7 @@ def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes,
         total = rng.randint(max(lo, 3), hi)
         salt = sha256(seed, b"usalt", be8(index))
         entropy = sha256(seed, b"uent", be8(index))
-        traces = [rice_run(backend, total, salt, j, entropy)
+        traces = [rice_run("synthetic", total, salt, j, entropy)
                   for j in range(1, rounds + 1)]
         report = rice.analyze_schedule(traces[0].total, traces)
         for stats in report.rounds[1:]:
@@ -428,8 +420,7 @@ def audit_event_log(events: Sequence[dict]) -> dict:
     return {"window_discipline": ok_windows, "reveal_binding": ok_binding}
 
 
-def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16,
-                        check_replay: bool = True):
+def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16):
     """Run `count` randomized scenarios; audit conservation, windows,
     binding, and bit-exact replay of every event log. `honest_forfeits`
     reports settlement punishments landing on honest nodes (possible only
@@ -440,9 +431,7 @@ def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16,
         scenario = random_scenario(index, seed, max_parallel=max_parallel)
         result = protocol.run_scenario(scenario)
         audit = audit_event_log(result.events)
-        replay_ok = True
-        if check_replay:
-            replay_ok = protocol.replay_check(scenario, result.lines).identical
+        replay_ok = protocol.replay_check(scenario, result.lines).identical
         honest_ids = {n for n, rec in result.mc.nodes.items()
                       if rec.strategy.kind == adversary.HONEST}
         honest_forfeits = sum(1 for e in result.events
@@ -508,42 +497,59 @@ def _write_csv_stream(fh, rows: Sequence[dict], meta: dict) -> None:
     writer.writerows(rows)
 
 
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind. `rows(trials, seed, **params)` builds its rows;
+    `defaults` names every parameter it reads, with its default; a run
+    passes when every row has all of its `audited` fields true."""
+
+    rows: Callable
+    defaults: dict
+    audited: tuple = ()
+
+    def passed(self, rows: Sequence[dict]) -> bool:
+        return all(row[name] for row in rows for name in self.audited)
+
+
+def _rice_overhead_with_fit(trials: int, seed: bytes, t_lo: int, t_hi: int):
+    rows = rice_overhead_rows(trials, t_lo, t_hi, seed)
+    a, b, r2 = fit_phi_vs_log2_squared(rows)
+    for row in rows:
+        row["fit_a"], row["fit_b"], row["fit_r2"] = a, b, r2
+    return rows
+
+
+KINDS = {
+    "miracle_sweep": Kind(
+        lambda trials, seed, m, q, betas, f_values, f_max: miracle_sweep_rows(
+            m, q, betas, f_values, trials, seed, f_max=f_max),
+        {"m": 1600, "q": 0.125, "betas": [1e-10], "f_values": [0.4], "f_max": None}),
+    "adaptive_rounds": Kind(
+        lambda trials, seed, m, beta, f_max, target_rounds, f_values: adaptive_rows(
+            m, beta, f_max, target_rounds, f_values, trials, seed),
+        {"m": 1600, "beta": 1e-20, "f_max": 0.35, "target_rounds": 5.0,
+         "f_values": [0.0, 0.25]}),
+    "es_sizing": Kind(
+        lambda trials, seed, m, beta, f_max_values: es_sizing_rows(m, beta, f_max_values),
+        {"m": 1600, "beta": 1e-20,
+         "f_max_values": [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]}),
+    "rice_overhead": Kind(_rice_overhead_with_fit, {"t_lo": 1000, "t_hi": 10_000_000},
+                          ("phi_bounds_ok", "k_relation_ok")),
+    "rice_unmatched": Kind(
+        lambda trials, seed, k, rounds: rice_unmatched_rows(k, trials, rounds, seed),
+        {"k": 10, "rounds": 2}),
+    "protocol_run": Kind(protocol_batch_rows, {"max_parallel": 16},
+                         ("conserved", "window_discipline", "reveal_binding",
+                          "replay_identical")),
+    "utility_surface": Kind(utility_surface_rows, {}, ("agrees",)),
+}
+
+
 def run(spec: ExperimentSpec):
     """Execute an experiment spec; returns (rows, meta) and writes the CSV
     artifact when an output path is set."""
-    seed = spec.seed_bytes()
-    p = dict(spec.params)
-    if spec.kind == "miracle_sweep":
-        rows = miracle_sweep_rows(
-            m_total=p.get("m", 1600), q=p.get("q", 0.125),
-            betas=p.get("betas", [1e-10]), f_values=p.get("f_values", [0.4]),
-            trials=spec.trials, seed=seed, f_max=p.get("f_max"))
-    elif spec.kind == "adaptive_rounds":
-        rows = adaptive_rows(
-            m_total=p.get("m", 1600), beta=p.get("beta", 1e-20),
-            f_max=p.get("f_max", 0.35), target_rounds=p.get("target_rounds", 5.0),
-            f_values=p.get("f_values", [0.0, 0.25]), trials=spec.trials, seed=seed)
-    elif spec.kind == "es_sizing":
-        rows = es_sizing_rows(
-            m_total=p.get("m", 1600), beta=p.get("beta", 1e-20),
-            f_max_values=p.get("f_max_values",
-                               [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]))
-    elif spec.kind == "rice_overhead":
-        rows = rice_overhead_rows(spec.trials, p.get("t_lo", 1000),
-                                  p.get("t_hi", 10_000_000), seed)
-        a, b, r2 = fit_phi_vs_log2_squared(rows)
-        for row in rows:
-            row["fit_a"], row["fit_b"], row["fit_r2"] = a, b, r2
-    elif spec.kind == "rice_unmatched":
-        rows = rice_unmatched_rows(p.get("k", 10), spec.trials,
-                                   p.get("rounds", 2), seed)
-    elif spec.kind == "protocol_run":
-        rows = protocol_batch_rows(spec.trials, seed,
-                                   max_parallel=p.get("max_parallel", 16))
-    elif spec.kind == "utility_surface":
-        rows = utility_surface_rows(spec.trials, seed)
-    else:  # unreachable: validated at construction
-        raise ConfigError(spec.kind)
+    kind = KINDS[spec.kind]
+    rows = kind.rows(spec.trials, spec.seed_bytes(), **{**kind.defaults, **spec.params})
     meta = {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
             "lib": __version__}
     if spec.out:

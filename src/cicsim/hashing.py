@@ -16,10 +16,7 @@ WORD_MASK = WORD_MODULUS - 1
 
 
 def sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def to_word(value: int) -> bytes:

@@ -81,6 +81,9 @@ REVEALING = "revealing"
 DECIDING = "deciding"
 SETTLED = "settled"
 
+# a run that is still going after this many blocks stops there
+MAX_BLOCKS = 100_000
+
 
 @dataclass(frozen=True)
 class SettlementPolicy:
@@ -135,9 +138,7 @@ class RoundRecord:
     reveal_open: int
     reveal_close: int
     commitments: dict = field(default_factory=dict)   # node_id -> se bytes
-    commit_blocks: dict = field(default_factory=dict)
     reveals: dict = field(default_factory=dict)       # node_id -> (Digest, SortResult)
-    tally: Optional[miracle.RoundTally] = None
 
 
 @dataclass
@@ -146,7 +147,6 @@ class ItContext:
     creator: str
     escrow: int
     round1_entropy: bytes
-    deploy_block: int
     phase: str = DEPLOYED
     rounds: list = field(default_factory=list)
     table: miracle.LikelihoodTable = field(default_factory=miracle.LikelihoodTable)
@@ -237,7 +237,7 @@ class MasterContract:
         nonce = self._beacon()
         entropy = self._beacon()
         it = ItContext(tx=tx.with_nonce(nonce), creator=creator, escrow=cost,
-                       round1_entropy=entropy, deploy_block=block)
+                       round1_entropy=entropy)
         self.active[tx.cid] = it
         self.emit(block, "deployed", cid=tx.cid, tid=tx.tid, nonce=nonce,
                   entropy=entropy, escrow=cost)
@@ -277,7 +277,6 @@ class MasterContract:
         if node_id in rnd.commitments:
             raise DuplicateCommit(f"node {node_id} already committed")
         rnd.commitments[node_id] = se
-        rnd.commit_blocks[node_id] = block
         self.emit(block, "commit", cid=cid, round=rnd.round_index,
                   node=node_id, se=se)
 
@@ -333,8 +332,8 @@ class MasterContract:
         counts: dict = {}
         for node_id, (digest, _) in rnd.reveals.items():
             counts[digest.root.value] = counts.get(digest.root.value, 0) + 1
-        rnd.tally = miracle.RoundTally(round_index=rnd.round_index, counts=counts)
-        it.table = miracle.update_likelihoods(it.table, rnd.tally)
+        tally = miracle.RoundTally(round_index=rnd.round_index, counts=counts)
+        it.table = miracle.update_likelihoods(it.table, tally)
         decision = miracle.step(it.table, self.params)
         self.emit(block, "round_closed", cid=cid, round=rnd.round_index,
                   tally={k.hex(): v for k, v in sorted(counts.items())},
@@ -715,20 +714,20 @@ class Simulation:
                 self.mc.emit(block, "rejected", message=kind, node=node_id,
                              reason=type(exc).__name__, detail=str(exc))
 
-    def run(self, max_blocks: int = 100_000) -> RunResult:
+    def run(self) -> RunResult:
         scenario = self.scenario
         for index, spec in enumerate(scenario.its):
             cid = self.cids[spec.cic_index]
             eta = spec.eta
             gas_limit = compute_length(eta) + spec.gas_margin
             tx = Transaction(tid=sha256(b"tid", self.seed, be8(index)), cid=cid,
-                             fun_id="compute", data=compute_data(eta),
-                             gas_limit=gas_limit, gas_price=spec.gas_price)
+                             data=compute_data(eta), gas_limit=gas_limit,
+                             gas_price=spec.gas_price)
             self._post(spec.submit_block, "enqueue", -1, (tx, f"creator{index}"))
         baseline = self.mc.total_value()
         conserved = True
         block = 0
-        while block < max_blocks:
+        while block < MAX_BLOCKS:
             block += 1
             seen = len(self.mc.events)
             self._deliver(block)

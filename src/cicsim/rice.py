@@ -62,11 +62,10 @@ def exponent_of_total(total: int) -> int:
 
 @dataclass(frozen=True)
 class Seed:
-    """Round-specific seed chain value after `update_count` absorptions."""
+    """A round's seed-chain value."""
 
     value: bytes
     round_index: int
-    update_count: int = 0
 
     def __post_init__(self) -> None:
         if len(self.value) != WORD_BYTES:
@@ -86,9 +85,7 @@ def init_seed(round_index: int, round1_entropy: bytes) -> Seed:
 
 
 def update_seed(seed: Seed, state_root: bytes) -> Seed:
-    return Seed(value=sha256(seed.value, state_root),
-                round_index=seed.round_index,
-                update_count=seed.update_count + 1)
+    return Seed(value=sha256(seed.value, state_root), round_index=seed.round_index)
 
 
 # --- interruption cursor -----------------------------------------------------
@@ -165,21 +162,18 @@ class RiceTrace:
 
 
 def rice_execute(executable, state: CicState, data: bytes, round_index: int,
-                 round1_entropy: bytes, gas_limit: Optional[int] = None,
-                 fun_id: Optional[str] = None) -> Digest:
+                 round1_entropy: bytes, gas_limit: Optional[int] = None) -> Digest:
     digest, _ = rice_execute_traced(executable, state, data, round_index,
-                                    round1_entropy, gas_limit=gas_limit,
-                                    fun_id=fun_id)
+                                    round1_entropy, gas_limit=gas_limit)
     return digest
 
 
 def rice_execute_traced(executable, state: CicState, data: bytes, round_index: int,
-                        round1_entropy: bytes, gas_limit: Optional[int] = None,
-                        fun_id: Optional[str] = None):
+                        round1_entropy: bytes, gas_limit: Optional[int] = None):
     """Run one round: alternate subarray execution with seed updates.
 
     `executable` is any substrate with the cursor protocol: its
-    `start(state, data, gas_limit=, fun_id=)` returns a cursor whose
+    `start(state, data, gas_limit=)` returns a cursor whose
     `resume(t_i, t_f)` runs the dynamic-index subarray [t_i, t_f] and returns
     (cursor, last index run), with `halted`, `dynamic_index` and
     `root_bytes()`; `toy_vm.check_resume` holds the rules every resume
@@ -188,7 +182,7 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
     (Digest, RiceTrace).
     """
     seed = init_seed(round_index, round1_entropy)
-    cursor = executable.start(state, data, gas_limit=gas_limit, fun_id=fun_id)
+    cursor = executable.start(state, data, gas_limit=gas_limit)
     schedule = SegmentCursor.initial()
     updates: list = []
     while True:

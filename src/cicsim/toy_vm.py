@@ -76,18 +76,15 @@ class Program:
     def code_id(self) -> bytes:
         return sha256(b"cicsim/program/v1", self.source.encode())
 
-    def entry(self, fun_id: Optional[str] = None) -> int:
-        if fun_id is None:
-            if not self.entries:
-                raise AssemblyError("program has no entry function")
-            return next(iter(self.entries.values()))
-        if fun_id not in self.entries:
-            raise AssemblyError(f"unknown function: {fun_id}")
-        return self.entries[fun_id]
+    def entry(self) -> int:
+        """The first function's entry point."""
+        if not self.entries:
+            raise AssemblyError("program has no entry function")
+        return next(iter(self.entries.values()))
 
     def start(self, state: CicState, data: bytes = b"",
-              gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> "ExecCursor":
-        return start(self, state, data, gas_limit=gas_limit, fun_id=fun_id)
+              gas_limit: Optional[int] = None) -> "ExecCursor":
+        return start(self, state, data, gas_limit=gas_limit)
 
 
 def _parse_reg(tok: str, line_no: int) -> int:
@@ -168,7 +165,6 @@ class Transaction:
 
     tid: bytes
     cid: bytes
-    fun_id: Optional[str]
     data: bytes
     gas_limit: int
     gas_price: int
@@ -179,7 +175,7 @@ class Transaction:
             raise ValueError("gas limit must be positive")
 
     def with_nonce(self, nonce: bytes) -> "Transaction":
-        return Transaction(self.tid, self.cid, self.fun_id, self.data,
+        return Transaction(self.tid, self.cid, self.data,
                            self.gas_limit, self.gas_price, nonce)
 
 
@@ -244,8 +240,8 @@ def check_resume(cursor, t_i: int, t_f: int) -> None:
 
 
 def start(program: Program, state: CicState, data: bytes = b"",
-          gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> ExecCursor:
-    return ExecCursor(program, state, data, gas_limit, program.entry(fun_id))
+          gas_limit: Optional[int] = None) -> ExecCursor:
+    return ExecCursor(program, state, data, gas_limit, program.entry())
 
 
 def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
@@ -309,9 +305,9 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
 
 
 def run_full(program: Program, state: CicState, data: bytes = b"",
-             gas_limit: Optional[int] = None, fun_id: Optional[str] = None):
+             gas_limit: Optional[int] = None):
     """Run to halt; returns (final state, total dynamic instruction count)."""
-    cursor = start(program, state, data, gas_limit=gas_limit, fun_id=fun_id)
+    cursor = start(program, state, data, gas_limit=gas_limit)
     _step_until(cursor, None)
     return cursor.state, cursor.dynamic_index
 
@@ -330,7 +326,7 @@ def run_sub(program: Program, cursor: ExecCursor, t_i: int, t_f: int,
     return cursor, cursor.dynamic_index
 
 
-def compute_program(key: int = 0, increment: int = 1) -> Program:
+def compute_program(key: int = 0) -> Program:
     """The iterated-update benchmark: eta loop iterations, each reading,
     bumping, and writing one storage counter. The iteration count eta comes
     from the first input-data word, so the code identity is independent of
@@ -339,7 +335,7 @@ def compute_program(key: int = 0, increment: int = 1) -> Program:
     src = f"""
 func compute
   const r1 {key}
-  const r3 {increment}
+  const r3 1
   mov r0 r8
 loop:
   jnz r0 body
@@ -407,13 +403,12 @@ class ComputeModel:
     bit-identical to interpreting compute_program (covered by tests).
     """
 
-    def __init__(self, key: int = 0, increment: int = 1):
+    def __init__(self, key: int = 0):
         self.key = key
-        self.increment = increment
-        self.code_id = compute_program(key=key, increment=increment).code_id
+        self.code_id = compute_program(key=key).code_id
 
     def state_at(self, base: CicState, eta: int, t: int) -> CicState:
-        count = min(max(t - 1, 0) // 6, eta) * self.increment
+        count = min(max(t - 1, 0) // 6, eta)
         if count == 0:
             return base
         key = to_word(self.key)
@@ -423,7 +418,7 @@ class ComputeModel:
         return self.state_at(base, eta, compute_length(eta))
 
     def start(self, state: CicState, data: bytes = b"",
-              gas_limit: Optional[int] = None, fun_id: Optional[str] = None) -> ClosedFormCursor:
+              gas_limit: Optional[int] = None) -> ClosedFormCursor:
         eta = compute_eta(data)
         return ClosedFormCursor(compute_length(eta),
                                 lambda t: self.state_at(state, eta, t).root().value,

@@ -236,3 +236,62 @@ def test_cli_miracle_mc(tmp_path):
     body = out.read_text().splitlines()
     assert body[1].split(",")[:3] == ["f", "beta", "f_max"]
     assert len(body) == 3
+
+
+# The CSV metadata line of every experiment subcommand, run once at its
+# defaults and once with every experiment flag spelled out. The spec hash
+# covers the kind's parameters exactly as the CLI passes them, so a default
+# or a flag mapping that drifts changes the pin.
+PIN_SEED = "5e" * 32
+CLI_META = [
+    (("miracle-mc",), "miracle_sweep",
+     "4df67d12222f4758883ad104a8f1d14cfd00114aa36697393b3ab1b922e828e6"),
+    (("miracle-mc", "--m", "200", "--q", "0.2", "--beta", "1e-3", "--beta", "1e-4",
+      "--f", "0.2", "--f", "0.3", "--f-max", "0.35"), "miracle_sweep",
+     "d60067dd1984fa79875f50c72c6fe922370d5fb33e92a3270617fd71c9f0116e"),
+    (("adaptive",), "adaptive_rounds",
+     "362becb769aa3f41178c7231d1dff20e422f62bea882161c6c302c072e4f12d9"),
+    (("adaptive", "--m", "400", "--beta", "1e-6", "--f-max", "0.3",
+      "--target-rounds", "4", "--f", "0.1", "--f", "0.2"), "adaptive_rounds",
+     "f00f7cddf21a8ebf68dfc1b11bd06e32e005e15e216c9523b99bbcaf30010fab"),
+    (("es-sizing",), "es_sizing",
+     "9f4a63a14b7f3c7992abb3dc1ab9026bcee7c02a8dcc39e1f0e2d20463693889"),
+    (("es-sizing", "--m", "800", "--beta", "1e-6"), "es_sizing",
+     "5099c4db744aaa392b101d7d9ae6ec8320b7177eab44ebb839484f265ef5acd4"),
+    (("rice-overhead",), "rice_overhead",
+     "2ac7c40ce09171b5cfd797c63608ced5e0d1c125824170ecb377e34e93a8decd"),
+    (("rice-overhead", "--t-lo", "100", "--t-hi", "100000"), "rice_overhead",
+     "6b1d1281a09169fbaf2f50978bc02003421bd935c66f41085a6710662a2c03f9"),
+    (("protocol-run",), "protocol_run",
+     "9f65fdc2f0cde0882db1a49f2a9d225e13111c63080fdd1f5c89a95619c04dde"),
+    (("protocol-run", "--max-parallel", "4"), "protocol_run",
+     "8b74a301656bcf2109592807568eef244d2cf5af9d8384d73d10588fd8d9ea75"),
+    (("utility",), "utility_surface",
+     "53812d5d9c65a720d5a601d9d8d5cd867e885d803c5f4fa80c65253ea61933f6"),
+]
+
+
+@pytest.mark.parametrize("argv,kind,spec_hash", CLI_META,
+                         ids=[f"{a[0]}-{'flags' if len(a) > 1 else 'defaults'}"
+                              for a, _, _ in CLI_META])
+def test_cli_metadata_line(capsys, argv, kind, spec_hash):
+    assert cli.main([*argv, "--seed", PIN_SEED, "--trials", "2"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"# kind={kind} lib=0.1.0 seed={PIN_SEED} spec={spec_hash}"
+
+
+def test_kind_audit_fails_on_a_false_audited_field():
+    protocol_kind = experiments.KINDS["protocol_run"]
+    row = {"conserved": True, "window_discipline": True, "reveal_binding": True,
+           "replay_identical": True}
+    assert protocol_kind.passed([row])
+    assert not protocol_kind.passed([row, {**row, "conserved": False}])
+    utility_kind = experiments.KINDS["utility_surface"]
+    assert utility_kind.passed([{"agrees": True}])
+    assert not utility_kind.passed([{"agrees": True}, {"agrees": False}])
+
+
+@pytest.mark.parametrize("seed", ["zz", "abcd"])
+def test_cli_rice_trace_rejects_a_bad_seed(capsys, seed):
+    assert cli.main(["rice-trace", "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be ")

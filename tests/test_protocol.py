@@ -46,7 +46,7 @@ def build_mc(n_nodes=10, q=1.0, th1=0.60, th2=0.25, reward=10, deposit=100,
 
 def make_tx(state, eta=4, gas_price=2, margin=10) -> Transaction:
     return Transaction(tid=sha256(b"tid", be8(eta)), cid=state.cid,
-                       fun_id="compute", data=compute_data(eta),
+                       data=compute_data(eta),
                        gas_limit=compute_length(eta) + margin,
                        gas_price=gas_price)
 

@@ -203,9 +203,7 @@ def test_compute_model_gas_semantics_match_the_vm():
 
 def test_transaction_validation():
     with pytest.raises(ValueError):
-        Transaction(tid=b"t" * 32, cid=b"c" * 32, fun_id="compute", data=b"",
-                    gas_limit=0, gas_price=1)
-    tx = Transaction(tid=b"t" * 32, cid=b"c" * 32, fun_id="compute", data=b"",
-                     gas_limit=10, gas_price=1)
+        Transaction(tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=0, gas_price=1)
+    tx = Transaction(tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=10, gas_price=1)
     assert tx.nonce is None
     assert tx.with_nonce(sha256(b"n")).nonce == sha256(b"n")
