@@ -11,8 +11,10 @@ Every run is pinned by --seed; identical invocations produce identical
 artifacts. The process exits 1 if any invariant audited by the requested
 experiment fails, and 2 with an `error:` line on input it cannot use: a
 missing or unreadable file, a malformed scenario or event log, a bad seed,
-a config file that is not a JSON object, or a parameter the experiment
-does not read.
+a config file that is not a JSON object, a parameter the experiment does
+not read or of another type than its default, a negative `rice-trace
+--eta` or a `--rounds` below 1, or a `protocol-run` flag that the
+presence or absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ COMMANDS = {"miracle-mc": "miracle_sweep", "adaptive": "adaptive_rounds",
 
 
 def _add_common(parser: argparse.ArgumentParser, trials: int) -> None:
-    parser.add_argument("--seed", default=DEFAULT_SEED, help="hex experiment seed")
-    parser.add_argument("--trials", type=int, default=trials)
+    # --seed and --trials default to None, so `protocol-run --scenario` can
+    # tell a given flag from a default; `_spec` fills the defaults in
+    parser.add_argument("--seed", help="hex experiment seed")
+    parser.add_argument("--trials", type=int, help=f"default {trials}")
+    parser.set_defaults(default_trials=trials)
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--config", default=None,
                         help="JSON file of extra experiment parameters")
@@ -58,9 +63,10 @@ def _spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
         if not isinstance(extra, dict):
             raise experiments.ConfigError(f"{args.config}: not a JSON object")
         params = {**params, **extra}
-    return experiments.ExperimentSpec(kind=kind, params=params,
-                                      trials=args.trials, seed=args.seed,
-                                      out=args.out)
+    return experiments.ExperimentSpec(
+        kind=kind, params=params,
+        trials=args.default_trials if args.trials is None else args.trials,
+        seed=DEFAULT_SEED if args.seed is None else args.seed, out=args.out)
 
 
 def main(argv=None) -> int:
@@ -125,6 +131,8 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "rice-trace":
         entropy = experiments.seed_from_hex(args.seed)
+        if args.eta < 0 or args.rounds < 1:
+            raise experiments.ConfigError("--eta must be >= 0 and --rounds >= 1")
         model = ComputeModel()
         state = CicState(sha256(b"trace-cid", entropy), model.code_id)
         lines = []
@@ -154,6 +162,11 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "protocol-run" and args.scenario:
+        ignored = [f"--{dest.replace('_', '-')}" for dest in
+                   ("out", "trials", "max_parallel", "seed", "config")
+                   if getattr(args, dest) is not None]
+        if ignored:
+            raise experiments.ConfigError(f"--scenario takes none of {', '.join(ignored)}")
         with open(args.scenario) as fh:
             scenario = protocol.Scenario.from_json(fh.read())
         result = protocol.run_scenario(scenario)
@@ -166,6 +179,8 @@ def _run(args: argparse.Namespace) -> int:
                           **audit}, sort_keys=True))
         return 0 if ok else 1
 
+    if args.command == "protocol-run" and args.log:
+        raise experiments.ConfigError("--log needs --scenario")
     spec = _spec(args)
     rows, meta = experiments.run(spec)
     if not spec.out:

@@ -41,6 +41,17 @@ def seed_from_hex(text: str) -> bytes:
     return raw
 
 
+def _fits_default(value, default) -> bool:
+    """Whether a parameter value has its default's type; a bool is no number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits_default(v, default[0]) for v in value)
+    if default is None:
+        return value is None or _fits_default(value, 0.0)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 class DivergenceDetected(RuntimeError):
     pass
 
@@ -59,6 +70,11 @@ class ExperimentSpec:
         unknown = sorted(set(self.params) - set(KINDS[self.kind].defaults))
         if unknown:
             raise ConfigError(f"unknown parameter for {self.kind}: {', '.join(unknown)}")
+        for key, value in self.params.items():
+            default = KINDS[self.kind].defaults[key]
+            if not _fits_default(value, default):
+                raise ConfigError(f"{self.kind} parameter {key}={value!r} does not have "
+                                  f"the type of its default {default!r}")
         if self.trials <= 0:
             raise ConfigError("trial count must be positive")
         seed_from_hex(self.seed)

@@ -18,11 +18,27 @@ arithmetic):
 `hash` writes the SHA-256 of a register's word encoding. `mod` by zero
 yields zero. Input data is split into 32-byte words loaded into registers
 r8..r15 before execution.
+
+A Program single-steps its first COMPILE_AFTER instructions, summed over
+all its runs, and then compiles its code into one Python function per
+trace: by then single-stepping has cost about what compiling costs, so a
+program that runs only briefly never pays for it. A trace starts at a
+leader (an entry point, a jump target, or the instruction after a `jmp`,
+`jnz` or `halt`), runs straight-line ops and follows `jmp`; it ends with a
+`jnz`, before a `halt`, before an instruction it already holds, or once it
+has copied as many instructions from outside its own block as that block
+has, so all traces together hold at most twice the program. A trace whose
+`jnz` branches back to its start runs as a loop. The interpreter runs a
+trace only where it fits whole before min(t_f, gas limit), a loop as many
+whole times as fit, and single-steps the rest: the halt and the partial
+traces at either edge. So cut points, `GasExhausted` positions and errors
+are those of single-stepping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
@@ -30,6 +46,10 @@ from .merkle_state import CicState, StorageTree
 
 NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
+# single-stepping this many costs ~0.5 ms more than running them compiled,
+# about one compile (2-CPU Xeon), so a program that runs only briefly never
+# pays much more than the cheaper of the two
+COMPILE_AFTER = 2048
 
 (OP_CONST, OP_MOV, OP_ADD, OP_SUB, OP_MUL, OP_MOD, OP_XOR, OP_AND,
  OP_LT, OP_EQ, OP_JMP, OP_JNZ, OP_LOAD, OP_STORE, OP_HASH, OP_HALT) = range(16)
@@ -71,6 +91,12 @@ class Program:
     instructions: tuple
     entries: dict
     source: str
+    # [instructions single-stepped so far, the trace table once compiled]
+    warmth: list = field(default_factory=lambda: [0, None], init=False,
+                         repr=False, compare=False)
+
+    def __reduce__(self):
+        return Program, (self.instructions, self.entries, self.source)
 
     @property
     def code_id(self) -> bytes:
@@ -244,8 +270,105 @@ def start(program: Program, state: CicState, data: bytes = b"",
     return ExecCursor(program, state, data, gas_limit, program.entry())
 
 
+# Trace compiler: Python source of each straight-line op.
+_SOURCE = {
+    OP_CONST: "regs[{a}] = {b}", OP_MOV: "regs[{a}] = regs[{b}]",
+    OP_ADD: "regs[{a}] = (regs[{b}] + regs[{c}]) & {m}",
+    OP_SUB: "regs[{a}] = (regs[{b}] - regs[{c}]) & {m}",
+    OP_MUL: "regs[{a}] = (regs[{b}] * regs[{c}]) & {m}",
+    OP_MOD: "regs[{a}] = regs[{b}] % regs[{c}] if regs[{c}] else 0",
+    OP_XOR: "regs[{a}] = regs[{b}] ^ regs[{c}]", OP_AND: "regs[{a}] = regs[{b}] & regs[{c}]",
+    OP_LT: "regs[{a}] = 1 if regs[{b}] < regs[{c}] else 0",
+    OP_EQ: "regs[{a}] = 1 if regs[{b}] == regs[{c}] else 0",
+    OP_LOAD: 'regs[{a}] = int.from_bytes(storage.get(regs[{b}].to_bytes(32, "big"), '
+             'b"\\0" * 32), "big")',
+    OP_STORE: 'key = regs[{a}].to_bytes(32, "big"); '
+              'storage[key] = regs[{b}].to_bytes(32, "big"); written.add(key)',
+    OP_HASH: 'regs[{a}] = int.from_bytes(sha256(regs[{b}].to_bytes(32, "big")), "big")',
+}
+
+
+def _trace_pcs(code: tuple, leaders: set, start: int) -> list:
+    """The pcs of the trace at leader `start` (module docstring)."""
+    pcs, seen, pc, own = [], set(), start, None
+    while 0 <= pc < len(code) and pc not in seen and code[pc][0] != OP_HALT:
+        if own is None and pc in leaders and pcs:
+            own = len(pcs)
+        if own is not None and len(pcs) == 2 * own:
+            break
+        pcs.append(pc)
+        seen.add(pc)
+        op, a, _, _ = code[pc]
+        if op == OP_JNZ:
+            break
+        pc = a if op == OP_JMP else pc + 1
+    return pcs
+
+
+def _trace_source(code: tuple, pcs: list) -> str:
+    """`trace_<start>(regs, storage, written, n)`: returns (next pc, runs),
+    a loop running up to n >= 1 times, any other trace once."""
+    op, a, b, _ = code[pcs[-1]]
+    if op == OP_JNZ and b == pcs[0]:
+        leave = [f"if not regs[{a}]:", f"    pc = {pcs[-1] + 1}", "    break",
+                 "if i >= n:", "    break"]
+    elif op == OP_JNZ:
+        leave = [f"pc = {b} if regs[{a}] else {pcs[-1] + 1}", "break"]
+    else:
+        leave = [f"pc = {a if op == OP_JMP else pcs[-1] + 1}", "break"]
+    body = [_SOURCE[code[pc][0]].format(a=code[pc][1], b=code[pc][2], c=code[pc][3],
+                                        m=WORD_MASK)
+            for pc in pcs if code[pc][0] in _SOURCE]
+    return "\n".join([f"def trace_{pcs[0]}(regs, storage, written, n):",
+                      f"    pc, i = {pcs[0]}, 0", "    while True:", "        i += 1",
+                      *(f"        {line}" for line in body + leave),
+                      "    return pc, i"])
+
+
+def _compile_traces(code: tuple, entries: dict) -> tuple:
+    """Per pc, `(length, function)` of the trace of two or more instructions
+    starting there, or None. `sha256` is looked up in this module's globals,
+    so a wrapper put there sees every call. Source is formatted from the
+    operands, so each must be an int."""
+    for ins in code:
+        if tuple(map(type, ins)) != (int, int, int, int) or not 0 <= ins[0] <= OP_HALT:
+            raise AssemblyError(f"not an instruction: {ins!r}")
+    leaders = set(entries.values())
+    for pc, (op, a, b, _) in enumerate(code):
+        if op in (OP_JMP, OP_JNZ):
+            leaders.add(a if op == OP_JMP else b)
+        if op in (OP_JMP, OP_JNZ, OP_HALT):
+            leaders.add(pc + 1)
+    traces = [_trace_pcs(code, leaders, pc) if pc in leaders else [] for pc in range(len(code))]
+    namespace: dict = {}
+    exec(compile("\n".join(_trace_source(code, pcs) for pcs in traces if len(pcs) > 1),
+                 "<toy_vm traces>", "exec"), globals(), namespace)
+    return tuple((len(pcs), namespace[f"trace_{pc}"]) if len(pcs) > 1 else None
+                 for pc, pcs in enumerate(traces))
+
+
 def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
-    """Execute instructions while dynamic_index < t_f (or until halt)."""
+    """Execute instructions while dynamic_index < t_f (or until halt),
+    compiling the program once it has single-stepped COMPILE_AFTER of them."""
+    program = cursor.program
+    warmth = program.warmth
+    if warmth[1] is None:
+        t = cursor.dynamic_index
+        cold_end = t + COMPILE_AFTER - warmth[0]
+        try:
+            _run(cursor, cold_end if t_f is None else min(t_f, cold_end),
+                 (None,) * len(program.instructions))
+        finally:
+            warmth[0] += cursor.dynamic_index - t
+        if cursor.halted or cursor.dynamic_index == t_f:
+            return
+        warmth[1] = _compile_traces(program.instructions, program.entries)
+    _run(cursor, t_f, warmth[1])
+
+
+def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
+    """Execute instructions while dynamic_index < t_f (or until halt),
+    running each trace in `traces` that fits whole before min(t_f, gas)."""
     code = cursor.program.instructions
     regs = cursor.regs
     storage = cursor.storage
@@ -253,14 +376,20 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
     pc = cursor.pc
     t = cursor.dynamic_index
     limit = cursor.gas_limit
+    bound = min(sys.maxsize if t_f is None else t_f, sys.maxsize if limit is None else limit)
     n_instr = len(code)
     while t_f is None or t < t_f:
         if limit is not None and t >= limit:
             cursor.pc, cursor.dynamic_index = pc, t
             raise GasExhausted(f"gas limit {limit} reached before halt")
-        if pc >= n_instr:
+        if not 0 <= pc < n_instr:
             cursor.pc, cursor.dynamic_index = pc, t
             raise VmError("execution ran past end of program")
+        trace = traces[pc]
+        if trace is not None and t + trace[0] <= bound:
+            pc, runs = trace[1](regs, storage, written, (bound - t) // trace[0])
+            t += runs * trace[0]
+            continue
         op, a, b, c = code[pc]
         t += 1
         pc += 1

@@ -39,12 +39,9 @@ def merkle_root_oracle(cid: bytes, code: bytes, storage: dict) -> bytes:
 MASK = (1 << 256) - 1
 
 
-def run_program_oracle(instructions, entry: int, storage: dict, data: bytes,
-                       max_steps: int = 10_000_000):
-    """Step-by-step re-interpretation; returns (storage, executed_count).
-
-    `storage` maps 32-byte keys to 32-byte values and is copied, not shared.
-    """
+def _oracle_steps(instructions, entry: int, storage: dict, data: bytes):
+    """Yield (pc, regs, storage, steps, halted) after every instruction,
+    ending with the halt. The yielded registers and storage are live."""
     regs = [0] * 16
     words = [data[i:i + 32].ljust(32, b"\0") for i in range(0, len(data), 32)]
     for i, w in enumerate(words):
@@ -52,7 +49,7 @@ def run_program_oracle(instructions, entry: int, storage: dict, data: bytes,
     store = dict(storage)
     pc = entry
     steps = 0
-    while steps < max_steps:
+    while True:
         op, a, b, c = instructions[pc]
         steps += 1
         pc += 1
@@ -89,8 +86,31 @@ def run_program_oracle(instructions, entry: int, storage: dict, data: bytes,
         elif op == 14:     # hash
             regs[a] = int.from_bytes(sha(regs[b].to_bytes(32, "big")), "big")
         else:              # halt
+            yield pc, regs, store, steps, True
+            return
+        yield pc, regs, store, steps, False
+
+
+def run_program_oracle(instructions, entry: int, storage: dict, data: bytes,
+                       max_steps: int = 10_000_000):
+    """Step-by-step re-interpretation; returns (storage, executed_count).
+
+    `storage` maps 32-byte keys to 32-byte values and is copied, not shared.
+    """
+    for _, _, store, steps, halted in _oracle_steps(instructions, entry, storage, data):
+        if halted:
             return store, steps
+        if steps >= max_steps:
+            break
     raise AssertionError("oracle exceeded the step budget")
+
+
+def oracle_state_after(instructions, entry: int, storage: dict, data: bytes, k: int):
+    """(pc, regs, storage, steps) after the first k >= 1 instructions, or
+    after the halt if it comes sooner; copies, not live."""
+    for pc, regs, store, steps, halted in _oracle_steps(instructions, entry, storage, data):
+        if steps == k or halted:
+            return pc, list(regs), dict(store), steps
 
 
 # --- direct evaluation of the threshold and round formulas ----------------------

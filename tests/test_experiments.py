@@ -227,6 +227,59 @@ def test_misspelled_parameter_is_a_config_error(tmp_path, capsys):
     assert cli.main(["es-sizing", "--config", str(path)]) == 0
 
 
+def test_parameter_values_must_have_their_default_type():
+    def spec(kind, **params):
+        return experiments.ExperimentSpec(kind=kind, params=params, seed="ab" * 32)
+
+    for kind, params in [("es_sizing", {"m": "abc"}), ("es_sizing", {"m": 1600.0}),
+                         ("es_sizing", {"m": True}), ("es_sizing", {"beta": False}),
+                         ("es_sizing", {"f_max_values": [0.1, "x"]}),
+                         ("es_sizing", {"f_max_values": 0.1}),
+                         ("miracle_sweep", {"f_max": "0.3"})]:
+        with pytest.raises(experiments.ConfigError, match=next(iter(params))):
+            spec(kind, **params)
+    # an int where a float is expected, and None or a number for a None default
+    spec("es_sizing", beta=1, f_max_values=[0.1, 1])
+    spec("miracle_sweep", f_max=None)
+    spec("miracle_sweep", f_max=0.3)
+    # a valid spec hashes as before
+    assert spec("es_sizing", m=800).spec_hash() == experiments.ExperimentSpec(
+        kind="es_sizing", params={"m": 800}, seed="ab" * 32).spec_hash()
+
+
+def test_cli_config_with_a_wrong_typed_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"m": "abc"}')
+    assert cli.main(["es-sizing", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: es_sizing parameter m='abc' ")
+
+
+@pytest.mark.parametrize("argv", [["--eta", "-1"], ["--rounds", "0"]])
+def test_cli_rice_trace_rejects_a_bad_count(capsys, argv):
+    assert cli.main(["rice-trace", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --eta must be >= 0 and --rounds >= 1")
+
+
+@pytest.mark.parametrize("flags", [["--out"], ["--trials", "50"], ["--seed", "ab" * 32],
+                                   ["--max-parallel", "3", "--config", "c.json"]])
+def test_cli_protocol_scenario_rejects_the_batch_flags(tmp_path, capsys, flags):
+    # a flag given with --scenario is an error even when it spells the default
+    flags = [*flags, str(tmp_path / "x.csv")] if flags == ["--out"] else flags
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
+    assert cli.main(["protocol-run", "--scenario", str(scen_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --scenario takes none of ")
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not (tmp_path / "x.csv").exists()
+    # and --log, which only a scenario run writes, is an error without one
+    assert cli.main(["protocol-run", "--log", str(tmp_path / "log.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: --log needs --scenario\n"
+
+
 def test_cli_miracle_mc(tmp_path):
     out = tmp_path / "mc.csv"
     code = cli.main(["miracle-mc", "--m", "200", "--q", "0.2", "--beta", "1e-3",

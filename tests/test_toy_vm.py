@@ -1,5 +1,6 @@
 """VM semantics: counting, interruption, composability, the benchmark twin."""
 
+import pickle
 import random
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from cicsim.experiments import SyntheticRunner
 from cicsim.hashing import sha256, to_word
+from cicsim import toy_vm
 from cicsim.merkle_state import CicState
-from cicsim.toy_vm import (ComputeModel, GasExhausted, InvalidResume, Program,
-                           Transaction, assemble, compute_data, compute_length,
+from cicsim.toy_vm import (AssemblyError, ComputeModel, GasExhausted, InvalidResume,
+                           Program, Transaction, assemble, compute_data, compute_length,
                            compute_program, random_program, run_full, run_sub,
                            start)
 
-from oracles import run_program_oracle
+from oracles import oracle_state_after, run_program_oracle
 
 
 def fresh_state(program: Program) -> CicState:
@@ -175,6 +177,179 @@ def test_random_programs_match_the_stepping_oracle():
             program.instructions, program.entry(), {}, b"")
         assert oracle_steps == total
         assert dict(final.storage) == oracle_store
+
+
+# A loop whose body runs mov, which random_program never emits, and on every
+# iteration a mod by zero, a load of an absent key and a hash; r8 holds the
+# iteration count.
+EVERY_OP_LOOP = """
+func main
+  mov r0 r8
+  const r6 1
+  const r7 0
+loop:
+  jnz r0 body
+  halt
+body:
+  mov r1 r0
+  mod r2 r1 r7
+  hash r4 r1
+  load r3 r4
+  add r5 r5 r3
+  xor r5 r5 r4
+  store r1 r5
+  store r2 r1
+  sub r0 r0 r6
+  jmp loop
+"""
+
+
+# Shapes random_program never has. A do-while loop closed by its own jnz:
+DO_WHILE = """
+func main
+  mov r0 r8
+  const r6 1
+loop:
+  add r1 r1 r0
+  store r0 r1
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# a two-instruction block that jumps into a long one, so its trace is cut
+# at twice its own length, in the middle of the long block:
+JMP_INTO_A_LONG_BLOCK = """
+func main
+  const r1 7
+  jmp long
+back:
+  halt
+long:
+  add r2 r2 r1
+  mul r3 r2 r2
+  xor r4 r3 r1
+  hash r5 r4
+  store r1 r5
+  load r6 r1
+  eq r7 r6 r5
+  jnz r7 back
+  halt
+"""
+
+# a jump to a label in the middle of the loop body:
+JMP_INTO_A_BLOCK = """
+func main
+  mov r0 r8
+  const r6 1
+  jmp mid
+top:
+  add r1 r1 r0
+mid:
+  xor r2 r2 r1
+  store r2 r0
+  sub r0 r0 r6
+  jnz r0 top
+  halt
+"""
+
+# and a loop closed by jmp that never halts, whose trace ends in the jmp,
+# before the pc it starts at:
+SPIN = """
+func main
+  const r6 1
+spin:
+  add r1 r1 r6
+  store r1 r1
+  jmp spin
+"""
+
+
+def cursor_view(cursor):
+    return cursor.pc, list(cursor.regs), dict(cursor.storage), cursor.dynamic_index
+
+
+def oracle_prefix(program, storage, data, cap=300):
+    """[None, state after 1, ..., state after T], T the halt or else cap;
+    and whether the program halted."""
+    states = [None]
+    for k in range(1, cap + 1):
+        state = oracle_state_after(program.instructions, program.entry(), storage, data, k)
+        if state[3] < k:
+            return states, True
+        states.append(state)
+    return states, False
+
+
+def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
+    # traces run whole only where they fit before the cut or the gas limit,
+    # so every prefix, every resume after it and every GasExhausted position
+    # must equal the one-instruction-at-a-time oracle, whenever the program
+    # is compiled: from its first instruction (COMPILE_AFTER 0) or after any
+    # number of single steps
+    rng = random.Random(61)
+    cases = [(random_program(rng, max_iterations=12), b"") for _ in range(6)]
+    cases += [(assemble(EVERY_OP_LOOP), to_word(9)), (assemble(DO_WHILE), to_word(9)),
+              (assemble(JMP_INTO_A_LONG_BLOCK), b""), (assemble(JMP_INTO_A_BLOCK), to_word(9)),
+              (assemble(SPIN), b"")]
+    storage = {to_word(n): to_word(n * n + 1) for n in range(4)}
+    for program, data in cases:
+        state = CicState(5, program.code_id, storage)
+        oracle, halts = oracle_prefix(program, storage, data)
+        total = len(oracle) - 1
+        monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
+        for k in range(1, total + 1):
+            cursor = start(program, state, data)
+            cursor, last = run_sub(program, cursor, 1, k)
+            assert (last, cursor.halted) == (k, halts and k == total)
+            assert cursor_view(cursor) == oracle[k]
+            if k < total:
+                cursor, last = run_sub(program, cursor, k + 1, total)
+                assert cursor_view(cursor) == oracle[total]
+        for limit in range(1, total):
+            cursor = start(program, state, data, gas_limit=limit)
+            with pytest.raises(GasExhausted):
+                run_sub(program, cursor, 1, total)
+            assert cursor.dynamic_index == limit
+            assert cursor_view(cursor) == oracle[limit]
+        assert program.warmth[1] is not None
+        for after in range(1, total):
+            monkeypatch.setattr(toy_vm, "COMPILE_AFTER", after)
+            fresh = Program(program.instructions, program.entries, program.source)
+            cursor, last = run_sub(fresh, start(fresh, state, data), 1, total)
+            assert cursor_view(cursor) == oracle[total]
+            assert fresh.warmth[0] == after and fresh.warmth[1] is not None
+
+
+def test_a_program_compiles_once_it_has_single_stepped_compile_after():
+    # single steps are summed over all runs of one Program, resumes included
+    program = compute_program()
+    state = fresh_state(program)
+    run_full(program, state, compute_data(10))
+    cursor = start(program, state, compute_data(10))
+    run_sub(program, cursor, 1, 30)
+    assert program.warmth == [compute_length(10) + 30, None]
+    eta = (toy_vm.COMPILE_AFTER // 6) * 2
+    final, total = run_full(program, state, compute_data(eta))
+    assert program.warmth[0] == toy_vm.COMPILE_AFTER and program.warmth[1] is not None
+    assert (final, total) == run_full(compute_program(), state, compute_data(eta))
+
+
+def test_hand_built_programs_are_checked_and_pickle(monkeypatch):
+    # trace source is formatted from operands, so compiling a program checks
+    # that they are ints and the opcode is known
+    monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
+    for bad in [(0, 1, "2; x", 0), (0, 1, 2.0, 0), (0, True, 2, 0),
+                (16, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 2)]:
+        program = Program(instructions=(bad, (15, 0, 0, 0)), entries={"main": 0}, source="")
+        with pytest.raises(AssemblyError):
+            run_full(program, CicState(5, program.code_id))
+    # a compiled program holds functions, and still pickles
+    program = assemble(EVERY_OP_LOOP)
+    state = CicState(5, program.code_id)
+    ran = run_full(program, state, to_word(3))
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program and run_full(copy, state, to_word(3)) == ran
 
 
 def test_compute_model_matches_interpreter_states_and_totals():
