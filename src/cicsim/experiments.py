@@ -211,42 +211,6 @@ def es_sizing_rows(m_total: int, beta: float, f_max_values: Sequence[float]):
     return rows
 
 
-# --- likelihood property batches (vectorized) ---------------------------------
-
-def random_tally_batch(rng: np.random.Generator, trials: int, max_roots: int = 5,
-                       max_rounds: int = 6, scale: int = 200):
-    """Random per-round counts, shape (trials, rounds, roots)."""
-    n_rounds = int(rng.integers(1, max_rounds + 1))
-    n_roots = int(rng.integers(2, max_roots + 1))
-    return rng.integers(0, scale, size=(trials, n_rounds, n_roots)).astype(np.int64)
-
-
-def scores_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Integer scores (2 c - C) C summed over rounds, per trial and root."""
-    totals = counts.sum(axis=2, keepdims=True)
-    return ((2 * counts - totals) * totals).sum(axis=1)
-
-
-def count_double_crossings(counts: np.ndarray, gate: float) -> int:
-    """Trials where two roots' running scores exceed the gate at the same
-    round (must be zero for any positive gate)."""
-    totals = counts.sum(axis=2, keepdims=True)
-    increments = (2 * counts - totals) * totals
-    running = np.cumsum(increments, axis=1)
-    return int((np.sum(running > gate, axis=2) >= 2).sum())
-
-
-def merged_vs_split_margin(counts_split: np.ndarray) -> np.ndarray:
-    """Per-trial margin (merged-root score) - max(split incorrect scores)
-    when the first root is honest and the rest merge their counts."""
-    honest = counts_split[:, :, :1]
-    bad = counts_split[:, :, 1:]
-    merged = np.concatenate([honest, bad.sum(axis=2, keepdims=True)], axis=2)
-    split_max = scores_from_counts(counts_split)[:, 1:].max(axis=1)
-    merged_score = scores_from_counts(merged)[:, 1]
-    return merged_score - split_max
-
-
 # --- schedule experiments ------------------------------------------------------
 
 class SyntheticRunner:
@@ -267,23 +231,6 @@ class SyntheticRunner:
         return sha256(b"synthetic-root", self.salt, be8(t))
 
 
-def rice_run(backend: str, total_target: int, salt: bytes, round_index: int,
-             entropy: bytes):
-    """One traced round on the chosen substrate; returns the trace."""
-    if backend == "synthetic":
-        runner = SyntheticRunner(total_target, salt)
-        _, trace = rice.rice_execute_traced(runner, None, b"", round_index, entropy)
-        return trace
-    if backend == "model":
-        eta = max((total_target - 5) // 6, 1)
-        model = ComputeModel(key=int.from_bytes(salt[:2], "big"))
-        state = CicState(sha256(b"cic", salt), model.code_id)
-        _, trace = rice.rice_execute_traced(model, state, compute_data(eta),
-                                            round_index, entropy)
-        return trace
-    raise ConfigError(f"unknown backend: {backend}")
-
-
 def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
                        vm_fraction: float = 0.2, vm_t_cap: int = 20_000):
     """Schedule-bound audit over programs with log-uniform total length.
@@ -300,13 +247,18 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
         entropy = sha256(seed, b"entropy", be8(index))
         pick = rng.random()
         if pick < vm_fraction and total_target <= vm_t_cap:
-            program = random_program(rng, max_iterations=max(total_target // 12, 1))
-            state = CicState(sha256(b"cic", salt), program.code_id)
-            _, trace = rice.rice_execute_traced(program, state, b"", 1, entropy)
             backend = "vm"
+            substrate = random_program(rng, max_iterations=max(total_target // 12, 1))
+            state, data = CicState(sha256(b"cic", salt), substrate.code_id), b""
+        elif pick < 0.6:
+            backend = "model"
+            substrate = ComputeModel(key=int.from_bytes(salt[:2], "big"))
+            state = CicState(sha256(b"cic", salt), substrate.code_id)
+            data = compute_data(max((total_target - 5) // 6, 1))
         else:
-            backend = "model" if pick < 0.6 else "synthetic"
-            trace = rice_run(backend, total_target, salt, 1, entropy)
+            backend, substrate = "synthetic", SyntheticRunner(total_target, salt)
+            state, data = None, b""
+        _, trace = rice.rice_execute_traced(substrate, state, data, 1, entropy)
         total = trace.total
         bound = 3.0 / (4.0 * math.log2(total))
         frac = trace.last_update_fraction()
@@ -343,9 +295,9 @@ def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes):
     rows = []
     for index in range(trials):
         total = rng.randint(max(lo, 3), hi)
-        salt = sha256(seed, b"usalt", be8(index))
         entropy = sha256(seed, b"uent", be8(index))
-        traces = [rice_run("synthetic", total, salt, j, entropy)
+        runner = SyntheticRunner(total, sha256(seed, b"usalt", be8(index)))
+        traces = [rice.rice_execute_traced(runner, None, b"", j, entropy)[1]
                   for j in range(1, rounds + 1)]
         report = rice.analyze_schedule(traces[0].total, traces)
         for stats in report.rounds[1:]:

@@ -23,7 +23,6 @@ positions shifted. Its root is the same function of storage as
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -214,11 +213,6 @@ class CicState:
         return self._root
 
 
-def root(state: CicState) -> MerkleRoot:
-    """Canonical digest of a state; insertion-order independent."""
-    return state.root()
-
-
 @dataclass(frozen=True)
 class InclusionProof:
     """Audit path for one storage entry, leaf to storage root.
@@ -255,19 +249,3 @@ def verify_inclusion(state_root_: MerkleRoot, cid: "int | bytes", code: "int | b
     for sibling, sibling_is_right in proof.path:
         node = sha256(node, sibling) if sibling_is_right else sha256(sibling, node)
     return sha256(as_word(cid), as_word(code), node) == state_root_.value
-
-
-def dump_fixture(state: CicState) -> str:
-    """Canonical JSON fixture: sorted hex keys, 64 hex chars per word."""
-    doc = {
-        "cid": state.cid.hex(),
-        "code": state.code.hex(),
-        "storage": {k.hex(): state.get(k).hex() for k in sorted(state.storage)},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def load_fixture(text: str) -> CicState:
-    doc = json.loads(text)
-    storage = {bytes.fromhex(k): bytes.fromhex(v) for k, v in doc["storage"].items()}
-    return CicState(bytes.fromhex(doc["cid"]), bytes.fromhex(doc["code"]), storage)

@@ -7,17 +7,14 @@ of gas, so gas consumed equals T. Execution can be cut at any dynamic index
 and resumed, and any chaining of subarray runs reproduces the full run
 byte-exactly.
 
-ISA (16 opcodes, 16 registers of 256-bit unsigned words, wraparound
-arithmetic):
-
-    const r imm      mov r a        add/sub/mul/mod/xor/and r a b
-    lt/eq r a b      jmp label      jnz cond label
-    load r k         store k v      hash r a       halt
-
-`load`/`store` address contract storage through the key held in a register;
-`hash` writes the SHA-256 of a register's word encoding. `mod` by zero
-yields zero. Input data is split into 32-byte words loaded into registers
-r8..r15 before execution.
+The ISA has 16 opcodes over 16 registers of 256-bit unsigned words, with
+wraparound arithmetic. `_ISA` is its one definition: each opcode's
+mnemonic, operand kinds and effect. The assembler parses operands from the
+kinds, and the single-stepper and the trace compiler both run code made
+from the effects. `load`/`store` address contract storage through the key
+held in a register; `hash` writes the SHA-256 of a register's word
+encoding. `mod` by zero yields zero. Input data is split into 32-byte words
+loaded into registers r8..r15 before execution.
 
 A Program single-steps its first COMPILE_AFTER instructions, summed over
 all its runs, and then compiles its code into one Python function per
@@ -54,14 +51,31 @@ COMPILE_AFTER = 2048
 (OP_CONST, OP_MOV, OP_ADD, OP_SUB, OP_MUL, OP_MOD, OP_XOR, OP_AND,
  OP_LT, OP_EQ, OP_JMP, OP_JNZ, OP_LOAD, OP_STORE, OP_HASH, OP_HALT) = range(16)
 
-_MNEMONICS = {
-    "const": OP_CONST, "mov": OP_MOV, "add": OP_ADD, "sub": OP_SUB,
-    "mul": OP_MUL, "mod": OP_MOD, "xor": OP_XOR, "and": OP_AND,
-    "lt": OP_LT, "eq": OP_EQ, "jmp": OP_JMP, "jnz": OP_JNZ,
-    "load": OP_LOAD, "store": OP_STORE, "hash": OP_HASH, "halt": OP_HALT,
-}
-
-_THREE_REG = {OP_ADD, OP_SUB, OP_MUL, OP_MOD, OP_XOR, OP_AND, OP_LT, OP_EQ}
+# The ISA's one definition, in opcode order: mnemonic, operand kinds (r a
+# register, i an immediate word, l a label), and the Python source of the
+# effect, None for the control-flow ops. Operands fill slots a, b, c of the
+# instruction in order; {m} is the word mask.
+_ISA = (
+    ("const", "ri", "regs[{a}] = {b}"),
+    ("mov", "rr", "regs[{a}] = regs[{b}]"),
+    ("add", "rrr", "regs[{a}] = (regs[{b}] + regs[{c}]) & {m}"),
+    ("sub", "rrr", "regs[{a}] = (regs[{b}] - regs[{c}]) & {m}"),
+    ("mul", "rrr", "regs[{a}] = (regs[{b}] * regs[{c}]) & {m}"),
+    ("mod", "rrr", "regs[{a}] = regs[{b}] % regs[{c}] if regs[{c}] else 0"),
+    ("xor", "rrr", "regs[{a}] = regs[{b}] ^ regs[{c}]"),
+    ("and", "rrr", "regs[{a}] = regs[{b}] & regs[{c}]"),
+    ("lt", "rrr", "regs[{a}] = 1 if regs[{b}] < regs[{c}] else 0"),
+    ("eq", "rrr", "regs[{a}] = 1 if regs[{b}] == regs[{c}] else 0"),
+    ("jmp", "l", None),
+    ("jnz", "rl", None),
+    ("load", "rr", 'regs[{a}] = int.from_bytes(storage.get(regs[{b}].to_bytes(32, "big"), '
+                   'b"\\0" * 32), "big")'),
+    ("store", "rr", 'key = regs[{a}].to_bytes(32, "big"); '
+                    'storage[key] = regs[{b}].to_bytes(32, "big"); written.add(key)'),
+    ("hash", "rr", 'regs[{a}] = int.from_bytes(sha256(regs[{b}].to_bytes(32, "big")), "big")'),
+    ("halt", "", None),
+)
+_OPCODES = {name: op for op, (name, _, _) in enumerate(_ISA)}
 
 
 class VmError(Exception):
@@ -85,7 +99,8 @@ class Program:
     """An assembled program: decoded instructions plus entry points.
 
     `code_id` is the SHA-256 of the canonical source text and serves as the
-    immutable program reference stored in contract state.
+    immutable program reference stored in contract state. Every instruction
+    is four ints with a known opcode, checked here for every execution path.
     """
 
     instructions: tuple
@@ -94,6 +109,11 @@ class Program:
     # [instructions single-stepped so far, the trace table once compiled]
     warmth: list = field(default_factory=lambda: [0, None], init=False,
                          repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for ins in self.instructions:
+            if tuple(map(type, ins)) != (int, int, int, int) or not 0 <= ins[0] <= OP_HALT:
+                raise AssemblyError(f"not an instruction: {ins!r}")
 
     def __reduce__(self):
         return Program, (self.instructions, self.entries, self.source)
@@ -113,13 +133,24 @@ class Program:
         return start(self, state, data, gas_limit=gas_limit)
 
 
-def _parse_reg(tok: str, line_no: int) -> int:
-    if not tok.startswith("r") or not tok[1:].isdigit():
-        raise AssemblyError(f"line {line_no}: expected register, got {tok!r}")
-    idx = int(tok[1:])
-    if not 0 <= idx < NUM_REGISTERS:
-        raise AssemblyError(f"line {line_no}: register out of range: {tok}")
-    return idx
+def _operand(kind: str, tok: str, labels: dict, line_no: int) -> int:
+    if kind == "l":
+        if tok not in labels:
+            raise AssemblyError(f"line {line_no}: unknown label {tok!r}")
+        return labels[tok]
+    if kind == "r":
+        if not tok.startswith("r") or not tok[1:].isdigit():
+            raise AssemblyError(f"line {line_no}: expected register, got {tok!r}")
+        if not 0 <= int(tok[1:]) < NUM_REGISTERS:
+            raise AssemblyError(f"line {line_no}: register out of range: {tok}")
+        return int(tok[1:])
+    try:
+        imm = int(tok, 0)
+    except ValueError:
+        raise AssemblyError(f"line {line_no}: expected immediate, got {tok!r}") from None
+    if not 0 <= imm <= WORD_MASK:
+        raise AssemblyError(f"line {line_no}: immediate out of range")
+    return imm
 
 
 def assemble(source: str) -> Program:
@@ -150,34 +181,16 @@ def assemble(source: str) -> Program:
         raw.append((line_no, toks))
 
     instructions = []
-    for line_no, toks in raw:
-        op_name, args = toks[0], toks[1:]
-        if op_name not in _MNEMONICS:
-            raise AssemblyError(f"line {line_no}: unknown opcode {op_name!r}")
-        op = _MNEMONICS[op_name]
-        if op == OP_HALT:
-            instructions.append((op, 0, 0, 0))
-        elif op == OP_CONST:
-            reg = _parse_reg(args[0], line_no)
-            imm = int(args[1], 0)
-            if not 0 <= imm <= WORD_MASK:
-                raise AssemblyError(f"line {line_no}: immediate out of range")
-            instructions.append((op, reg, imm, 0))
-        elif op in (OP_MOV, OP_LOAD, OP_STORE, OP_HASH):
-            instructions.append((op, _parse_reg(args[0], line_no),
-                                 _parse_reg(args[1], line_no), 0))
-        elif op in _THREE_REG:
-            instructions.append((op, _parse_reg(args[0], line_no),
-                                 _parse_reg(args[1], line_no),
-                                 _parse_reg(args[2], line_no)))
-        elif op == OP_JMP:
-            if args[0] not in labels:
-                raise AssemblyError(f"line {line_no}: unknown label {args[0]!r}")
-            instructions.append((op, labels[args[0]], 0, 0))
-        elif op == OP_JNZ:
-            if args[1] not in labels:
-                raise AssemblyError(f"line {line_no}: unknown label {args[1]!r}")
-            instructions.append((op, _parse_reg(args[0], line_no), labels[args[1]], 0))
+    for line_no, (name, *args) in raw:
+        if name not in _OPCODES:
+            raise AssemblyError(f"line {line_no}: unknown opcode {name!r}")
+        op = _OPCODES[name]
+        kinds = _ISA[op][1]
+        if len(args) != len(kinds):
+            raise AssemblyError(f"line {line_no}: {name} takes {len(kinds)} operands, "
+                                f"got {len(args)}")
+        operands = [_operand(kind, tok, labels, line_no) for kind, tok in zip(kinds, args)]
+        instructions.append((op, *operands, *[0] * (3 - len(operands))))
     if not entries:
         entries["main"] = 0
     canonical = "\n".join(" ".join(t) for _, t in raw)
@@ -217,7 +230,7 @@ class ExecCursor:
     """
 
     __slots__ = ("program", "cid", "code", "storage", "written", "tree", "regs",
-                 "pc", "dynamic_index", "halted", "data", "gas_limit")
+                 "pc", "dynamic_index", "halted", "gas_limit")
 
     def __init__(self, program: Program, state: CicState, data: bytes,
                  gas_limit: Optional[int], pc: int):
@@ -231,7 +244,6 @@ class ExecCursor:
         self.pc = pc
         self.dynamic_index = 0
         self.halted = False
-        self.data = data
         self.gas_limit = gas_limit
         words = [data[i:i + 32] for i in range(0, len(data), 32)]
         if len(words) > NUM_REGISTERS - DATA_REGISTER_BASE:
@@ -270,22 +282,22 @@ def start(program: Program, state: CicState, data: bytes = b"",
     return ExecCursor(program, state, data, gas_limit, program.entry())
 
 
-# Trace compiler: Python source of each straight-line op.
-_SOURCE = {
-    OP_CONST: "regs[{a}] = {b}", OP_MOV: "regs[{a}] = regs[{b}]",
-    OP_ADD: "regs[{a}] = (regs[{b}] + regs[{c}]) & {m}",
-    OP_SUB: "regs[{a}] = (regs[{b}] - regs[{c}]) & {m}",
-    OP_MUL: "regs[{a}] = (regs[{b}] * regs[{c}]) & {m}",
-    OP_MOD: "regs[{a}] = regs[{b}] % regs[{c}] if regs[{c}] else 0",
-    OP_XOR: "regs[{a}] = regs[{b}] ^ regs[{c}]", OP_AND: "regs[{a}] = regs[{b}] & regs[{c}]",
-    OP_LT: "regs[{a}] = 1 if regs[{b}] < regs[{c}] else 0",
-    OP_EQ: "regs[{a}] = 1 if regs[{b}] == regs[{c}] else 0",
-    OP_LOAD: 'regs[{a}] = int.from_bytes(storage.get(regs[{b}].to_bytes(32, "big"), '
-             'b"\\0" * 32), "big")',
-    OP_STORE: 'key = regs[{a}].to_bytes(32, "big"); '
-              'storage[key] = regs[{b}].to_bytes(32, "big"); written.add(key)',
-    OP_HASH: 'regs[{a}] = int.from_bytes(sha256(regs[{b}].to_bytes(32, "big")), "big")',
-}
+def _make_steps() -> tuple:
+    """Per opcode, `step(regs, storage, written, a, b, c, pc)` returning the
+    next pc, where `pc` is already past the instruction; None for `halt`.
+    `sha256` is looked up in this module's globals, as in the traces."""
+    source = ["def step_jmp(regs, storage, written, a, b, c, pc):\n    return a",
+              "def step_jnz(regs, storage, written, a, b, c, pc):\n"
+              "    return b if regs[a] else pc"]
+    source += [f"def step_{name}(regs, storage, written, a, b, c, pc):\n"
+               f"    {effect.format(a='a', b='b', c='c', m=WORD_MASK)}\n    return pc"
+               for name, _, effect in _ISA if effect is not None]
+    namespace: dict = {}
+    exec(compile("\n".join(source), "<toy_vm steps>", "exec"), globals(), namespace)
+    return tuple(namespace.get(f"step_{name}") for name, _, _ in _ISA)
+
+
+_STEP = _make_steps()
 
 
 def _trace_pcs(code: tuple, leaders: set, start: int) -> list:
@@ -316,9 +328,8 @@ def _trace_source(code: tuple, pcs: list) -> str:
         leave = [f"pc = {b} if regs[{a}] else {pcs[-1] + 1}", "break"]
     else:
         leave = [f"pc = {a if op == OP_JMP else pcs[-1] + 1}", "break"]
-    body = [_SOURCE[code[pc][0]].format(a=code[pc][1], b=code[pc][2], c=code[pc][3],
-                                        m=WORD_MASK)
-            for pc in pcs if code[pc][0] in _SOURCE]
+    body = [_ISA[op][2].format(a=a, b=b, c=c, m=WORD_MASK)
+            for op, a, b, c in (code[pc] for pc in pcs) if _ISA[op][2] is not None]
     return "\n".join([f"def trace_{pcs[0]}(regs, storage, written, n):",
                       f"    pc, i = {pcs[0]}, 0", "    while True:", "        i += 1",
                       *(f"        {line}" for line in body + leave),
@@ -328,11 +339,7 @@ def _trace_source(code: tuple, pcs: list) -> str:
 def _compile_traces(code: tuple, entries: dict) -> tuple:
     """Per pc, `(length, function)` of the trace of two or more instructions
     starting there, or None. `sha256` is looked up in this module's globals,
-    so a wrapper put there sees every call. Source is formatted from the
-    operands, so each must be an int."""
-    for ins in code:
-        if tuple(map(type, ins)) != (int, int, int, int) or not 0 <= ins[0] <= OP_HALT:
-            raise AssemblyError(f"not an instruction: {ins!r}")
+    so a wrapper put there sees every call."""
     leaders = set(entries.values())
     for pc, (op, a, b, _) in enumerate(code):
         if op in (OP_JMP, OP_JNZ):
@@ -378,6 +385,7 @@ def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
     limit = cursor.gas_limit
     bound = min(sys.maxsize if t_f is None else t_f, sys.maxsize if limit is None else limit)
     n_instr = len(code)
+    step = _STEP
     while t_f is None or t < t_f:
         if limit is not None and t >= limit:
             cursor.pc, cursor.dynamic_index = pc, t
@@ -392,44 +400,10 @@ def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
             continue
         op, a, b, c = code[pc]
         t += 1
-        pc += 1
-        if op == OP_ADD:
-            regs[a] = (regs[b] + regs[c]) & WORD_MASK
-        elif op == OP_JNZ:
-            if regs[a]:
-                pc = b
-        elif op == OP_LOAD:
-            regs[a] = int.from_bytes(
-                storage.get(regs[b].to_bytes(32, "big"), b"\0" * 32), "big")
-        elif op == OP_STORE:
-            key = regs[a].to_bytes(32, "big")
-            storage[key] = regs[b].to_bytes(32, "big")
-            written.add(key)
-        elif op == OP_SUB:
-            regs[a] = (regs[b] - regs[c]) & WORD_MASK
-        elif op == OP_MUL:
-            regs[a] = (regs[b] * regs[c]) & WORD_MASK
-        elif op == OP_CONST:
-            regs[a] = b
-        elif op == OP_JMP:
-            pc = a
-        elif op == OP_MOD:
-            regs[a] = regs[b] % regs[c] if regs[c] else 0
-        elif op == OP_XOR:
-            regs[a] = regs[b] ^ regs[c]
-        elif op == OP_AND:
-            regs[a] = regs[b] & regs[c]
-        elif op == OP_LT:
-            regs[a] = 1 if regs[b] < regs[c] else 0
-        elif op == OP_EQ:
-            regs[a] = 1 if regs[b] == regs[c] else 0
-        elif op == OP_MOV:
-            regs[a] = regs[b]
-        elif op == OP_HASH:
-            regs[a] = int.from_bytes(sha256(regs[b].to_bytes(32, "big")), "big")
-        else:  # OP_HALT
-            cursor.pc, cursor.dynamic_index, cursor.halted = pc, t, True
+        if op == OP_HALT:
+            cursor.pc, cursor.dynamic_index, cursor.halted = pc + 1, t, True
             return
+        pc = step[op](regs, storage, written, a, b, c, pc + 1)
     cursor.pc, cursor.dynamic_index = pc, t
 
 
@@ -441,16 +415,13 @@ def run_full(program: Program, state: CicState, data: bytes = b"",
     return cursor.state, cursor.dynamic_index
 
 
-def run_sub(program: Program, cursor: ExecCursor, t_i: int, t_f: int,
-            data: Optional[bytes] = None):
+def run_sub(program: Program, cursor: ExecCursor, t_i: int, t_f: int):
     """Execute the dynamic-index subarray [t_i, t_f], both ends inclusive.
 
     Returns (cursor, t_f) when the program is still running, or (cursor, T)
     with cursor.halted set when it halted at T <= t_f.
     """
     check_resume(cursor, t_i, t_f)
-    if data is not None and data != cursor.data:
-        raise InvalidResume("input data differs from the original run")
     _step_until(cursor, t_f)
     return cursor, cursor.dynamic_index
 

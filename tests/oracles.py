@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
+
 
 def sha(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -182,3 +184,39 @@ def segment_table_oracle(limit: int):
             k += 1
             repeat = k
     return table
+
+
+# --- likelihood property batches (vectorized) ---------------------------------
+
+def random_tally_batch(rng: np.random.Generator, trials: int, max_roots: int = 5,
+                       max_rounds: int = 6, scale: int = 200):
+    """Random per-round counts, shape (trials, rounds, roots)."""
+    n_rounds = int(rng.integers(1, max_rounds + 1))
+    n_roots = int(rng.integers(2, max_roots + 1))
+    return rng.integers(0, scale, size=(trials, n_rounds, n_roots)).astype(np.int64)
+
+
+def scores_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Integer scores (2 c - C) C summed over rounds, per trial and root."""
+    totals = counts.sum(axis=2, keepdims=True)
+    return ((2 * counts - totals) * totals).sum(axis=1)
+
+
+def count_double_crossings(counts: np.ndarray, gate: float) -> int:
+    """Trials where two roots' running scores exceed the gate at the same
+    round (must be zero for any positive gate)."""
+    totals = counts.sum(axis=2, keepdims=True)
+    increments = (2 * counts - totals) * totals
+    running = np.cumsum(increments, axis=1)
+    return int((np.sum(running > gate, axis=2) >= 2).sum())
+
+
+def merged_vs_split_margin(counts_split: np.ndarray) -> np.ndarray:
+    """Per-trial margin (merged-root score) - max(split incorrect scores)
+    when the first root is honest and the rest merge their counts."""
+    honest = counts_split[:, :, :1]
+    bad = counts_split[:, :, 1:]
+    merged = np.concatenate([honest, bad.sum(axis=2, keepdims=True)], axis=2)
+    split_max = scores_from_counts(counts_split)[:, 1:].max(axis=1)
+    merged_score = scores_from_counts(merged)[:, 1]
+    return merged_score - split_max

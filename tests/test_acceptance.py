@@ -27,6 +27,7 @@ from cicsim.merkle_state import CicState
 from cicsim.toy_vm import (ComputeModel, compute_data, random_program,
                            run_full, run_sub, start)
 
+from oracles import count_double_crossings, merged_vs_split_margin, random_tally_batch
 from test_protocol import settle_with_seed_groups
 
 SEED = sha256(b"cicsim-acceptance-v1")
@@ -132,9 +133,8 @@ def test_c05_single_winner_property():
     total = violations = 0
     while total < 1_000_000:
         batch = min(50_000, 1_000_000 - total)
-        counts = experiments.random_tally_batch(rng, batch, max_roots=5,
-                                                max_rounds=6, scale=150)
-        violations += experiments.count_double_crossings(counts, gate)
+        counts = random_tally_batch(rng, batch, max_roots=5, max_rounds=6, scale=150)
+        violations += count_double_crossings(counts, gate)
         total += batch
     ok = violations == 0
     report(5, ok, f"double crossings: {violations} in {total} sequences")
@@ -148,11 +148,10 @@ def test_c06_merging_dominates_splitting():
     checked = 0
     worst = None
     while checked < 10_000:
-        counts = experiments.random_tally_batch(rng, 2_000, max_roots=6,
-                                                max_rounds=5, scale=120)
+        counts = random_tally_batch(rng, 2_000, max_roots=6, max_rounds=5, scale=120)
         if counts.shape[2] < 3:
             continue  # needs at least two incorrect roots to split
-        margins = experiments.merged_vs_split_margin(counts)
+        margins = merged_vs_split_margin(counts)
         worst = margins.min() if worst is None else min(worst, margins.min())
         checked += counts.shape[0]
     ok = worst is not None and worst >= 0

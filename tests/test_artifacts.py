@@ -7,10 +7,13 @@ so the pins do not depend on the BLAS build.
 """
 
 import hashlib
+import random
 
 from cicsim import cli, experiments, protocol, rice, toy_vm
 from cicsim.hashing import sha256, to_word
 from cicsim.merkle_state import CicState
+
+from test_toy_vm import DO_WHILE, EVERY_OP_LOOP, JMP_INTO_A_BLOCK, JMP_INTO_A_LONG_BLOCK, SPIN
 
 SEED = sha256(b"artifact-pins")
 
@@ -143,3 +146,32 @@ def test_rice_insert_digests():
                for n in range(32)}
     assert keyed_rice_digests(INSERT_SRC, 2000, storage, base) == (
         "4f50962feabe57f82dc19581c5b3cc83648721aa004aad7ae3ca2588669bd874")
+
+
+PINNED_CODE_IDS = {
+    "compute": "a264955d8ac1efc87c40e7c69e094a916a85289fe70137755f9db36f3670fd24",
+    "EVERY_OP_LOOP": "b8b5eefb2b5f1d29a6c53178c948873fe1926644b7857b40fd52de77bafc82f1",
+    "DO_WHILE": "caca35920b7eedd8fff0b217c980a83920fd9176c14fac8738fd2447fcf2e2ca",
+    "JMP_INTO_A_LONG_BLOCK": "6ed19c46e7cefbcd50970e13bdd2942d3402a4a96c80223cea3e2b538b760ecd",
+    "JMP_INTO_A_BLOCK": "77e2e12359a542eeeec34fa3ee1b06f91bfa640993995c3f513d8a4d45c84188",
+    "SPIN": "b585f5373556dda832d7958e642c74028739e15ad0cce021c2c8cf8b063867df",
+}
+
+
+def test_program_code_ids():
+    # the assembler's canonical text and decoding, pinned at their source:
+    # compute_program, the hand-written shapes of test_toy_vm and 20 seeded
+    # random programs
+    hand_written = {"EVERY_OP_LOOP": EVERY_OP_LOOP, "DO_WHILE": DO_WHILE,
+                    "JMP_INTO_A_LONG_BLOCK": JMP_INTO_A_LONG_BLOCK,
+                    "JMP_INTO_A_BLOCK": JMP_INTO_A_BLOCK, "SPIN": SPIN}
+    named = {"compute": toy_vm.compute_program(0),
+             **{name: toy_vm.assemble(src) for name, src in hand_written.items()}}
+    rng = random.Random(SEED)
+    randoms = [toy_vm.random_program(rng) for _ in range(20)]
+    assert {name: p.code_id.hex() for name, p in named.items()} == PINNED_CODE_IDS
+    assert hashlib.sha256(b"".join(p.code_id for p in randoms)).hexdigest() == (
+        "27209ec1b3983b87ed98e03784263ba4414f69cc5335590b7a8381623536be4f")
+    decoded = repr([(p.instructions, p.entries) for p in [*named.values(), *randoms]])
+    assert hashlib.sha256(decoded.encode()).hexdigest() == (
+        "f58d28e31a74e4248dcdffb384d32bdf34a828b7173bdbaf312398deb3f8ec33")

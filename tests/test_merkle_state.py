@@ -1,12 +1,11 @@
-"""Merkle state: root determinism, write sensitivity, proofs, fixtures."""
+"""Merkle state: root determinism, write sensitivity, proofs, the kept tree."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cicsim.hashing import sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
-                                 StorageTree, dump_fixture, load_fixture,
-                                 prove_inclusion, root, storage_root,
+                                 StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
 
 from oracles import merkle_root_oracle, sha
@@ -28,33 +27,33 @@ def test_read_after_write():
 def test_same_write_is_idempotent_for_the_root():
     once = CicState(1, 2).put(10, 99)
     twice = once.put(10, 99)
-    assert root(once) == root(twice)
+    assert once.root() == twice.root()
 
 
 def test_different_values_change_the_root():
     a = CicState(1, 2).put(10, 1)
     b = CicState(1, 2).put(10, 2)
-    assert root(a) != root(b)
+    assert a.root() != b.root()
     # oracle recomputation of both trees
-    assert root(a).value == merkle_root_oracle(a.cid, a.code, dict(a.storage))
-    assert root(b).value == merkle_root_oracle(b.cid, b.code, dict(b.storage))
+    assert a.root().value == merkle_root_oracle(a.cid, a.code, dict(a.storage))
+    assert b.root().value == merkle_root_oracle(b.cid, b.code, dict(b.storage))
 
 
 def test_empty_root_is_the_defined_constant():
     assert storage_root({}) == EMPTY_STORAGE_ROOT
-    assert root(CicState(1, 2)).value == sha(to_word(1) + to_word(2) + EMPTY_STORAGE_ROOT)
+    assert CicState(1, 2).root().value == sha(to_word(1) + to_word(2) + EMPTY_STORAGE_ROOT)
 
 
 def test_insertion_order_is_irrelevant():
     ab = CicState(1, 2).put(b"\x00" * 31 + b"a", 1).put(b"\x00" * 31 + b"b", 2)
     ba = CicState(1, 2).put(b"\x00" * 31 + b"b", 2).put(b"\x00" * 31 + b"a", 1)
-    assert root(ab) == root(ba)
+    assert ab.root() == ba.root()
 
 
 def test_three_key_fixture_matches_independent_builder():
     state = make_state(**{"3": 30, "1": 10, "2": 20})
-    assert root(state).value == merkle_root_oracle(state.cid, state.code,
-                                                   dict(state.storage))
+    assert state.root().value == merkle_root_oracle(state.cid, state.code,
+                                                    dict(state.storage))
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,7 +68,7 @@ def test_root_invariant_under_permutation_and_matches_oracle(items, rng):
         state = state.put(k, v)
     expected = merkle_root_oracle(state.cid, state.code,
                                   {to_word(k): to_word(v) for k, v in items.items()})
-    assert root(state).value == expected
+    assert state.root().value == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,7 +80,7 @@ def test_every_key_proves_inclusion(items):
         state = state.put(k, v)
     for k in items:
         proof = prove_inclusion(state, k)
-        assert verify_inclusion(root(state), state.cid, state.code, proof)
+        assert verify_inclusion(state.root(), state.cid, state.code, proof)
 
 
 def test_tampered_proof_fails():
@@ -90,23 +89,14 @@ def test_tampered_proof_fails():
     bad = MerkleRoot(sha(b"not-the-root"))
     assert not verify_inclusion(bad, state.cid, state.code, proof)
     wrong_cid = to_word(99)
-    assert not verify_inclusion(root(state), wrong_cid, state.code, proof)
+    assert not verify_inclusion(state.root(), wrong_cid, state.code, proof)
 
 
 def test_value_semantics_snapshots_do_not_alias():
     base = make_state(**{"1": 10})
     fork = base.put(2, 20)
     assert len(base) == 1 and len(fork) == 2
-    assert root(base) != root(fork)
-
-
-def test_fixture_round_trip_is_canonical():
-    state = make_state(**{"5": 50, "4": 40})
-    text = dump_fixture(state)
-    again = load_fixture(text)
-    assert again == state
-    assert dump_fixture(again) == text
-    assert text.index("\"cid\"") < text.index("\"storage\"")
+    assert base.root() != fork.root()
 
 
 # --- the kept tree against the from-scratch oracle --------------------------------

@@ -95,10 +95,6 @@ def test_run_sub_past_the_end_reports_the_true_total():
 def test_resume_validation():
     program = compute_program()
     state = fresh_state(program)
-    cursor = start(program, state, compute_data(3))
-    cursor, _ = run_sub(program, cursor, 1, 4)
-    with pytest.raises(InvalidResume):
-        run_sub(program, cursor, 5, 9, data=b"different")
     # every substrate shares the same resume rules
     total = compute_length(3)
     for executable in (program, ComputeModel(), SyntheticRunner(total, b"salt")):
@@ -285,8 +281,8 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
     # traces run whole only where they fit before the cut or the gas limit,
     # so every prefix, every resume after it and every GasExhausted position
     # must equal the one-instruction-at-a-time oracle, whenever the program
-    # is compiled: from its first instruction (COMPILE_AFTER 0) or after any
-    # number of single steps
+    # is compiled: from its first instruction (COMPILE_AFTER 0), after any
+    # number of single steps, or never (the single-stepper alone)
     rng = random.Random(61)
     cases = [(random_program(rng, max_iterations=12), b"") for _ in range(6)]
     cases += [(assemble(EVERY_OP_LOOP), to_word(9)), (assemble(DO_WHILE), to_word(9)),
@@ -297,22 +293,24 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
         state = CicState(5, program.code_id, storage)
         oracle, halts = oracle_prefix(program, storage, data)
         total = len(oracle) - 1
-        monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
-        for k in range(1, total + 1):
-            cursor = start(program, state, data)
-            cursor, last = run_sub(program, cursor, 1, k)
-            assert (last, cursor.halted) == (k, halts and k == total)
-            assert cursor_view(cursor) == oracle[k]
-            if k < total:
-                cursor, last = run_sub(program, cursor, k + 1, total)
-                assert cursor_view(cursor) == oracle[total]
-        for limit in range(1, total):
-            cursor = start(program, state, data, gas_limit=limit)
-            with pytest.raises(GasExhausted):
-                run_sub(program, cursor, 1, total)
-            assert cursor.dynamic_index == limit
-            assert cursor_view(cursor) == oracle[limit]
-        assert program.warmth[1] is not None
+        for compile_after in (0, 10 ** 9):
+            monkeypatch.setattr(toy_vm, "COMPILE_AFTER", compile_after)
+            program = Program(program.instructions, program.entries, program.source)
+            for k in range(1, total + 1):
+                cursor = start(program, state, data)
+                cursor, last = run_sub(program, cursor, 1, k)
+                assert (last, cursor.halted) == (k, halts and k == total)
+                assert cursor_view(cursor) == oracle[k]
+                if k < total:
+                    cursor, last = run_sub(program, cursor, k + 1, total)
+                    assert cursor_view(cursor) == oracle[total]
+            for limit in range(1, total):
+                cursor = start(program, state, data, gas_limit=limit)
+                with pytest.raises(GasExhausted):
+                    run_sub(program, cursor, 1, total)
+                assert cursor.dynamic_index == limit
+                assert cursor_view(cursor) == oracle[limit]
+            assert (program.warmth[1] is None) == (compile_after > 0)
         for after in range(1, total):
             monkeypatch.setattr(toy_vm, "COMPILE_AFTER", after)
             fresh = Program(program.instructions, program.entries, program.source)
@@ -336,20 +334,28 @@ def test_a_program_compiles_once_it_has_single_stepped_compile_after():
 
 
 def test_hand_built_programs_are_checked_and_pickle(monkeypatch):
-    # trace source is formatted from operands, so compiling a program checks
-    # that they are ints and the opcode is known
-    monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
+    # traces are formatted from operands and steps are looked up by opcode,
+    # so constructing a program checks that the operands are ints and the
+    # opcode is known, before it either single-steps or compiles
     for bad in [(0, 1, "2; x", 0), (0, 1, 2.0, 0), (0, True, 2, 0),
                 (16, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 2)]:
-        program = Program(instructions=(bad, (15, 0, 0, 0)), entries={"main": 0}, source="")
         with pytest.raises(AssemblyError):
-            run_full(program, CicState(5, program.code_id))
+            Program(instructions=(bad, (15, 0, 0, 0)), entries={"main": 0}, source="")
     # a compiled program holds functions, and still pickles
+    monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
     program = assemble(EVERY_OP_LOOP)
     state = CicState(5, program.code_id)
     ran = run_full(program, state, to_word(3))
+    assert program.warmth[1] is not None
     copy = pickle.loads(pickle.dumps(program))
     assert copy == program and run_full(copy, state, to_word(3)) == ran
+
+
+@pytest.mark.parametrize("line", ["add r1 r2", "const r1", "jmp", "jnz r1", "const r1 zz",
+                                  "halt extra", "mov r1 r16"])
+def test_malformed_lines_raise_assembly_error_naming_the_line(line):
+    with pytest.raises(AssemblyError, match="^line 4: "):
+        assemble(f"func main\nend:\n  const r2 1\n  {line}\n  halt\n")
 
 
 def test_compute_model_matches_interpreter_states_and_totals():
