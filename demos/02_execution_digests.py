@@ -11,8 +11,8 @@ import math
 
 from cicsim.hashing import sha256
 from cicsim.merkle_state import CicState
-from cicsim.rice import (analyze_schedule, check_phi_bounds,
-                         check_total_exponent, rice_execute_traced)
+from cicsim.rice import (check_phi_bounds, check_total_exponent,
+                         rice_execute_traced, strong_unmatched)
 from cicsim.toy_vm import ComputeModel, compute_data
 
 model = ComputeModel(key=0)
@@ -44,7 +44,6 @@ print(f"skipped tail after the last update: "
       f"(~1/log2(T) = {1 / math.log2(trace.total):.4f})")
 
 # indices that no earlier round visited are what a copyist cannot forge
-report = analyze_schedule(trace.total, traces)
-for stats in report.rounds:
-    print(f"round {stats.round_index}: strong unmatched indices = "
-          f"{stats.strong_unmatched} of {stats.phi}")
+for trace, strong in zip(traces, strong_unmatched(traces)):
+    print(f"round {trace.round_index}: strong unmatched indices = "
+          f"{strong} of {trace.phi}")

@@ -12,7 +12,8 @@ artifacts. The process exits 1 if any invariant audited by the requested
 experiment fails, and 2 with an `error:` line on input it cannot use: a
 missing or unreadable file, a malformed scenario or event log, a bad seed,
 a config file that is not a JSON object, a parameter the experiment does
-not read or of another type than its default, a negative `rice-trace
+not read or of another type than its default, a consensus parameter or
+`rice-overhead` length range outside its domain, a negative `rice-trace
 --eta` or a `--rounds` below 1, or a `protocol-run` flag that the
 presence or absence of `--scenario` would leave unused.
 """
@@ -23,7 +24,7 @@ import argparse
 import json
 import sys
 
-from . import experiments, protocol, rice
+from . import experiments, miracle, protocol, rice
 from .hashing import sha256
 from .merkle_state import CicState
 from .toy_vm import ComputeModel, compute_data
@@ -123,7 +124,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (OSError, protocol.ScenarioError, experiments.ConfigError) as exc:
+    except (OSError, protocol.ScenarioError, experiments.ConfigError,
+            miracle.DegenerateParams, miracle.NoSolution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

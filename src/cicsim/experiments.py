@@ -238,6 +238,8 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
     Mixes three substrates: closed-form benchmark runs, synthetic runs, and
     (below `vm_t_cap`) randomly generated programs on the interpreter.
     """
+    if not 1 <= t_lo <= t_hi:
+        raise ConfigError("rice_overhead needs 1 <= t_lo <= t_hi")
     rng = random.Random(int.from_bytes(sha256(seed, b"rice-overhead"), "big"))
     rows = []
     for index in range(count):
@@ -299,13 +301,11 @@ def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes):
         runner = SyntheticRunner(total, sha256(seed, b"usalt", be8(index)))
         traces = [rice.rice_execute_traced(runner, None, b"", j, entropy)[1]
                   for j in range(1, rounds + 1)]
-        report = rice.analyze_schedule(traces[0].total, traces)
-        for stats in report.rounds[1:]:
-            rows.append({"trial": index, "total": traces[0].total,
-                         "round": stats.round_index,
-                         "k_of_total": stats.terminal_exponent,
-                         "phi": stats.phi,
-                         "strong_unmatched": stats.strong_unmatched})
+        counts = rice.strong_unmatched(traces)
+        for trace, strong in zip(traces[1:], counts[1:]):
+            rows.append({"trial": index, "total": trace.total, "round": trace.round_index,
+                         "k_of_total": trace.terminal_exponent(), "phi": trace.phi,
+                         "strong_unmatched": strong})
     return rows
 
 

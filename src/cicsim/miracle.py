@@ -193,6 +193,8 @@ def one_round_q(m_total: int, f_max: float, beta: float) -> float:
     (qM)^2; bisect for the q where it meets the threshold. The expected set
     size q*M is the headline design figure.
     """
+    if not 0.0 < beta < 1.0:
+        raise DegenerateParams("error budget must lie in (0, 1)")
     log_odds = math.log((1.0 - beta) / beta)
     rate = (1.0 - f_max) * f_max / ((1.0 - f_max) - f_max)
     if log_odds <= 0.0 or rate <= 0.0:

@@ -476,6 +476,10 @@ class ItSpec:
     gas_margin: int = 12
     submit_block: int = 1
 
+    def __post_init__(self) -> None:
+        if self.eta < 0 or self.gas_price < 0:
+            raise ValueError("eta and gas_price are non-negative")
+
 
 @dataclass(frozen=True)
 class CicSpec:
@@ -503,6 +507,13 @@ class Scenario:
     node_balance: int = 50
     creator_balance: int = 1_000_000
     treasury: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        miracle.ConsensusParams(self.m_total, self.f_max, self.q, self.beta)
+        if len(bytes.fromhex(self.seed)) != 32:
+            raise ValueError("seed must be 32 bytes of hex")
+        if not all(0 <= it.cic_index < len(self.cics) for it in self.its):
+            raise ValueError("an its entry names a cic_index outside cics")
 
     def to_json(self) -> str:
         doc = asdict(self)

@@ -58,59 +58,24 @@ def exponent_of_total(total: int) -> int:
     return k
 
 
-# --- seed chain --------------------------------------------------------------
+# --- seed chain and schedule ------------------------------------------------
 
-@dataclass(frozen=True)
-class Seed:
-    """A round's seed-chain value."""
-
-    value: bytes
-    round_index: int
-
-    def __post_init__(self) -> None:
-        if len(self.value) != WORD_BYTES:
-            raise ValueError("seed is exactly 32 bytes")
-        if self.round_index < 1:
-            raise ValueError("rounds are 1-based")
-
-
-def init_seed(round_index: int, round1_entropy: bytes) -> Seed:
+def init_seed(round_index: int, round1_entropy: bytes) -> bytes:
     """Starting seed for a round: the (round-1)-fold hash of round-1 entropy."""
     if round_index < 1:
         raise ValueError("rounds are 1-based")
-    value = round1_entropy
+    seed = round1_entropy
     for _ in range(round_index - 1):
-        value = sha256(value)
-    return Seed(value=value, round_index=round_index)
+        seed = sha256(seed)
+    if len(seed) != WORD_BYTES:
+        raise ValueError("seed is exactly 32 bytes")
+    return seed
 
 
-def update_seed(seed: Seed, state_root: bytes) -> Seed:
-    return Seed(value=sha256(seed.value, state_root), round_index=seed.round_index)
-
-
-# --- interruption cursor -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SegmentCursor:
-    """Position in the segment schedule: the last scheduled segment and its
-    update index t_f, which lies in [segment_start, segment_start + 2^k - 1]
-    for the segment's exponent k. The next subarray starts at t_f + 1.
-    """
-
-    segment_index: int
-    t_f: int
-
-    @classmethod
-    def initial(cls) -> "SegmentCursor":
-        return cls(segment_index=0, t_f=0)
-
-
-def next_indices(cursor: SegmentCursor, seed: Seed):
-    """Bounds of the next subarray: t_i follows the previous update index and
-    t_f is the next segment's update index drawn from the current seed."""
-    index = cursor.segment_index + 1
-    t_f = segment_start(index) + first_bits(seed.value, segment_exponent(index))
-    return cursor.t_f + 1, t_f, SegmentCursor(segment_index=index, t_f=t_f)
+def update_index(segment: int, seed: bytes) -> int:
+    """Scheduled seed-update index in the 1-based `segment`: the segment's
+    start plus the integer value of the seed's first k bits."""
+    return segment_start(segment) + first_bits(seed, segment_exponent(segment))
 
 
 # --- digests and the execution driver ---------------------------------------
@@ -124,9 +89,6 @@ class Digest:
 
     seed: bytes
     root: MerkleRoot
-
-    def same_solution(self, other: "Digest") -> bool:
-        return self.root.value == other.root.value
 
     def encode(self) -> bytes:
         return self.seed + self.root.value
@@ -183,16 +145,16 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
     """
     seed = init_seed(round_index, round1_entropy)
     cursor = executable.start(state, data, gas_limit=gas_limit)
-    schedule = SegmentCursor.initial()
     updates: list = []
+    last = 0
     while True:
-        t_i, t_f, schedule = next_indices(schedule, seed)
-        cursor, last = cursor.resume(t_i, t_f)
+        # subarray [last + 1, t_f], t_f the next segment's update index
+        cursor, last = cursor.resume(last + 1, update_index(len(updates) + 1, seed))
         if cursor.halted:
-            digest = Digest(seed=seed.value, root=MerkleRoot(cursor.root_bytes()))
+            digest = Digest(seed=seed, root=MerkleRoot(cursor.root_bytes()))
             return digest, RiceTrace(round_index=round_index, total=last,
                                      update_indices=tuple(updates), digest=digest)
-        seed = update_seed(seed, cursor.root_bytes())
+        seed = sha256(seed, cursor.root_bytes())
         updates.append(last)
 
 
@@ -225,50 +187,19 @@ def check_total_exponent(trace: RiceTrace) -> bool:
     return 2 ** k * (k - 2) + 2 < trace.total <= 2 ** (k + 1) * (k - 1) + 2
 
 
-@dataclass(frozen=True)
-class RoundScheduleStats:
-    round_index: int
-    phi: int
-    terminal_exponent: int
-    last_update_exponent: Optional[int]
-    last_update_fraction: Optional[float]
-    strong_unmatched: int
-    update_indices: tuple
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    total: int
-    rounds: tuple
-
-
-def analyze_schedule(total: int, traces: Sequence[RiceTrace]) -> ScheduleReport:
-    """Cross-round schedule report: per-round update sets, strong unmatched
-    counts (indices never used by any earlier round), and tail fractions.
-
-    A single round is vacuously unmatched against the empty history, so its
-    strong count equals its update count.
+def strong_unmatched(traces: Sequence[RiceTrace]) -> list:
+    """Per round, the strong unmatched count: how many of its update indices
+    no earlier round used. A first round is vacuously all unmatched.
     """
-    if not traces:
-        raise ValueError("at least one round is required")
-    if any(t.total != total for t in traces):
+    if len({trace.total for trace in traces}) > 1:
         raise ValueError("all rounds must execute the same instruction array")
     seen: set = set()
-    rounds = []
+    counts = []
     for trace in traces:
         indices = set(trace.update_indices)
-        strong = len(indices - seen)
-        rounds.append(RoundScheduleStats(
-            round_index=trace.round_index,
-            phi=trace.phi,
-            terminal_exponent=trace.terminal_exponent(),
-            last_update_exponent=trace.last_update_exponent(),
-            last_update_fraction=trace.last_update_fraction(),
-            strong_unmatched=strong,
-            update_indices=trace.update_indices,
-        ))
+        counts.append(len(indices - seen))
         seen |= indices
-    return ScheduleReport(total=total, rounds=tuple(rounds))
+    return counts
 
 
 def strong_unmatched_tail_bound(k: int, round_index: int, b2: int, x: int) -> float:

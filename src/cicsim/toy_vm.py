@@ -100,7 +100,8 @@ class Program:
 
     `code_id` is the SHA-256 of the canonical source text and serves as the
     immutable program reference stored in contract state. Every instruction
-    is four ints with a known opcode, checked here for every execution path.
+    is four ints with a known opcode and operands in range for their `_ISA`
+    kinds, checked here for every execution path.
     """
 
     instructions: tuple
@@ -111,8 +112,10 @@ class Program:
                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        top = {"r": NUM_REGISTERS - 1, "i": WORD_MASK, "l": len(self.instructions)}
         for ins in self.instructions:
-            if tuple(map(type, ins)) != (int, int, int, int) or not 0 <= ins[0] <= OP_HALT:
+            if (tuple(map(type, ins)) != (int, int, int, int) or not 0 <= ins[0] <= OP_HALT
+                    or not all(0 <= v <= top[k] for k, v in zip(_ISA[ins[0]][1], ins[1:]))):
                 raise AssemblyError(f"not an instruction: {ins!r}")
 
     def __reduce__(self):

@@ -186,6 +186,25 @@ def segment_table_oracle(limit: int):
     return table
 
 
+def rice_round_oracle(total: int, root_at, round_index: int, entropy: bytes):
+    """One RICE round over a run of `total` instructions whose state root
+    after index t is `root_at(t)`: walk the segment table, put each update at
+    the segment start plus the seed's first k bits, and absorb the root there
+    into the seed, until an update would fall at or past the halt. Returns
+    (final seed, final root, update indices)."""
+    seed = entropy
+    for _ in range(round_index - 1):
+        seed = sha(seed)
+    updates = []
+    for start, k in segment_table_oracle(total):
+        index = start + (int.from_bytes(seed, "big") >> (256 - k))
+        if index >= total:
+            break
+        seed = sha(seed + root_at(index))
+        updates.append(index)
+    return seed, root_at(total), updates
+
+
 # --- likelihood property batches (vectorized) ---------------------------------
 
 def random_tally_batch(rng: np.random.Generator, trials: int, max_roots: int = 5,

@@ -185,6 +185,29 @@ def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
     assert "malformed scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,it_edit", [
+    ({"q": 2}, {}), ({"beta": 0}, {}), ({"seed": "zz"}, {}), ({"seed": "00"}, {}),
+    ({}, {"cic_index": 5}), ({}, {"eta": -1}), ({}, {"gas_price": -1})])
+def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it_edit):
+    doc = json.loads(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
+    doc.update(edit)
+    doc["its"][0].update(it_edit)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed scenario: ")
+
+
+@pytest.mark.parametrize("argv", [["miracle-mc", "--q", "2"], ["es-sizing", "--beta", "0"],
+                                  ["rice-overhead", "--t-lo", "0"],
+                                  ["rice-overhead", "--t-lo", "50", "--t-hi", "40"]])
+def test_cli_rejects_experiment_flags_outside_their_domain(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_missing_scenario_file_exits_2(tmp_path, capsys):
     path = tmp_path / "absent.json"
     assert cli.main(["protocol-run", "--scenario", str(path)]) == 2

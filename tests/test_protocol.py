@@ -1,6 +1,7 @@
 """Master-contract rules: windows, binding, settlement branches, replay."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -445,6 +446,22 @@ def _edited_scenario_json(**changes) -> str:
     return json.dumps(doc)
 
 
+def _edited_it_json(**changes) -> str:
+    return _edited_scenario_json(its=[{**asdict(ItSpec(eta=4)), **changes}])
+
+
+# values that parse but that a run cannot use, each a ScenarioError up front
+BAD_SCENARIO_VALUES = [
+    _edited_scenario_json(q=2),
+    _edited_scenario_json(beta=0),
+    _edited_scenario_json(seed="zz"),
+    _edited_scenario_json(seed="00"),
+    _edited_it_json(cic_index=5),
+    _edited_it_json(eta=-1),
+    _edited_it_json(gas_price=-1),
+]
+
+
 @pytest.mark.parametrize("text", [
     "{}",                                              # every key missing
     _edited_scenario_json(colour="red"),               # unknown key
@@ -452,6 +469,7 @@ def _edited_scenario_json(**changes) -> str:
     _edited_scenario_json(strategies=[["honest", 5]]), # pool not filled
     "not json",
     "[1, 2]",
+    *BAD_SCENARIO_VALUES,
 ])
 def test_malformed_scenario_json_raises_scenario_error(text):
     with pytest.raises(ScenarioError):

@@ -335,12 +335,17 @@ def test_a_program_compiles_once_it_has_single_stepped_compile_after():
 
 def test_hand_built_programs_are_checked_and_pickle(monkeypatch):
     # traces are formatted from operands and steps are looked up by opcode,
-    # so constructing a program checks that the operands are ints and the
-    # opcode is known, before it either single-steps or compiles
+    # so constructing a program checks that the opcode is known and the
+    # operands are ints in range for their kinds (register 0..15, immediate
+    # a word, label 0..len), before it either single-steps or compiles
     for bad in [(0, 1, "2; x", 0), (0, 1, 2.0, 0), (0, True, 2, 0),
-                (16, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 2)]:
+                (16, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 2),
+                (0, -1, 5, 0), (0, 16, 5, 0), (0, 1, 2 ** 256, 0),
+                (2, 1, 2, 16), (10, 3, 0, 0), (11, 1, -1, 0)]:
         with pytest.raises(AssemblyError):
             Program(instructions=(bad, (15, 0, 0, 0)), entries={"main": 0}, source="")
+    for edge in [(0, 15, 2 ** 256 - 1, 0), (10, 2, 0, 0), (11, 0, 0, 0)]:
+        Program(instructions=(edge, (15, 0, 0, 0)), entries={"main": 0}, source="")
     # a compiled program holds functions, and still pickles
     monkeypatch.setattr(toy_vm, "COMPILE_AFTER", 0)
     program = assemble(EVERY_OP_LOOP)
