@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import adversary, miracle
-from .hashing import be8, sha256, to_word
+from .hashing import WORD_MASK, be8, sha256, to_word
 from .merkle_state import CicState, MerkleRoot, prove_inclusion, verify_inclusion
 from .randomness import NodeKeys, SortResult, SortitionOracle, check_sort, keygen, random_gen
 from .rice import Digest, rice_execute
@@ -479,12 +479,20 @@ class ItSpec:
     def __post_init__(self) -> None:
         if self.eta < 0 or self.gas_price < 0:
             raise ValueError("eta and gas_price are non-negative")
+        if self.submit_block < 1:
+            raise ValueError("submit_block must be at least 1")
+        if compute_length(self.eta) + self.gas_margin < 1:
+            raise ValueError("gas_margin leaves no positive gas limit")
 
 
 @dataclass(frozen=True)
 class CicSpec:
     key: int = 0
     init: int = 0
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.key <= WORD_MASK and 0 <= self.init <= WORD_MASK):
+            raise ValueError("key and init must be 256-bit words")
 
 
 @dataclass(frozen=True)
@@ -514,6 +522,8 @@ class Scenario:
             raise ValueError("seed must be 32 bytes of hex")
         if not all(0 <= it.cic_index < len(self.cics) for it in self.its):
             raise ValueError("an its entry names a cic_index outside cics")
+        if min(self.node_balance, self.creator_balance, self.treasury) < 0:
+            raise ValueError("balances are non-negative")
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -547,8 +557,7 @@ class Scenario:
         for entry in self.strategies:
             kind, count, *rest = entry
             params = rest[0] if rest else {}
-            for _ in range(count):
-                out.append(adversary.Strategy(kind=kind, **params))
+            out += [adversary.Strategy(kind=kind, **params)] * count
         if len(out) != self.m_total:
             raise ValueError(
                 f"strategy counts sum to {len(out)}, pool size is {self.m_total}")

@@ -5,14 +5,19 @@ and a monotone counter, so whole experiments replay bit-exactly. Sortition
 is a keyed PRF standing in for a VRF: a node is selected for an execution
 set when PRF(sk, nonce), read as a uniform fraction, falls below the
 per-node inclusion probability q. Selection is secret (it depends only on
-the node's own sk) and independent across nodes. Proof verification is
-simulation-grade: a registry oracle maps pk back to sk and re-derives; it
-mimics the verifiability of a real VRF without any of its cryptography.
+the node's own sk) and independent across nodes. Each `NodeKeys` keeps the
+midstate sha256(sk) from keygen, so a check hashes only the nonce, and the
+test out / 2^256 < q is exact in integers as out < `sortition_bound(q)`, as
+correctly rounded int/int division is monotone in the numerator. Proof
+verification is simulation-grade: a registry oracle maps pk back to sk and
+re-derives, mimicking a real VRF's verifiability without its cryptography.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .hashing import WORD_MODULUS, be8, sha256
@@ -32,6 +37,14 @@ class NodeKeys:
     node_id: int
     pk: bytes
     sk: bytes
+    prf: "hashlib._Hash" = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prf", hashlib.sha256(self.sk))
+
+    def __reduce__(self):
+        # hash objects do not pickle; the midstate is rebuilt from sk
+        return (NodeKeys, (self.node_id, self.pk, self.sk))
 
 
 def keygen(experiment_seed: bytes, node_id: int) -> NodeKeys:
@@ -54,6 +67,24 @@ class SortResult:
         return self.output + self.proof
 
 
+NOT_SELECTED = SortResult(selected=False, output=None, proof=None)
+
+
+@lru_cache(maxsize=1024)
+def sortition_bound(threshold_q: float) -> int:
+    """The least integer X with X / 2^256 >= q, by bisection over [0, 2^256]."""
+    if not 0.0 <= threshold_q <= 1.0:
+        raise ValueError(f"inclusion probability out of range: {threshold_q}")
+    lo, hi = 0, WORD_MODULUS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / WORD_MODULUS >= threshold_q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
     """Secret self-check of execution-set membership for one transaction.
 
@@ -61,13 +92,13 @@ def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
     output doubles as the node's round-specific pseudorandom tag; the proof
     is re-derivable only with sk (or, in simulation, via the oracle).
     """
-    if not 0.0 <= threshold_q <= 1.0:
-        raise ValueError(f"inclusion probability out of range: {threshold_q}")
-    output = sha256(keys.sk, nonce)
-    if int.from_bytes(output, "big") / WORD_MODULUS < threshold_q:
+    prf = keys.prf.copy()
+    prf.update(nonce)
+    output = prf.digest()
+    if int.from_bytes(output, "big") < sortition_bound(threshold_q):
         return SortResult(selected=True, output=output,
                           proof=sha256(_SORT_PROOF_TAG, keys.sk, nonce))
-    return SortResult(selected=False, output=None, proof=None)
+    return NOT_SELECTED
 
 
 class SortitionOracle:
@@ -95,4 +126,4 @@ class SortitionOracle:
         expected = sha256(sk, nonce)
         return (result.output == expected
                 and result.proof == sha256(_SORT_PROOF_TAG, sk, nonce)
-                and int.from_bytes(expected, "big") / WORD_MODULUS < threshold_q)
+                and int.from_bytes(expected, "big") < sortition_bound(threshold_q))

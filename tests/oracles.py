@@ -115,6 +115,20 @@ def oracle_state_after(instructions, entry: int, storage: dict, data: bytes, k: 
             return pc, list(regs), dict(store), steps
 
 
+# --- sortition by the float rule -------------------------------------------------
+
+SORT_PROOF_TAG = b"cicsim/sortition-proof/v1"
+
+
+def sortition_oracle(sk: bytes, nonce: bytes, q: float):
+    """(selected, output, proof): selected iff sha256(sk || nonce), read as a
+    float fraction of 2^256, is below q; output and proof only if selected."""
+    output = sha(sk + nonce)
+    if int.from_bytes(output, "big") / 2 ** 256 < q:
+        return True, output, sha(SORT_PROOF_TAG + sk + nonce)
+    return False, None, None
+
+
 # --- direct evaluation of the threshold and round formulas ----------------------
 
 def threshold_oracle(m: int, q: float, f_max: float, beta: float) -> float:

@@ -459,6 +459,15 @@ BAD_SCENARIO_VALUES = [
     _edited_it_json(cic_index=5),
     _edited_it_json(eta=-1),
     _edited_it_json(gas_price=-1),
+    _edited_it_json(submit_block=0),
+    _edited_it_json(submit_block=-5),
+    _edited_it_json(gas_margin=-100),
+    _edited_it_json(gas_margin=-compute_length(4)),   # gas limit 0
+    _edited_scenario_json(cics=[{"key": -1, "init": 0}]),
+    _edited_scenario_json(cics=[{"key": 0, "init": 2 ** 256}]),
+    _edited_scenario_json(node_balance=-1),
+    _edited_scenario_json(treasury=-5),
+    _edited_scenario_json(creator_balance=-1),
 ]
 
 
@@ -473,6 +482,13 @@ BAD_SCENARIO_VALUES = [
 ])
 def test_malformed_scenario_json_raises_scenario_error(text):
     with pytest.raises(ScenarioError):
+        Scenario.from_json(text)
+
+
+def test_scenario_values_at_their_edges_parse():
+    for text in (_edited_it_json(gas_margin=1 - compute_length(4), submit_block=1),
+                 _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
+                 _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0)):
         Scenario.from_json(text)
 
 

@@ -1,11 +1,19 @@
 """Beacon determinism, sortition statistics, and the verification oracle."""
 
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cicsim.hashing import sha256
-from cicsim.randomness import SortitionOracle, check_sort, keygen, random_gen
+from cicsim.randomness import (NodeKeys, SortitionOracle, SortResult, check_sort,
+                               keygen, random_gen, sortition_bound)
+from oracles import SORT_PROOF_TAG, sha, sortition_oracle
 
 SEED = sha256(b"randomness-tests")
 
@@ -34,6 +42,56 @@ def test_sortition_extremes():
     assert not check_sort(keys, nonce, 0.0).selected
     with pytest.raises(ValueError):
         check_sort(keys, nonce, 1.5)
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-300, 0.125, 0.5, 1 - 2 ** -53, 1.0])
+def test_sortition_bound_is_the_least_integer_reaching_q(q):
+    x = sortition_bound(q)
+    assert x / 2 ** 256 >= q
+    if x >= 1:
+        assert (x - 1) / 2 ** 256 < q
+
+
+@pytest.mark.parametrize("q", [-1e-300, 1.5, math.nan])
+def test_sortition_bound_rejects_q_outside_the_unit_interval(q):
+    with pytest.raises(ValueError):
+        sortition_bound(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sk=st.binary(min_size=32, max_size=32), nonce=st.binary(min_size=32, max_size=32),
+       q=st.floats(0.0, 1.0), at_own_fraction=st.sampled_from([None, -1, 0, 1]))
+def test_check_sort_and_verify_agree_with_the_float_rule(sk, nonce, q, at_own_fraction):
+    if at_own_fraction is not None:
+        # q just below, at or just above this node's own fraction, where the rule flips
+        fraction = int.from_bytes(sha(sk + nonce), "big") / 2 ** 256
+        q = [math.nextafter(fraction, 0.0), fraction,
+             math.nextafter(fraction, 1.0)][at_own_fraction + 1]
+    keys = NodeKeys(node_id=0, pk=sha(b"pk" + sk), sk=sk)
+    expected = sortition_oracle(sk, nonce, q)
+    result = check_sort(keys, nonce, q)
+    assert (result.selected, result.output, result.proof) == expected
+    # the oracle, shown the genuine output and proof, accepts iff the rule selects
+    oracle = SortitionOracle()
+    oracle.register(keys)
+    claim = SortResult(selected=True, output=sha(sk + nonce),
+                       proof=sha(SORT_PROOF_TAG + sk + nonce))
+    assert oracle.verify(keys.pk, nonce, q, claim) == expected[0]
+
+
+def test_node_keys_round_trip_with_their_midstate():
+    keys = keygen(SEED, 7)
+    nonce = sha256(b"round-trip")
+    # a check copies the midstate, so it can be repeated
+    assert check_sort(keys, nonce, 0.5) == check_sort(keys, nonce, 0.5)
+    for twin in (pickle.loads(pickle.dumps(keys)), copy.deepcopy(keys),
+                 NodeKeys(node_id=7, pk=keys.pk, sk=keys.sk)):
+        assert twin == keys and hash(twin) == hash(keys)
+        assert twin.prf is not keys.prf and twin.prf.digest() == keys.prf.digest()
+        for j in range(64):
+            n = sha256(nonce, bytes([j]))
+            assert check_sort(twin, n, 0.3) == check_sort(keys, n, 0.3)
+    assert repr(keys) == f"NodeKeys(node_id=7, pk={keys.pk!r}, sk={keys.sk!r})"
 
 
 def test_selection_probability_and_variance():
