@@ -48,34 +48,6 @@ class Strategy:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("seed-guess probability must lie in [0, 1]")
 
-    @property
-    def byzantine(self) -> bool:
-        return self.kind in (BYZ_SINGLE, BYZ_MULTI)
-
-
-def honest() -> Strategy:
-    return Strategy(HONEST)
-
-
-def byz_single() -> Strategy:
-    return Strategy(BYZ_SINGLE)
-
-
-def byz_multi(fanout: int) -> Strategy:
-    return Strategy(BYZ_MULTI, fanout=fanout)
-
-
-def freeloader(gamma: float) -> Strategy:
-    return Strategy(FREELOADER, gamma=gamma)
-
-
-def colluder(group: int) -> Strategy:
-    return Strategy(COLLUDER, group=group)
-
-
-def silent() -> Strategy:
-    return Strategy(SILENT)
-
 
 @dataclass(frozen=True)
 class UtilityParams:

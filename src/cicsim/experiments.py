@@ -445,24 +445,14 @@ def utility_surface_rows(points: int, seed: bytes):
 
 # --- CSV plumbing and the experiment entry point ---------------------------------
 
-def write_csv(path: str, rows: Sequence[dict], meta: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_csv_stream(fh, rows, meta)
-
-
 def render_csv(rows: Sequence[dict], meta: dict) -> str:
     buf = io.StringIO()
-    _write_csv_stream(buf, rows, meta)
+    buf.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_csv_stream(fh, rows: Sequence[dict], meta: dict) -> None:
-    fh.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
-    if not rows:
-        return
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -521,7 +511,8 @@ def run(spec: ExperimentSpec):
     meta = {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
             "lib": __version__}
     if spec.out:
-        write_csv(spec.out, rows, meta)
+        with open(spec.out, "w", newline="") as fh:
+            fh.write(render_csv(rows, meta))
     return rows, meta
 
 

@@ -12,6 +12,11 @@ sortition validity, per-round consensus over revealed roots, and the
 settlement split driven by seed-count fractions against th1/th2. Forfeited
 deposits are burned; every movement of value is an event in an append-only
 log, and a whole run replays bit-exactly from its scenario.
+
+One way in, one way out: the simulation posts each message with the
+contract method it calls and delivers a block's messages in a canonical
+order, logging a ProtocolError as `rejected`; every transaction, settled or
+stopped at the round cap, leaves through `MasterContract._finish`.
 """
 
 from __future__ import annotations
@@ -66,10 +71,6 @@ class NoCommitment(ProtocolError):
     pass
 
 
-class MissingStateWitness(ProtocolError):
-    pass
-
-
 class ScenarioError(ValueError):
     """A scenario document or event log that cannot be parsed."""
 
@@ -115,6 +116,12 @@ class WindowConfig:
     w_buf: int = 2
     w_sr: int = 4
 
+    def __post_init__(self) -> None:
+        if self.gas_per_block < 1 or self.w_sr < 1:
+            raise ValueError("gas_per_block and w_sr must be at least 1")
+        if min(self.w_src_slack, self.w_buf) < 0:
+            raise ValueError("w_src_slack and w_buf are non-negative")
+
     def w_src(self, gas_limit: int) -> int:
         return math.ceil(gas_limit / self.gas_per_block) + self.w_src_slack
 
@@ -152,7 +159,6 @@ class ItContext:
     table: miracle.LikelihoodTable = field(default_factory=miracle.LikelihoodTable)
     winning_root: Optional[bytes] = None
     decide_deadline: Optional[int] = None
-    outcome: Optional[str] = None
 
     @property
     def round(self) -> RoundRecord:
@@ -164,8 +170,7 @@ class MasterContract:
 
     def __init__(self, params: miracle.ConsensusParams, policy: SettlementPolicy,
                  windows: WindowConfig, oracle: SortitionOracle,
-                 experiment_seed: bytes, max_rounds: int = 100,
-                 treasury: int = 0):
+                 experiment_seed: bytes, *, max_rounds: int, treasury: int):
         self.params = params
         self.policy = policy
         self.windows = windows
@@ -221,7 +226,7 @@ class MasterContract:
         if tx.cid not in self.active:
             self.deploy_it(tx, block)
 
-    def deploy_it(self, tx: Transaction, block: int) -> ItContext:
+    def deploy_it(self, tx: Transaction, block: int) -> None:
         queue = self.queues[tx.cid]
         if not queue or queue[0][0].tid != tx.tid:
             raise QueueOrderViolation("only the queue head deploys")
@@ -242,7 +247,6 @@ class MasterContract:
         self.emit(block, "deployed", cid=tx.cid, tid=tx.tid, nonce=nonce,
                   entropy=entropy, escrow=cost)
         self._open_round(it, block + 1)
-        return it
 
     def _open_round(self, it: ItContext, open_block: int) -> None:
         index = len(it.rounds) + 1
@@ -318,8 +322,9 @@ class MasterContract:
                 self.emit(block, "revealing", cid=cid, round=it.round.round_index)
             if it.phase == REVEALING and block >= it.round.reveal_close:
                 self.close_round(cid, block)
-            elif it.phase == DECIDING:
-                self.witness_deadline_passed(cid, block)
+            elif it.phase == DECIDING and block >= it.decide_deadline:
+                self.emit(block, "missing_state_witness", cid=cid)
+                self.settle(cid, block)
 
     def close_round(self, cid: bytes, block: int) -> miracle.Decision:
         """At the reveal deadline: forfeit silent committers, fold the round's
@@ -344,7 +349,8 @@ class MasterContract:
             it.winning_root = decision.root
             it.decide_deadline = block + self.windows.w_sr
         elif rnd.round_index >= self.max_rounds:
-            self._abort(it, block, "no convergence within the round cap")
+            self._finish(it, block, it.escrow, "no_convergence",
+                         reason="no convergence within the round cap")
         else:
             self._open_round(it, block + 1)
         return decision
@@ -362,12 +368,9 @@ class MasterContract:
             raise NotInSP("witnesses come from revealing set members")
         state = self.states[cid].put_many(modified)
         winning = MerkleRoot(it.winning_root)
-        ok = state.root().value == it.winning_root and len(proofs) == len(modified)
-        if ok:
-            for proof in proofs:
-                if not verify_inclusion(winning, state.cid, state.code, proof):
-                    ok = False
-                    break
+        ok = (state.root().value == it.winning_root and len(proofs) == len(modified)
+              and all(verify_inclusion(winning, state.cid, state.code, proof)
+                      for proof in proofs))
         self.emit(block, "witness", cid=cid, node=node_id, valid=ok,
                   keys=len(modified))
         if not ok:
@@ -376,24 +379,17 @@ class MasterContract:
         self.settle(cid, block)
         return True
 
-    def witness_deadline_passed(self, cid: bytes, block: int) -> None:
-        it = self.active.get(cid)
-        if it is None or it.phase != DECIDING:
-            return
-        if block >= it.decide_deadline:
-            self.emit(block, "missing_state_witness", cid=cid)
-            self.settle(cid, block, allow_missing_witness=True)
-
-    def settle(self, cid: bytes, block: int,
-               allow_missing_witness: bool = False) -> None:
-        """Apply the per-round reward/forfeiture split for every elapsed
-        round, charge the executed gas, refund the surplus, pop the queue."""
+    def settle(self, cid: bytes, block: int) -> None:
+        """Charge the executed gas, apply the per-round reward/forfeiture
+        split for every elapsed round, and refund the surplus. The fee is
+        credited first and each reward pays at most what the treasury
+        holds, so the treasury never goes negative."""
         it = self.active[cid]
         winning = it.winning_root
-        if (not allow_missing_witness and winning is not None
-                and self.states[cid].root().value != winning):
-            raise MissingStateWitness("no valid state witness was applied")
         policy = self.policy
+        gas_fee = it.tx.gas_price * min(it.tx.gas_limit, self._executed_gas(it))
+        refund = it.escrow - policy.d_min - gas_fee
+        self.treasury += policy.d_min + gas_fee
         for rnd in it.rounds:
             groups: dict = {}
             for node_id, (digest, _) in sorted(rnd.reveals.items()):
@@ -410,24 +406,17 @@ class MasterContract:
                 fraction = len(members) / total
                 if fraction > policy.th1:
                     for node_id in members:
-                        self.treasury -= policy.reward
-                        self.nodes[node_id].balance += policy.reward
+                        amount = min(policy.reward, self.treasury)
+                        self.treasury -= amount
+                        self.nodes[node_id].balance += amount
                         self.emit(block, "reward", cid=cid, node=node_id,
-                                  round=rnd.round_index, amount=policy.reward)
+                                  round=rnd.round_index, amount=amount)
                 elif fraction < policy.th2:
                     for node_id in members:
                         self._forfeit(node_id, block, "minority seed", cid,
                                       round_index=rnd.round_index)
-        gas_fee = it.tx.gas_price * min(it.tx.gas_limit, self._executed_gas(it))
-        refund = it.escrow - policy.d_min - gas_fee
-        self.treasury += policy.d_min + gas_fee
-        self.creators[it.creator] += refund
-        it.escrow = 0
-        it.phase = SETTLED
-        it.outcome = "accepted"
-        self.emit(block, "settled", cid=cid, tid=it.tx.tid, rounds=len(it.rounds),
-                  winning_root=winning, gas_fee=gas_fee, refund=refund)
-        self._cleanup(cid, block)
+        self._finish(it, block, refund, "settled", rounds=len(it.rounds),
+                     winning_root=winning, gas_fee=gas_fee, refund=refund)
 
     def _executed_gas(self, it: ItContext) -> int:
         # unit gas per instruction; every simulated contract is an instance
@@ -435,22 +424,21 @@ class MasterContract:
         # iteration count carried by the first input word
         return compute_length(compute_eta(it.tx.data))
 
-    def _abort(self, it: ItContext, block: int, reason: str) -> None:
+    def _finish(self, it: ItContext, block: int, returned: int, kind: str,
+                **payload) -> None:
+        """The one exit of an intensive transaction: return `returned` of
+        the escrow to the creator, log the outcome event `kind`, pop the
+        queue and deploy its next head in the following block."""
         cid = it.tx.cid
-        self.creators[it.creator] += it.escrow
+        self.creators[it.creator] += returned
         it.escrow = 0
         it.phase = SETTLED
-        it.outcome = "no_convergence"
-        self.emit(block, "no_convergence", cid=cid, tid=it.tx.tid, reason=reason)
-        self._cleanup(cid, block)
-
-    def _cleanup(self, cid: bytes, block: int) -> None:
+        self.emit(block, kind, cid=cid, tid=it.tx.tid, **payload)
         queue = self.queues[cid]
         queue.popleft()
         del self.active[cid]
         if queue:
-            tx, creator = queue[0]
-            self.deploy_it(tx, block + 1)
+            self.deploy_it(queue[0][0], block + 1)
 
     def _forfeit(self, node_id: int, block: int, reason: str, cid: bytes,
                  round_index: Optional[int] = None) -> None:
@@ -524,6 +512,8 @@ class Scenario:
             raise ValueError("an its entry names a cic_index outside cics")
         if min(self.node_balance, self.creator_balance, self.treasury) < 0:
             raise ValueError("balances are non-negative")
+        if min(self.max_rounds, self.commit_jitter, self.reveal_jitter) < 1:
+            raise ValueError("max_rounds and the jitters must be at least 1")
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -588,9 +578,8 @@ class Simulation:
         self.seed = bytes.fromhex(scenario.seed)
         params = miracle.ConsensusParams(scenario.m_total, scenario.f_max,
                                          scenario.q, scenario.beta)
-        self.oracle = SortitionOracle()
         self.mc = MasterContract(params, scenario.policy, scenario.windows,
-                                 self.oracle, sha256(b"beacon", self.seed),
+                                 SortitionOracle(), sha256(b"beacon", self.seed),
                                  max_rounds=scenario.max_rounds,
                                  treasury=scenario.treasury)
         strategies = scenario.expand_strategies()
@@ -620,10 +609,12 @@ class Simulation:
     def _prf_value(self, *parts: bytes) -> int:
         return int.from_bytes(sha256(b"sim", self.seed, *parts), "big")
 
-    def _post(self, block: int, kind: str, node_id: int, payload: tuple) -> None:
-        order = {"enqueue": 0, "commit": 1, "reveal": 2, "witness": 3}[kind]
+    def _post(self, block: int, kind: str, node_id: int, call, *args) -> None:
+        """Queue `call(*args, block)` for inclusion at `block`, where messages
+        go in by kind, then node, then post order."""
+        order = ("enqueue", "commit", "reveal", "witness").index(kind)
         self.inbox.setdefault(block, []).append(
-            (order, node_id, self._msg_seq, kind, payload))
+            (order, node_id, self._msg_seq, kind, call, args))
         self._msg_seq += 1
 
     def _honest_digest(self, cid: bytes, round_index: int):
@@ -641,7 +632,7 @@ class Simulation:
 
     def _plan_digest(self, node: NodeRecord, cid: bytes, it: ItContext,
                      round_index: int):
-        """What this node will reveal, by strategy; None plans no commit."""
+        """What this node will reveal, by strategy, and whether it reveals."""
         strategy = node.strategy
         tid = it.tx.tid
         honest_digest, _ = self._honest_digest(cid, round_index)
@@ -671,29 +662,32 @@ class Simulation:
         return Digest(seed=sha256(b"bad-guess", tag),
                       root=honest_digest.root), True
 
-    def _plan_round(self, cid: bytes, record_block: int) -> None:
+    def _jitter(self, label: bytes, tag: bytes, lo: int, hi: int, jitter: int) -> int:
+        """A block in [lo, hi], drawn from its first `jitter` blocks."""
+        return lo + self._prf_value(label, tag) % min(jitter, hi - lo + 1)
+
+    def _plan_round(self, cid: bytes) -> None:
         it = self.mc.active[cid]
         rnd = it.round
-        nonce = rnd.nonce
         for node_id in sorted(self.mc.nodes):
             node = self.mc.nodes[node_id]
             if not node.active:
                 continue
-            sort = check_sort(node.keys, nonce, self.scenario.q)
+            sort = check_sort(node.keys, rnd.nonce, self.scenario.q)
             if not sort.selected:
                 continue
             digest, will_reveal = self._plan_digest(node, cid, it, rnd.round_index)
             se = sha256(digest.encode(), sort.encode())
             tag = be8(node_id) + cid + be8(rnd.round_index)
-            span = max(1, min(self.scenario.commit_jitter,
-                              rnd.commit_close - rnd.commit_open + 1))
-            commit_at = rnd.commit_open + self._prf_value(b"cjit", tag) % span
-            self._post(commit_at, "commit", node_id, (cid, se))
+            commit_at = self._jitter(b"cjit", tag, rnd.commit_open, rnd.commit_close,
+                                     self.scenario.commit_jitter)
+            self._post(commit_at, "commit", node_id, self.mc.submit_commit,
+                       node_id, cid, se)
             if will_reveal:
-                span = max(1, min(self.scenario.reveal_jitter,
-                                  rnd.reveal_close - rnd.reveal_open + 1))
-                reveal_at = rnd.reveal_open + self._prf_value(b"rjit", tag) % span
-                self._post(reveal_at, "reveal", node_id, (cid, digest, sort))
+                reveal_at = self._jitter(b"rjit", tag, rnd.reveal_open, rnd.reveal_close,
+                                         self.scenario.reveal_jitter)
+                self._post(reveal_at, "reveal", node_id, self.mc.submit_reveal,
+                           node_id, cid, digest, sort)
 
     def _plan_witnesses(self, cid: bytes, block: int) -> None:
         it = self.mc.active[cid]
@@ -706,30 +700,19 @@ class Simulation:
             if digest.root.value != it.winning_root:
                 continue
             if digest.root.value == final.root().value:
-                proofs = [prove_inclusion(final, k) for k in sorted(modified)]
-                self._post(block + 1, "witness", node_id, (cid, modified, proofs))
+                witness = modified, [prove_inclusion(final, k) for k in sorted(modified)]
             else:
                 # a fabricated root has no preimage; the attempt must fail
-                junk = {to_word(7): sha256(b"junk", digest.root.value)}
-                self._post(block + 1, "witness", node_id, (cid, junk, []))
+                witness = {to_word(7): sha256(b"junk", digest.root.value)}, []
+            self._post(block + 1, "witness", node_id, self.mc.submit_witness,
+                       node_id, cid, *witness)
 
     # -- block loop -------------------------------------------------------------
 
     def _deliver(self, block: int) -> None:
-        for _, node_id, _, kind, payload in sorted(self.inbox.pop(block, [])):
+        for _, node_id, _, kind, call, args in sorted(self.inbox.pop(block, [])):
             try:
-                if kind == "enqueue":
-                    tx, creator = payload
-                    self.mc.enqueue(tx, creator, block)
-                elif kind == "commit":
-                    cid, se = payload
-                    self.mc.submit_commit(node_id, cid, se, block)
-                elif kind == "reveal":
-                    cid, digest, sort = payload
-                    self.mc.submit_reveal(node_id, cid, digest, sort, block)
-                elif kind == "witness":
-                    cid, modified, proofs = payload
-                    self.mc.submit_witness(node_id, cid, modified, proofs, block)
+                call(*args, block)
             except ProtocolError as exc:
                 self.mc.emit(block, "rejected", message=kind, node=node_id,
                              reason=type(exc).__name__, detail=str(exc))
@@ -738,12 +721,12 @@ class Simulation:
         scenario = self.scenario
         for index, spec in enumerate(scenario.its):
             cid = self.cids[spec.cic_index]
-            eta = spec.eta
-            gas_limit = compute_length(eta) + spec.gas_margin
+            gas_limit = compute_length(spec.eta) + spec.gas_margin
             tx = Transaction(tid=sha256(b"tid", self.seed, be8(index)), cid=cid,
-                             data=compute_data(eta), gas_limit=gas_limit,
+                             data=compute_data(spec.eta), gas_limit=gas_limit,
                              gas_price=spec.gas_price)
-            self._post(spec.submit_block, "enqueue", -1, (tx, f"creator{index}"))
+            self._post(spec.submit_block, "enqueue", -1, self.mc.enqueue,
+                       tx, f"creator{index}")
         baseline = self.mc.total_value()
         conserved = True
         block = 0
@@ -754,7 +737,7 @@ class Simulation:
             self.mc.tick(block)
             for event in self.mc.events[seen:]:
                 if event["type"] == "round_started":
-                    self._plan_round(bytes.fromhex(event["cid"]), block)
+                    self._plan_round(bytes.fromhex(event["cid"]))
                 elif event["type"] == "round_closed" and event["accepted"]:
                     self._plan_witnesses(bytes.fromhex(event["cid"]), block)
             if self.mc.total_value() != baseline:

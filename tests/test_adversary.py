@@ -2,10 +2,9 @@
 
 import pytest
 
-from cicsim.adversary import (Strategy, UtilityParams, byz_multi, byz_single,
-                              colluder, estimate_gammas, freeloader, honest,
-                              nash_condition, silent, utility_collude,
-                              utility_freeload, utility_honest)
+from cicsim.adversary import (Strategy, UtilityParams, estimate_gammas,
+                              nash_condition, utility_collude, utility_freeload,
+                              utility_honest)
 
 from oracles import gamma_oracle
 
@@ -91,16 +90,16 @@ def test_gamma_monte_carlo_against_exact_binomial_sum():
 
 
 def test_strategy_constructors_validate():
-    assert honest().kind == "honest"
-    assert byz_single().byzantine and byz_multi(3).byzantine
-    assert not freeloader(0.2).byzantine
-    assert colluder(1).group == 1
-    assert silent().kind == "silent"
+    assert Strategy("honest").kind == "honest"
+    assert Strategy("byz_multi", fanout=3).fanout == 3
+    assert Strategy("freeloader", gamma=0.2).gamma == 0.2
+    assert Strategy("colluder", group=1).group == 1
+    assert Strategy("silent").kind == "silent"
     with pytest.raises(ValueError):
         Strategy("nonsense")
     with pytest.raises(ValueError):
-        byz_multi(1)
+        Strategy("byz_multi", fanout=1)
     with pytest.raises(ValueError):
-        freeloader(1.5)
+        Strategy("freeloader", gamma=1.5)
     with pytest.raises(ValueError):
         UtilityParams(reward=-1, deposit=0, beta=0.1)

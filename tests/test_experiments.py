@@ -188,7 +188,8 @@ def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
 @pytest.mark.parametrize("edit,it_edit", [
     ({"q": 2}, {}), ({"beta": 0}, {}), ({"seed": "zz"}, {}), ({"seed": "00"}, {}),
     ({}, {"cic_index": 5}), ({}, {"eta": -1}), ({}, {"gas_price": -1}),
-    ({}, {"submit_block": 0})])
+    ({}, {"submit_block": 0}),
+    ({"windows": {"gas_per_block": 0, "w_src_slack": 2, "w_buf": 2, "w_sr": 4}}, {})])
 def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it_edit):
     doc = json.loads(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
     doc.update(edit)

@@ -36,8 +36,8 @@ def build_mc(n_nodes=10, q=1.0, th1=0.60, th2=0.25, reward=10, deposit=100,
                         max_rounds=max_rounds, treasury=100_000)
     for i in range(n_nodes):
         mc.add_node(NodeRecord(node_id=i, keys=keygen(SEED, i),
-                               strategy=adversary.honest(), deposit=deposit,
-                               balance=50))
+                               strategy=adversary.Strategy(adversary.HONEST),
+                               deposit=deposit, balance=50))
     mc.add_creator("alice", 1_000_000)
     model = ComputeModel()
     state = CicState(sha256(b"test-cid"), model.code_id)
@@ -275,7 +275,7 @@ def test_invalid_witness_is_rejected_then_deadline_settles_without_update():
     block = it.round.reveal_close + 1
     assert not mc.submit_witness(0, state.cid, junk, [], block)
     assert state.cid in mc.active
-    mc.witness_deadline_passed(state.cid, it.decide_deadline)
+    mc.tick(it.decide_deadline)
     assert it.phase == SETTLED
     assert mc.states[state.cid] == state  # no update happened
     assert any(e["type"] == "missing_state_witness" for e in mc.events)
@@ -339,7 +339,7 @@ def settle_with_seed_groups(group_sizes, th1=0.60, th2=0.25):
         groups.append(members)
     decision = run_one_full_round(mc, model, state, range(n), digests)
     assert decision.accepted
-    mc.witness_deadline_passed(state.cid, it.decide_deadline)
+    mc.tick(it.decide_deadline)
     return mc, groups
 
 
@@ -386,7 +386,7 @@ def test_wrong_root_in_early_round_forfeits_despite_later_decision():
     # round 2: five honest revealers: accepted
     decision = run_one_full_round(mc, model, state, range(5))
     assert decision.accepted
-    mc.witness_deadline_passed(state.cid, it.decide_deadline)
+    mc.tick(it.decide_deadline)
     for node_id in range(5, 10):
         assert mc.nodes[node_id].deposit == 0, "early wrong root must forfeit"
     for node_id in range(5):
@@ -399,7 +399,7 @@ def test_value_conservation_through_settlement():
     baseline = mc.total_value()
     it = deploy(mc, state)
     run_one_full_round(mc, model, state, range(10))
-    mc.witness_deadline_passed(state.cid, it.decide_deadline)
+    mc.tick(it.decide_deadline)
     assert mc.total_value() == baseline
     assert it.escrow == 0
     # escrow split: fee to treasury, surplus back to the creator
@@ -417,9 +417,31 @@ def test_round_cap_aborts_with_refund():
     advance_to_reveal(mc, state)
     mc.close_round(state.cid, it.round.reveal_close)      # round 2, cap hit
     assert it.phase == SETTLED
-    assert it.outcome == "no_convergence"
+    assert mc.events[-1]["type"] == "no_convergence"
     assert mc.creators["alice"] == before
     assert state.cid not in mc.active
+
+
+def test_round_cap_abort_deploys_the_queued_transaction_next_block():
+    mc, model, state = build_mc(n_nodes=10, q=1.0, beta=1e-9, max_rounds=1)
+    first, second = make_tx(state, eta=3), make_tx(state, eta=5)
+    mc.enqueue(first, "alice", 1)
+    mc.enqueue(second, "alice", 1)
+    before = mc.creators["alice"]
+    advance_to_reveal(mc, state)
+    block = mc.active[state.cid].round.reveal_close
+    mc.close_round(state.cid, block)                       # cap hit: abort
+    types = [e["type"] for e in mc.events]
+    aborted = types.index("no_convergence")
+    assert types[aborted + 1:] == ["deployed", "round_started"]
+    deployed = mc.events[aborted + 1]
+    assert deployed["block"] == block + 1 and deployed["tid"] == second.tid.hex()
+    it = mc.active[state.cid]
+    assert it.tx.tid == second.tid and it.escrow == deployed["escrow"]
+    # the first escrow came back; the second is paid from the same balance
+    first_escrow = mc.policy.d_min + first.gas_price * first.gas_limit
+    assert mc.creators["alice"] == before + first_escrow - it.escrow
+    assert list(mc.queues[state.cid]) == [(second, "alice")]
 
 
 # --- scenario-level properties -------------------------------------------------------
@@ -450,6 +472,10 @@ def _edited_it_json(**changes) -> str:
     return _edited_scenario_json(its=[{**asdict(ItSpec(eta=4)), **changes}])
 
 
+def _edited_windows_json(**changes) -> str:
+    return _edited_scenario_json(windows={**asdict(WindowConfig()), **changes})
+
+
 # values that parse but that a run cannot use, each a ScenarioError up front
 BAD_SCENARIO_VALUES = [
     _edited_scenario_json(q=2),
@@ -468,6 +494,14 @@ BAD_SCENARIO_VALUES = [
     _edited_scenario_json(node_balance=-1),
     _edited_scenario_json(treasury=-5),
     _edited_scenario_json(creator_balance=-1),
+    _edited_windows_json(gas_per_block=0),
+    _edited_windows_json(gas_per_block=-40),
+    _edited_windows_json(w_src_slack=-50),
+    _edited_windows_json(w_sr=0),
+    _edited_windows_json(w_buf=-3),
+    _edited_scenario_json(max_rounds=0),
+    _edited_scenario_json(commit_jitter=0),
+    _edited_scenario_json(reveal_jitter=0),
 ]
 
 
@@ -488,7 +522,9 @@ def test_malformed_scenario_json_raises_scenario_error(text):
 def test_scenario_values_at_their_edges_parse():
     for text in (_edited_it_json(gas_margin=1 - compute_length(4), submit_block=1),
                  _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
-                 _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0)):
+                 _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0),
+                 _edited_windows_json(gas_per_block=1, w_src_slack=0, w_buf=0, w_sr=1),
+                 _edited_scenario_json(max_rounds=1, commit_jitter=1, reveal_jitter=1)):
         Scenario.from_json(text)
 
 
@@ -505,6 +541,16 @@ def test_full_run_is_replayable_and_conserved():
     report = replay_check(result.scenario, corrupt)
     assert not report.identical
     assert report.first_divergence == target
+
+
+def test_an_empty_treasury_pays_rewards_only_from_fees():
+    result = run_scenario(scenario(treasury=0))
+    assert result.conserved and result.settled == 1
+    assert result.mc.treasury >= 0
+    paid = sum(e["amount"] for e in result.events if e["type"] == "reward")
+    fees = sum(result.scenario.policy.d_min + e["gas_fee"]
+               for e in result.events if e["type"] == "settled")
+    assert 0 < paid <= fees
 
 
 def test_freeloader_failed_guesses_forfeit_at_settlement():
