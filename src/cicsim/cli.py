@@ -5,8 +5,8 @@ Six subcommands each run one experiment kind (`COMMANDS`); the
 `experiments.run`. A subcommand's flags set its kind's parameters, and a
 flag left out takes the kind's default from `experiments.KINDS`. Two
 utilities complete the set: `rice-trace` emits a single run's update
-schedule as JSON lines, and `replay` re-executes a recorded protocol log
-and verifies it bit-exactly.
+schedule as JSON lines, and `replay` re-executes a recorded protocol log,
+verifies it bit-exactly and reports where it first diverges.
 Every run is pinned by --seed; identical invocations produce identical
 artifacts. The process exits 1 if any invariant audited by the requested
 experiment fails, and 2 with an `error:` line on input it cannot use: a

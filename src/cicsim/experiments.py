@@ -13,7 +13,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -528,8 +528,8 @@ def write_event_log(path: str, result: protocol.RunResult) -> None:
 
 
 def replay(path: str) -> dict:
-    """Re-run a logged scenario and compare event streams; raises
-    DivergenceDetected on any mismatch."""
+    """The replay report of a logged scenario plus the log's versions;
+    raises DivergenceDetected with that report as JSON on any mismatch."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
@@ -541,16 +541,9 @@ def replay(path: str) -> dict:
         raise protocol.ScenarioError(f"{path}: malformed log header: {exc!r}") from exc
     scenario = protocol.Scenario.from_json(text)
     report = protocol.replay_check(scenario, lines[1:])
-    out = {
-        "identical": report.identical,
-        "first_divergence": report.first_divergence,
-        "recorded_events": report.recorded_events,
-        "replayed_events": report.replayed_events,
-        "log_format": header.get("format"),
-        "log_lib": header.get("lib"),
-        "lib": __version__,
-        "version_match": header.get("lib") == __version__,
-    }
+    out = {**asdict(report), "log_format": header.get("format"),
+           "log_lib": header.get("lib"), "lib": __version__,
+           "version_match": header.get("lib") == __version__}
     if not report.identical:
         raise DivergenceDetected(json.dumps(out, sort_keys=True))
     return out

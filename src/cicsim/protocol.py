@@ -25,6 +25,8 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from . import adversary, miracle
@@ -84,6 +86,13 @@ SETTLED = "settled"
 
 # a run that is still going after this many blocks stops there
 MAX_BLOCKS = 100_000
+
+if c_make_encoder is None:
+    raise ImportError("the canonical event encoder needs CPython's _json accelerator")
+# json.dumps(e, sort_keys=True, separators=(",", ":")) made once, as dumps makes
+# a C encoder per call; with no circular-reference table to leave stale entries in
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", True, False, True)
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,8 @@ class ItContext:
 
 
 class MasterContract:
-    """On-chain rulebook and ledger. All state changes append events."""
+    """On-chain rulebook and ledger. All state changes append events, each
+    with its canonical JSON line."""
 
     def __init__(self, params: miracle.ConsensusParams, policy: SettlementPolicy,
                  windows: WindowConfig, oracle: SortitionOracle,
@@ -185,6 +195,7 @@ class MasterContract:
         self.treasury = treasury
         self.burned = 0
         self.events: list = []
+        self.lines: list = []
         self._counter = 0
 
     # -- plumbing ------------------------------------------------------------
@@ -199,6 +210,7 @@ class MasterContract:
         for key, value in payload.items():
             event[key] = value.hex() if isinstance(value, bytes) else value
         self.events.append(event)
+        self.lines.append("".join(_ENCODE(event, 0)))
 
     def total_value(self) -> int:
         total = self.treasury + self.burned
@@ -544,8 +556,7 @@ class Scenario:
 
     def expand_strategies(self) -> list:
         out = []
-        for entry in self.strategies:
-            kind, count, *rest = entry
+        for kind, count, *rest in self.strategies:
             params = rest[0] if rest else {}
             out += [adversary.Strategy(kind=kind, **params)] * count
         if len(out) != self.m_total:
@@ -566,7 +577,7 @@ class RunResult:
 
 
 def event_lines(events: list) -> list:
-    return [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in events]
+    return ["".join(_ENCODE(e, 0)) for e in events]
 
 
 class Simulation:
@@ -747,10 +758,9 @@ class Simulation:
                 break
             if not self.mc.active and not self.inbox:
                 break
-        settled = sum(1 for e in self.mc.events if e["type"] == "settled")
-        return RunResult(scenario=scenario, events=self.mc.events,
-                         lines=event_lines(self.mc.events), conserved=conserved,
-                         settled=settled, total_blocks=block, mc=self.mc)
+        return RunResult(scenario=scenario, events=self.mc.events, lines=self.mc.lines,
+                         conserved=conserved, total_blocks=block, mc=self.mc,
+                         settled=sum(e["type"] == "settled" for e in self.mc.events))
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -763,18 +773,24 @@ class ReplayReport:
     first_divergence: Optional[int]
     recorded_events: int
     replayed_events: int
+    # at a divergence: each side's line (None past its end), the event's type
+    recorded_line: Optional[str] = None
+    replayed_line: Optional[str] = None
+    event_type: Optional[str] = None
 
 
 def replay_check(scenario: Scenario, recorded_lines: list) -> ReplayReport:
-    """Re-run a scenario from its seeds and diff the event stream."""
-    fresh = run_scenario(scenario).lines
-    first = None
-    for i, (a, b) in enumerate(zip(recorded_lines, fresh)):
-        if a != b:
-            first = i
-            break
-    if first is None and len(recorded_lines) != len(fresh):
-        first = min(len(recorded_lines), len(fresh))
-    return ReplayReport(identical=first is None, first_divergence=first,
-                        recorded_events=len(recorded_lines),
-                        replayed_events=len(fresh))
+    """Re-run a scenario from its seeds and diff the event stream; a
+    divergent event's type is the replay's unless the replay has ended."""
+    fresh = run_scenario(scenario)
+    recorded, replayed = list(recorded_lines), fresh.lines
+    counts = (len(recorded), len(replayed))
+    if recorded == replayed:
+        return ReplayReport(True, None, *counts)
+    first, (mine, theirs) = next((i, pair) for i, pair in enumerate(
+        zip_longest(recorded, replayed)) if pair[0] != pair[1])
+    try:
+        kind = fresh.events[first]["type"] if theirs is not None else json.loads(mine)["type"]
+    except (ValueError, TypeError, KeyError):
+        kind = None
+    return ReplayReport(False, first, *counts, mine, theirs, kind)

@@ -200,17 +200,3 @@ def strong_unmatched(traces: Sequence[RiceTrace]) -> list:
         counts.append(len(indices - seen))
         seen |= indices
     return counts
-
-
-def strong_unmatched_tail_bound(k: int, round_index: int, b2: int, x: int) -> float:
-    """Lower bound on P(X >= x) for the strong-unmatched count of a round-i
-    run ending in a 2^k segment: the binomial tail with one trial per segment
-    of exponent within [b2, k-1] and per-trial success 1 - (i-1)/2^b2.
-    """
-    from scipy.stats import binom
-
-    if not 1 <= b2 <= k:
-        raise ValueError("b2 must lie in [1, k]")
-    n = (k - 1) * k // 2 - (b2 - 1) * b2 // 2
-    p = max(0.0, 1.0 - (round_index - 1) / 2 ** b2)
-    return float(binom.sf(x - 1, n, p))

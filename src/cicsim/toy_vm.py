@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
@@ -495,6 +496,10 @@ class ClosedFormCursor:
         return self.root_at(self.dynamic_index)
 
 
+# per key the id only: a cached Program would share its mutable `warmth`
+_compute_code_id = lru_cache(maxsize=256)(lambda key: compute_program(key).code_id)
+
+
 class ComputeModel:
     """Closed-form twin of compute_program: same states, same roots, O(1) skips.
 
@@ -508,7 +513,7 @@ class ComputeModel:
 
     def __init__(self, key: int = 0):
         self.key = key
-        self.code_id = compute_program(key=key).code_id
+        self.code_id = _compute_code_id(key)
 
     def state_at(self, base: CicState, eta: int, t: int) -> CicState:
         count = min(max(t - 1, 0) // 6, eta)

@@ -8,6 +8,7 @@ closed forms) so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,27 @@ def rice_round_oracle(total: int, root_at, round_index: int, entropy: bytes):
         seed = sha(seed + root_at(index))
         updates.append(index)
     return seed, root_at(total), updates
+
+
+def strong_unmatched_tail_bound(k: int, round_index: int, b2: int, x: int) -> float:
+    """Lower bound on P(X >= x) for the strong-unmatched count of a round-i
+    run ending in a 2^k segment: the binomial tail with one trial per segment
+    of exponent within [b2, k-1] and per-trial success 1 - (i-1)/2^b2.
+    """
+    from scipy.stats import binom
+
+    if not 1 <= b2 <= k:
+        raise ValueError("b2 must lie in [1, k]")
+    n = (k - 1) * k // 2 - (b2 - 1) * b2 // 2
+    p = max(0.0, 1.0 - (round_index - 1) / 2 ** b2)
+    return float(binom.sf(x - 1, n, p))
+
+
+# --- canonical event encoding ---------------------------------------------------
+
+def canonical_line(event: dict) -> str:
+    """An event's log line by the definition: plain `json.dumps`."""
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
 # --- likelihood property batches (vectorized) ---------------------------------

@@ -7,15 +7,21 @@ so the pins do not depend on the BLAS build.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from cicsim import cli, experiments, protocol, rice, toy_vm
 from cicsim.hashing import sha256, to_word
 from cicsim.merkle_state import CicState
 
+from oracles import canonical_line
 from test_toy_vm import DO_WHILE, EVERY_OP_LOOP, JMP_INTO_A_BLOCK, JMP_INTO_A_LONG_BLOCK, SPIN
 
 SEED = sha256(b"artifact-pins")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def file_hash(path) -> str:
@@ -26,9 +32,20 @@ def test_random_scenario_event_logs():
     h = hashlib.sha256()
     for index in range(100):
         result = protocol.run_scenario(experiments.random_scenario(index, SEED))
+        assert result.lines == [canonical_line(e) for e in result.events]
         h.update("\n".join(result.lines).encode() + b"\n\n")
     assert h.hexdigest() == (
         "a271664e087836379c82cc280f88eb6199d0e370d001905e3d7dd50bef582010")
+
+
+def test_protocol_demo_stdout():
+    # demo 04 prints event dicts in their insertion order, a timeline and the
+    # replay verdict; all pure-Python protocol code
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_protocol_run.py")],
+                          capture_output=True, env=env, timeout=120, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "d8c4b5831de7f9e451fa6677723de25f9767bea280e4a6e961b9706c5bd0fc92")
 
 
 def test_paper_scale_event_log(tmp_path):

@@ -129,7 +129,11 @@ def test_event_log_file_round_trip_and_replay(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(experiments.DivergenceDetected) as err:
         experiments.replay(str(path))
-    assert json.loads(str(err.value))["first_divergence"] == idx - 1
+    report = json.loads(str(err.value))
+    assert report["first_divergence"] == idx - 1
+    assert report["recorded_line"] == lines[idx]
+    assert report["replayed_line"] == result.lines[idx - 1]
+    assert report["event_type"] == "commit"
 
 
 def test_cli_es_sizing_stdout(capsys):
@@ -152,7 +156,7 @@ def test_cli_rice_trace(tmp_path):
     assert lines[0]["seed"] != lines[1]["seed"]
 
 
-def test_cli_protocol_scenario_and_replay(tmp_path):
+def test_cli_protocol_scenario_and_replay(tmp_path, capsys):
     scenario = experiments.random_scenario(5, SEED, max_parallel=2)
     scen_path = tmp_path / "scenario.json"
     scen_path.write_text(scenario.to_json())
@@ -165,7 +169,14 @@ def test_cli_protocol_scenario_and_replay(tmp_path):
     idx = next(i for i, l in enumerate(lines) if '"type":"reveal"' in l)
     lines[idx] = lines[idx].replace('"seed":"', '"seed":"ff', 1)
     log_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     assert cli.main(["replay", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ")
+    report = json.loads(err[len("divergence: "):])
+    assert report["first_divergence"] == idx - 1
+    assert report["recorded_line"] == lines[idx]
+    assert report["event_type"] == "reveal"
 
 
 @pytest.mark.parametrize("log_text", ["", "\n\n", "not json\n", '{"format":1}\n'])

@@ -4,6 +4,8 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicsim import adversary
 from cicsim.hashing import be8, sha256
@@ -15,11 +17,13 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, REVEALING,
                              MasterContract, NoCommitment, NodeRecord,
                              OutsideWindow, QueueOrderViolation, Scenario,
                              ScenarioError, SettlementPolicy, WindowConfig,
-                             replay_check, run_scenario)
+                             event_lines, replay_check, run_scenario)
 from cicsim.randomness import SortitionOracle, check_sort, keygen
 from cicsim.rice import Digest, rice_execute
 from cicsim.toy_vm import (ComputeModel, Transaction, compute_data, compute_eta,
                            compute_length)
+
+from oracles import canonical_line
 
 SEED = sha256(b"protocol-tests")
 
@@ -533,14 +537,82 @@ def test_full_run_is_replayable_and_conserved():
     assert result.conserved
     assert result.settled == 1
     report = replay_check(result.scenario, result.lines)
-    assert report.identical
-    # tampering with any single byte is detected at that event
-    corrupt = list(result.lines)
-    target = next(i for i, l in enumerate(corrupt) if '"type":"commit"' in l)
-    corrupt[target] = corrupt[target].replace('"se":"', '"se":"ff', 1)
-    report = replay_check(result.scenario, corrupt)
+    assert report.identical and report.first_divergence is None
+    assert report.recorded_line is report.replayed_line is report.event_type is None
+
+
+def _replay_edited(edit):
+    """A full run's lines and the replay report of `edit(lines)`."""
+    result = run_scenario(scenario())
+    lines = list(result.lines)
+    report = replay_check(result.scenario, edit(list(lines)))
     assert not report.identical
+    assert report.replayed_events == len(lines)
+    return report, lines
+
+
+def _first_commit(lines):
+    return next(i for i, l in enumerate(lines) if '"type":"commit"' in l)
+
+
+def _flip_one_se_digit(lines):
+    i = _first_commit(lines)
+    at = lines[i].index('"se":"') + len('"se":"')
+    lines[i] = lines[i][:at] + ("1" if lines[i][at] == "0" else "0") + lines[i][at + 1:]
+    return lines
+
+
+def test_replay_names_a_one_byte_edit_of_a_commit():
+    report, lines = _replay_edited(_flip_one_se_digit)
+    target = _first_commit(lines)
     assert report.first_divergence == target
+    assert report.replayed_line == lines[target]
+    assert report.recorded_line == _flip_one_se_digit(list(lines))[target]
+    assert report.event_type == "commit"
+
+
+def test_replay_names_a_dropped_last_line():
+    report, lines = _replay_edited(lambda lines: lines[:-1])
+    assert report.first_divergence == len(lines) - 1
+    assert report.recorded_events == len(lines) - 1
+    assert report.recorded_line is None
+    assert report.replayed_line == lines[-1]
+    assert report.event_type == json.loads(lines[-1])["type"]
+
+
+def test_replay_names_an_appended_line():
+    extra = '{"block":999,"cid":"00","type":"reward"}'
+    report, lines = _replay_edited(lambda lines: lines + [extra])
+    assert report.first_divergence == len(lines)
+    assert report.recorded_events == len(lines) + 1
+    assert report.recorded_line == extra
+    assert report.replayed_line is None
+    assert report.event_type == "reward"
+
+
+_ODD_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/é€\u2028😀'),
+                                      st.characters()), max_size=30)
+_PAYLOAD_VALUES = st.one_of(
+    st.binary(max_size=40),                                  # emitted as hex
+    st.integers(-2 ** 80, 2 ** 80), st.integers(2 ** 63, 2 ** 300),
+    st.booleans(), st.none(), _ODD_TEXT,
+    st.dictionaries(st.binary(min_size=32, max_size=32).map(bytes.hex),
+                    st.integers(0, 10 ** 6), max_size=4))    # a round tally
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.integers(0, 2 ** 40), kind=_ODD_TEXT,
+       payload=st.dictionaries(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
+                                       min_size=1, max_size=12)
+                               .filter(lambda k: k not in ("block", "kind", "type")),
+                               _PAYLOAD_VALUES, max_size=8))
+def test_emit_writes_the_canonical_line(block, kind, payload):
+    mc, _, _ = build_mc(n_nodes=1)
+    mc.emit(block, kind, **payload)
+    expected = {"block": block, "type": kind,
+                **{k: v.hex() if isinstance(v, bytes) else v for k, v in payload.items()}}
+    assert mc.events == [expected]
+    assert mc.lines == [canonical_line(expected)] == event_lines(mc.events)
 
 
 def test_an_empty_treasury_pays_rewards_only_from_fees():

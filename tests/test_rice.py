@@ -11,13 +11,13 @@ from cicsim.experiments import SyntheticRunner
 from cicsim.rice import (check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
                          rice_execute, rice_execute_traced, segment_exponent,
-                         segment_start, strong_unmatched,
-                         strong_unmatched_tail_bound, update_index)
+                         segment_start, strong_unmatched, update_index)
 from cicsim.toy_vm import (ComputeModel, assemble, compute_data,
                            compute_program, run_full)
 
 from oracles import (merkle_root_oracle, oracle_state_after, rice_round_oracle,
-                     run_program_oracle, segment_table_oracle)
+                     run_program_oracle, segment_table_oracle,
+                     strong_unmatched_tail_bound)
 
 
 def test_exponent_sequence_prefix():

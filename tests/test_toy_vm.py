@@ -367,6 +367,10 @@ def test_compute_model_matches_interpreter_states_and_totals():
     program = compute_program()
     model = ComputeModel()
     assert model.code_id == program.code_id
+    # the code id is memoised per key, never across keys
+    keys = (7, 0, 7, 2 ** 256 - 1)
+    assert [ComputeModel(key=k).code_id for k in keys] == [
+        compute_program(k).code_id for k in keys]
     for eta in (0, 1, 5, 17):
         state = CicState(4, program.code_id)
         vm_final, total = run_full(program, state, compute_data(eta))
