@@ -17,14 +17,17 @@ every level of the tree between calls, for a single owner whose storage
 changes a few keys at a time (the interpreter cursor, at each RICE seed
 update): given the keys written since its last root, it rehashes only the
 paths above rewritten leaves and, where keys were inserted, the nodes whose
-positions shifted. Its root is the same function of storage as
-`storage_root`.
+positions shifted. It takes storage held as words, as the cursor holds it
+while it runs: int keys to int values, encoded as 32-byte words only when a
+leaf is hashed. Ints sort as their fixed-width big-endian encodings do, so
+its root is the same function of storage as `storage_root`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Mapping
 
 from .hashing import WORD_BYTES, as_word, sha256
@@ -68,6 +71,11 @@ def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
+def _word_leaf(key: int, value: int) -> bytes:
+    """The leaf of a word-keyed entry: `to_word`'s encoding, inlined."""
+    return sha256(key.to_bytes(WORD_BYTES, "big"), value.to_bytes(WORD_BYTES, "big"))
+
+
 def storage_root(storage: Mapping[bytes, bytes]) -> bytes:
     if not storage:
         return EMPTY_STORAGE_ROOT
@@ -76,7 +84,8 @@ def storage_root(storage: Mapping[bytes, bytes]) -> bytes:
 
 
 class StorageTree:
-    """The storage tree of one mutable storage map, kept between roots.
+    """The storage tree of one mutable word-keyed storage map (int keys to
+    int values), kept between roots.
 
     The first `root` call builds the tree from all of storage. Each later
     call is told which keys were written since the previous one; keys are
@@ -90,20 +99,20 @@ class StorageTree:
     __slots__ = ("keys", "levels")
 
     def __init__(self):
-        self.keys: list[bytes] = []
+        self.keys: list[int] = []
         self.levels: list[list[bytes]] | None = None
 
-    def root(self, storage: Mapping[bytes, bytes], written) -> bytes:
+    def root(self, storage: Mapping[int, int], written) -> bytes:
         """Storage root of `storage`, which differs from the storage of the
         previous call only at the keys in `written`."""
         if self.levels is None:
             self.keys = sorted(storage)
-            self.levels = _tree_levels([sha256(k, storage[k]) for k in self.keys])
+            self.levels = _tree_levels([_word_leaf(k, storage[k]) for k in self.keys])
         elif written:
             self._refresh(storage, written)
         return self.levels[-1][0] if self.keys else EMPTY_STORAGE_ROOT
 
-    def _refresh(self, storage: Mapping[bytes, bytes], written) -> None:
+    def _refresh(self, storage: Mapping[int, int], written) -> None:
         keys, levels = self.keys, self.levels
         leaves = levels[0]
         rewritten, fresh = [], []
@@ -124,7 +133,7 @@ class StorageTree:
             new_leaves = []
             for k in tail:
                 leaf = None if k in fresh_set else next(old)
-                new_leaves.append(sha256(k, storage[k]) if k in written else leaf)
+                new_leaves.append(_word_leaf(k, storage[k]) if k in written else leaf)
             keys[start:] = tail
             leaves[start:] = new_leaves
         # sorted, disjoint runs [lo, hi) of rewritten positions left of `start`
@@ -132,7 +141,7 @@ class StorageTree:
         for i in sorted(rewritten):
             if i >= start:
                 break
-            leaves[i] = sha256(keys[i], storage[keys[i]])
+            leaves[i] = _word_leaf(keys[i], storage[keys[i]])
             if runs and runs[-1][1] == i:
                 runs[-1][1] = i + 1
             else:
@@ -166,6 +175,8 @@ class CicState:
 
     Snapshots share no mutable structure, so a state may be handed to any
     number of concurrent readers. The root is computed lazily and cached.
+    Storage keys and values are 32-byte words; a state given anything else
+    raises `ValueError`.
     """
 
     __slots__ = ("cid", "code", "_storage", "_root")
@@ -176,6 +187,9 @@ class CicState:
         self.code = as_word(code)
         self._storage: dict[bytes, bytes] = dict(storage) if storage else {}
         self._root: MerkleRoot | None = None
+        if storage and not all(isinstance(w, bytes) and len(w) == WORD_BYTES
+                               for w in chain(self._storage, self._storage.values())):
+            raise ValueError(f"storage keys and values must be {WORD_BYTES}-byte words")
 
     @property
     def storage(self) -> Mapping[bytes, bytes]:
@@ -185,14 +199,13 @@ class CicState:
         return self._storage.get(as_word(key), ZERO_WORD)
 
     def put(self, key: "int | bytes", value: "int | bytes") -> "CicState":
-        new = CicState(self.cid, self.code, self._storage)
-        new._storage[as_word(key)] = as_word(value)
+        new = CicState(self.cid, self.code)
+        new._storage = {**self._storage, as_word(key): as_word(value)}
         return new
 
     def put_many(self, items: Mapping[bytes, bytes]) -> "CicState":
-        new = CicState(self.cid, self.code, self._storage)
-        for k, v in items.items():
-            new._storage[as_word(k)] = as_word(v)
+        new = CicState(self.cid, self.code)
+        new._storage = {**self._storage, **{as_word(k): as_word(v) for k, v in items.items()}}
         return new
 
     def keys(self) -> Iterator[bytes]:

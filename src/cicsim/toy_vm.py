@@ -12,9 +12,12 @@ wraparound arithmetic. `_ISA` is its one definition: each opcode's
 mnemonic, operand kinds and effect. The assembler parses operands from the
 kinds, and the single-stepper and the trace compiler both run code made
 from the effects. `load`/`store` address contract storage through the key
-held in a register; `hash` writes the SHA-256 of a register's word
-encoding. `mod` by zero yields zero. Input data is split into 32-byte words
-loaded into registers r8..r15 before execution.
+held in a register. While a cursor runs, storage is held as words, a dict
+of int keys to int values, so neither converts anything; it is encoded as
+32-byte words only where a root or a `state` snapshot needs it. `hash`
+writes the SHA-256 of a register's word encoding. `mod` by zero yields
+zero. Input data is split into 32-byte words loaded into registers r8..r15
+before execution.
 
 A Program single-steps its first COMPILE_AFTER instructions, summed over
 all its runs, and then compiles its code into one Python function per
@@ -46,7 +49,8 @@ NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
 # single-stepping this many costs ~0.5 ms more than running them compiled,
 # about one compile (2-CPU Xeon), so a program that runs only briefly never
-# pays much more than the cheaper of the two
+# pays much more than the cheaper of the two; measured when load and store
+# converted 32-byte storage words, and not re-tuned since
 COMPILE_AFTER = 2048
 
 (OP_CONST, OP_MOV, OP_ADD, OP_SUB, OP_MUL, OP_MOD, OP_XOR, OP_AND,
@@ -69,10 +73,8 @@ _ISA = (
     ("eq", "rrr", "regs[{a}] = 1 if regs[{b}] == regs[{c}] else 0"),
     ("jmp", "l", None),
     ("jnz", "rl", None),
-    ("load", "rr", 'regs[{a}] = int.from_bytes(storage.get(regs[{b}].to_bytes(32, "big"), '
-                   'b"\\0" * 32), "big")'),
-    ("store", "rr", 'key = regs[{a}].to_bytes(32, "big"); '
-                    'storage[key] = regs[{b}].to_bytes(32, "big"); written.add(key)'),
+    ("load", "rr", "regs[{a}] = storage.get(regs[{b}], 0)"),
+    ("store", "rr", "storage[regs[{a}]] = regs[{b}]; written.add(regs[{a}])"),
     ("hash", "rr", 'regs[{a}] = int.from_bytes(sha256(regs[{b}].to_bytes(32, "big")), "big")'),
     ("halt", "", None),
 )
@@ -178,8 +180,8 @@ def assemble(source: str) -> Program:
             continue
         toks = text.split()
         if toks[0] == "func":
-            if len(toks) != 2:
-                raise AssemblyError(f"line {line_no}: func takes one name")
+            if len(toks) != 2 or toks[1] in entries:
+                raise AssemblyError(f"line {line_no}: func takes one name not used before")
             entries[toks[1]] = len(raw)
             continue
         raw.append((line_no, toks))
@@ -226,11 +228,11 @@ class ExecCursor:
     """Mutable position of an interrupted run; single-owner.
 
     `dynamic_index` counts instructions executed so far; resuming must start
-    at `dynamic_index + 1`. The underlying storage dict is private to the
-    cursor: `state` materializes a value-semantics snapshot on demand.
-    Stores add their key to `written`; `root_bytes` hands those keys to the
-    cursor's `StorageTree`, so a root rehashes only what changed since the
-    last one.
+    at `dynamic_index + 1`. The cursor holds storage as words, a private
+    dict of int keys to int values built once from the starting state;
+    `state` encodes a value-semantics snapshot on demand. Stores add their
+    key to `written`; `root_bytes` hands those keys to the cursor's
+    `StorageTree`, so a root rehashes only what changed since the last one.
     """
 
     __slots__ = ("program", "cid", "code", "storage", "written", "tree", "regs",
@@ -241,7 +243,7 @@ class ExecCursor:
         self.program = program
         self.cid = state.cid
         self.code = state.code
-        self.storage = state.storage  # already a private copy
+        self.storage = {from_word(k): from_word(v) for k, v in state.storage.items()}
         self.written: set = set()
         self.tree = StorageTree()
         self.regs = [0] * NUM_REGISTERS
@@ -257,7 +259,8 @@ class ExecCursor:
 
     @property
     def state(self) -> CicState:
-        return CicState(self.cid, self.code, self.storage)
+        return CicState(self.cid, self.code,
+                        {to_word(k): to_word(v) for k, v in self.storage.items()})
 
     def root_bytes(self) -> bytes:
         """The state root, `state.root().value`, from the kept tree."""

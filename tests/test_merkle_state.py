@@ -1,9 +1,10 @@
 """Merkle state: root determinism, write sensitivity, proofs, the kept tree."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cicsim.hashing import sha256, to_word
+from cicsim.hashing import from_word, sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
                                  StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
@@ -92,6 +93,25 @@ def test_tampered_proof_fails():
     assert not verify_inclusion(state.root(), wrong_cid, state.code, proof)
 
 
+@pytest.mark.parametrize("storage", [{b"k": b"v"}, {to_word(1): b"v"}, {b"\x05": to_word(5)},
+                                     {to_word(1): 1}, {1: to_word(1)},
+                                     {to_word(1): bytearray(32)},
+                                     {to_word(1): to_word(2), to_word(2): bytes(33)}])
+def test_storage_that_is_not_32_byte_words_is_rejected(storage):
+    # a one-byte key would otherwise sit apart from the word it encodes: the
+    # interpreter holds storage as ints, where the two are the same key
+    with pytest.raises(ValueError, match="32-byte words"):
+        CicState(1, 2, storage)
+
+
+def test_put_coerces_to_words():
+    state = CicState(1, 2, {to_word(5): to_word(6)}).put(5, 7).put_many({to_word(8): 9, 10: 11})
+    assert state.storage == {to_word(5): to_word(7), to_word(8): to_word(9),
+                             to_word(10): to_word(11)}
+    with pytest.raises(ValueError):
+        state.put(b"\x05", 1)
+
+
 def test_value_semantics_snapshots_do_not_alias():
     base = make_state(**{"1": 10})
     fork = base.put(2, 20)
@@ -114,8 +134,10 @@ batches = st.lists(st.tuples(st.lists(st.integers(0, 2 ** 16), max_size=8),
 
 def tree_root_after_batches(initial: dict, writes) -> None:
     """Apply each batch of writes to one storage map and check the tree's
-    root against the oracle after every batch."""
+    root against the oracle after every batch. The tree is fed the same
+    writes held as words, as the interpreter cursor holds them."""
     storage = dict(initial)
+    words = {from_word(k): from_word(v) for k, v in storage.items()}
     tree = StorageTree()
     for picks, batch in [((), {})] + list(writes):
         present = sorted(storage)
@@ -123,7 +145,8 @@ def tree_root_after_batches(initial: dict, writes) -> None:
                     for p in picks if present},
                  **batch}
         storage.update(batch)
-        got = tree.root(storage, set(batch))
+        words.update({from_word(k): from_word(v) for k, v in batch.items()})
+        got = tree.root(words, {from_word(k) for k in batch})
         assert sha256(CID, CODE, got) == merkle_root_oracle(CID, CODE, storage)
         assert got == storage_root(storage)
 

@@ -143,24 +143,38 @@ def test_chained_random_partitions_compose():
         assert cursor.state == full_state
 
 
+# storage before a run: small keys the programs may load and store, large keys
+# they never hit in practice, and zero-valued words, which are present keys
+# all the same
+prior_storage = st.dictionaries(
+    st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 200, 2 ** 256 - 1)).map(to_word),
+    st.one_of(st.just(0), st.integers(0, 2 ** 32)).map(to_word), max_size=8)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.randoms(use_true_random=False),
-       st.dictionaries(st.integers(0, 2 ** 32).map(to_word),
-                       st.integers(0, 2 ** 32).map(to_word), max_size=6))
+@given(st.randoms(use_true_random=False), prior_storage)
 def test_cursor_root_matches_the_state_root_at_every_interruption(rng, storage):
     # the cursor's kept tree against the from-scratch root of its snapshot,
-    # with roots taken after some segments and skipped after others
+    # with roots taken after some segments and skipped after others, and
+    # snapshots taken between resumes that must not disturb the next root
     program = random_program(rng)
     state = CicState(21, program.code_id, storage)
-    _, total = run_full(program, state)
+    final, total = run_full(program, state)
+    assert state == CicState(21, program.code_id, storage)  # the input is left as it was
+    assert (final.storage, total) == run_program_oracle(program.instructions, program.entry(),
+                                                        storage, b"")
     cursor = start(program, state)
     t_i = 1
     while not cursor.halted:
         cursor, last = cursor.resume(t_i, t_i + rng.randrange(1, 40))
         t_i = last + 1
+        snapshot = cursor.state if rng.random() < 0.5 else None
         if cursor.halted or rng.random() < 0.7:
-            assert cursor.root_bytes() == cursor.state.root().value
+            got = cursor.root_bytes()
+            assert got == cursor.state.root().value
+            assert snapshot is None or snapshot.root().value == got
     assert last == total
+    assert cursor.state == final and cursor.root_bytes() == final.root().value
 
 
 def test_random_programs_match_the_stepping_oracle():
@@ -262,7 +276,7 @@ spin:
 
 
 def cursor_view(cursor):
-    return cursor.pc, list(cursor.regs), dict(cursor.storage), cursor.dynamic_index
+    return cursor.pc, list(cursor.regs), cursor.state.storage, cursor.dynamic_index
 
 
 def oracle_prefix(program, storage, data, cap=300):
@@ -357,7 +371,7 @@ def test_hand_built_programs_are_checked_and_pickle(monkeypatch):
 
 
 @pytest.mark.parametrize("line", ["add r1 r2", "const r1", "jmp", "jnz r1", "const r1 zz",
-                                  "halt extra", "mov r1 r16"])
+                                  "halt extra", "mov r1 r16", "func main"])
 def test_malformed_lines_raise_assembly_error_naming_the_line(line):
     with pytest.raises(AssemblyError, match="^line 4: "):
         assemble(f"func main\nend:\n  const r2 1\n  {line}\n  halt\n")
