@@ -7,8 +7,7 @@ instruction index and resumed without changing the outcome.
 
 from cicsim.hashing import sha256
 from cicsim.merkle_state import CicState, prove_inclusion, verify_inclusion
-from cicsim.toy_vm import (compute_data, compute_program, run_full, run_sub,
-                           start)
+from cicsim.toy_vm import compute_data, compute_program, run_full, run_sub
 
 # --- a tiny contract state ------------------------------------------------
 
@@ -37,7 +36,7 @@ print("counter went from 41 to", int.from_bytes(final.get(0), "big"))
 
 # --- interrupt anywhere, resume, reach the same state ----------------------
 
-cursor = start(program, state, compute_data(eta))
+cursor = program.start(state, compute_data(eta))
 cursor, last = run_sub(program, cursor, 1, 17)          # first 17 instructions
 print(f"\npaused at dynamic index {last}, halted={cursor.halted}")
 cursor, last = run_sub(program, cursor, 18, 40)

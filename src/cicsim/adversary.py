@@ -1,39 +1,29 @@
 """Node strategies and the incentive calculus for skipping work.
 
-Strategies are inert tags consumed by the protocol event loop; the utility
-functions quantify whether a selfish node gains by free-loading (guessing
-the round seed instead of executing) or by colluding on a shared seed.
+`KINDS` declares each node strategy once: what a node of that kind submits,
+whether it reveals, and the one parameter it reads. The utility functions
+quantify whether a selfish node gains by free-loading (guessing the round
+seed instead of executing) or by colluding on a shared seed.
 Rewards R, deposits D, and costs c1 (honest execution), c2 (free-loading
 overhead), c3 (collusion overhead) are abstract units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 
-HONEST = "honest"
-BYZ_SINGLE = "byz_single"
-BYZ_MULTI = "byz_multi"
-FREELOADER = "freeloader"
-COLLUDER = "colluder"
-SILENT = "silent"
+from .hashing import be8
 
-_KINDS = {HONEST, BYZ_SINGLE, BYZ_MULTI, FREELOADER, COLLUDER, SILENT}
+HONEST = "honest"
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Behavior tag for one node.
-
-    byz_single: all such nodes submit one shared incorrect root and seed.
-    byz_multi:  incorrect roots split over `fanout` values.
-    freeloader: reuses the prior winning root; guesses the round seed with
-                success probability `gamma`.
-    colluder:   correct root, seed shared within `group`.
-    silent:     commits, never reveals.
-    """
+    """Behavior tag for one node: a kind of `KINDS`, and the one field that
+    the kind reads; the other fields keep their defaults."""
 
     kind: str
     fanout: int = 2
@@ -41,12 +31,59 @@ class Strategy:
     group: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown strategy kind: {self.kind}")
-        if self.kind == BYZ_MULTI and self.fanout < 2:
-            raise ValueError("multi-root adversary needs fanout >= 2")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("seed-guess probability must lie in [0, 1]")
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown strategy kind: {self.kind!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            ok = kind.accepts(value) if f.name == kind.param else value == f.default
+            if not ok:
+                raise ValueError(f"{self.kind} cannot take {f.name}={value!r}")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One strategy kind. `rule(strategy, node_id, tid, round_index, prf)`
+    gives the hash preimages (tuples of byte strings) of the seed and root a
+    node submits, None for the honest execution's, and the caller hashes
+    them; `prf(*parts)` is the caller's pseudo-random integer below 2**256.
+    `param` names the Strategy field the kind reads, `accepts` its values."""
+
+    rule: Callable
+    reveals: bool = True
+    param: Optional[str] = None
+    accepts: Optional[Callable] = None
+
+
+def _freeloader(s, node_id, tid, round_index, prf):
+    """Honest in round 1; afterwards reuses that round's root, the correct
+    one, and guesses the round seed with probability `gamma`."""
+    tag = be8(node_id) + tid + be8(round_index)
+    if round_index == 1 or prf(b"freeload", tag) / 2.0 ** 256 < s.gamma:
+        return None, None
+    return (b"bad-guess", tag), None
+
+
+KINDS = {
+    HONEST: Kind(lambda *_: (None, None)),
+    "silent": Kind(lambda *_: (None, None), reveals=False),   # commits, never reveals
+    # one incorrect root and seed, shared by every such node
+    "byz_single": Kind(lambda s, node_id, tid, rnd, prf: (
+        (b"byz-seed", tid, be8(rnd)), (b"byz-root", tid))),
+    # incorrect roots split over `fanout` values by node id
+    "byz_multi": Kind(
+        lambda s, node_id, tid, rnd, prf: (
+            (b"byz-seed", tid, be8(rnd), be8(node_id % s.fanout)),
+            (b"byz-root", tid, be8(node_id % s.fanout))),
+        param="fanout", accepts=lambda v: type(v) is int and v >= 2),
+    "freeloader": Kind(_freeloader, param="gamma",
+                       accepts=lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    # the correct root, and a seed shared within `group`
+    "colluder": Kind(
+        lambda s, node_id, tid, rnd, prf: (
+            (b"collusion", tid, be8(rnd), be8(s.group)), None),
+        param="group", accepts=lambda v: type(v) is int and 0 <= v < 2 ** 64),
+}
 
 
 @dataclass(frozen=True)

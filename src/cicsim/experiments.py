@@ -79,13 +79,9 @@ class ExperimentSpec:
             raise ConfigError("trial count must be positive")
         seed_from_hex(self.seed)
 
-    def seed_bytes(self) -> bytes:
-        return bytes.fromhex(self.seed)
-
     def canonical(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params,
-                           "trials": self.trials, "seed": self.seed},
-                          sort_keys=True, separators=(",", ":"))
+        return protocol.canonical_json({"kind": self.kind, "params": self.params,
+                                        "trials": self.trials, "seed": self.seed})
 
     def spec_hash(self) -> str:
         return sha256(self.canonical().encode()).hex()
@@ -113,8 +109,12 @@ class SweepStats:
     unconverged: int
 
 
+# a Monte Carlo trial still undecided after this many rounds is unconverged
+MC_MAX_ROUNDS = 100
+
+
 def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
-                      rng: np.random.Generator, max_rounds: int = 100):
+                      rng: np.random.Generator):
     """All Byzantine nodes pool on one incorrect root; honest nodes submit
     the correct one. Returns per-trial (rounds, wrong, nodes_used, unconverged
     mask) using the exact integer score and the real-valued threshold."""
@@ -127,7 +127,7 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
     score_c = np.zeros(trials, dtype=np.int64)
     score_w = np.zeros(trials, dtype=np.int64)
     active = np.ones(trials, dtype=bool)
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, MC_MAX_ROUNDS + 1):
         count = int(active.sum())
         if count == 0:
             break
@@ -145,16 +145,15 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
         wrong |= decided & hit_w
         active &= ~decided
     unconverged = active.copy()
-    rounds[unconverged] = max_rounds
+    rounds[unconverged] = MC_MAX_ROUNDS
     return rounds, wrong, nodes_used, unconverged
 
 
 def sweep_point(params: miracle.ConsensusParams, f: float, trials: int,
-                seed: bytes, max_rounds: int = 100) -> SweepStats:
+                seed: bytes) -> SweepStats:
     rng = _rng(seed, b"sweep", str((params.m_total, params.q, params.beta,
                                     params.f_max, f)).encode())
-    rounds, wrong, nodes, unconv = simulate_two_root(params, f, trials, rng,
-                                                     max_rounds=max_rounds)
+    rounds, wrong, nodes, unconv = simulate_two_root(params, f, trials, rng)
     mean = float(rounds.mean())
     half = 1.96 * float(rounds.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     return SweepStats(f=f, beta=params.beta, trials=trials, mean_rounds=mean,
@@ -165,7 +164,7 @@ def sweep_point(params: miracle.ConsensusParams, f: float, trials: int,
 
 def miracle_sweep_rows(m_total: int, q: float, betas: Sequence[float],
                        f_values: Sequence[float], trials: int, seed: bytes,
-                       f_max: Optional[float] = None, max_rounds: int = 100):
+                       f_max: Optional[float] = None):
     """Mean rounds / error rate / node usage over a (beta, f) grid with
     f_max = f unless pinned (the worst-case design point)."""
     rows = []
@@ -173,7 +172,7 @@ def miracle_sweep_rows(m_total: int, q: float, betas: Sequence[float],
         for f in f_values:
             design = f_max if f_max is not None else f
             params = miracle.ConsensusParams(m_total, design, q, beta)
-            stats = sweep_point(params, f, trials, seed, max_rounds=max_rounds)
+            stats = sweep_point(params, f, trials, seed)
             rows.append({"f": f, "beta": beta, "f_max": design,
                          "trials": trials, "mean_rounds": stats.mean_rounds,
                          "ci95_rounds": stats.ci95_rounds,
@@ -232,11 +231,11 @@ class SyntheticRunner:
 
 
 def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
-                       vm_fraction: float = 0.2, vm_t_cap: int = 20_000):
+                       vm_fraction: float = 0.2):
     """Schedule-bound audit over programs with log-uniform total length.
 
     Mixes three substrates: closed-form benchmark runs, synthetic runs, and
-    (below `vm_t_cap`) randomly generated programs on the interpreter.
+    (below 20,000 instructions) randomly generated programs on the interpreter.
     """
     if not 1 <= t_lo <= t_hi:
         raise ConfigError("rice_overhead needs 1 <= t_lo <= t_hi")
@@ -248,7 +247,7 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
         salt = sha256(seed, b"salt", be8(index))
         entropy = sha256(seed, b"entropy", be8(index))
         pick = rng.random()
-        if pick < vm_fraction and total_target <= vm_t_cap:
+        if pick < vm_fraction and total_target <= 20_000:
             backend = "vm"
             substrate = random_program(rng, max_iterations=max(total_target // 12, 1))
             state, data = CicState(sha256(b"cic", salt), substrate.code_id), b""
@@ -507,7 +506,7 @@ def run(spec: ExperimentSpec):
     """Execute an experiment spec; returns (rows, meta) and writes the CSV
     artifact when an output path is set."""
     kind = KINDS[spec.kind]
-    rows = kind.rows(spec.trials, spec.seed_bytes(), **{**kind.defaults, **spec.params})
+    rows = kind.rows(spec.trials, seed_from_hex(spec.seed), **{**kind.defaults, **spec.params})
     meta = {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
             "lib": __version__}
     if spec.out:
@@ -522,7 +521,7 @@ def write_event_log(path: str, result: protocol.RunResult) -> None:
     header = {"format": FORMAT_VERSION, "lib": __version__,
               "scenario": json.loads(result.scenario.to_json())}
     with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(protocol.canonical_json(header) + "\n")
         for line in result.lines:
             fh.write(line + "\n")
 
@@ -536,7 +535,7 @@ def replay(path: str) -> dict:
         raise protocol.ScenarioError(f"{path}: empty event log")
     try:
         header = json.loads(lines[0])
-        text = json.dumps(header["scenario"], sort_keys=True, separators=(",", ":"))
+        text = protocol.canonical_json(header["scenario"])
     except (ValueError, KeyError, TypeError) as exc:
         raise protocol.ScenarioError(f"{path}: malformed log header: {exc!r}") from exc
     scenario = protocol.Scenario.from_json(text)

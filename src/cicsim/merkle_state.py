@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .hashing import WORD_BYTES, as_word, sha256
 
@@ -48,9 +48,6 @@ class MerkleRoot:
 
     def hex(self) -> str:
         return self.value.hex()
-
-    def __bytes__(self) -> bytes:
-        return self.value
 
 
 def _parents(level: list[bytes]) -> list[bytes]:
@@ -199,17 +196,12 @@ class CicState:
         return self._storage.get(as_word(key), ZERO_WORD)
 
     def put(self, key: "int | bytes", value: "int | bytes") -> "CicState":
-        new = CicState(self.cid, self.code)
-        new._storage = {**self._storage, as_word(key): as_word(value)}
-        return new
+        return self.put_many({key: value})
 
     def put_many(self, items: Mapping[bytes, bytes]) -> "CicState":
         new = CicState(self.cid, self.code)
         new._storage = {**self._storage, **{as_word(k): as_word(v) for k, v in items.items()}}
         return new
-
-    def keys(self) -> Iterator[bytes]:
-        return iter(sorted(self._storage))
 
     def __len__(self) -> int:
         return len(self._storage)

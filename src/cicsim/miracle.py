@@ -68,9 +68,7 @@ def threshold(params: ConsensusParams) -> float:
     ln((1-beta)/beta) * 2 q (1-q) M (1-f_max) f_max / ((1-f_max) - f_max)
     """
     f = params.f_max
-    denom = (1.0 - f) - f
-    if denom <= 0.0:
-        raise DegenerateParams("threshold diverges as f_max reaches 1/2")
+    denom = (1.0 - f) - f   # positive: ConsensusParams keeps f_max below 1/2
     rate = 2.0 * params.q * (1.0 - params.q) * params.m_total * (1.0 - f) * f
     return math.log((1.0 - params.beta) / params.beta) * rate / denom
 
@@ -85,10 +83,6 @@ class RoundTally:
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("counts are non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def update_likelihoods(table: LikelihoodTable, tally: RoundTally) -> LikelihoodT
     if tally.round_index != table.rounds_elapsed + 1:
         raise ValueError(
             f"tally for round {tally.round_index}, table at {table.rounds_elapsed}")
-    total = tally.total
+    total = sum(tally.counts.values())
     scores = {root: s - total * total for root, s in table.scores.items()}
     for root, count in tally.counts.items():
         if count == 0 and root not in scores:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
@@ -93,6 +93,12 @@ if c_make_encoder is None:
 # a C encoder per call; with no circular-reference table to leave stale entries in
 _ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                          None, ":", ",", True, False, True)
+
+
+def canonical_json(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` by the one
+    encoder: every event line, scenario document and experiment spec."""
+    return "".join(_ENCODE(doc, 0))
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ class MasterContract:
         for key, value in payload.items():
             event[key] = value.hex() if isinstance(value, bytes) else value
         self.events.append(event)
-        self.lines.append("".join(_ENCODE(event, 0)))
+        self.lines.append(canonical_json(event))
 
     def total_value(self) -> int:
         total = self.treasury + self.burned
@@ -253,7 +259,7 @@ class MasterContract:
         # enrolling keys after seeing it
         nonce = self._beacon()
         entropy = self._beacon()
-        it = ItContext(tx=tx.with_nonce(nonce), creator=creator, escrow=cost,
+        it = ItContext(tx=replace(tx, nonce=nonce), creator=creator, escrow=cost,
                        round1_entropy=entropy)
         self.active[tx.cid] = it
         self.emit(block, "deployed", cid=tx.cid, tid=tx.tid, nonce=nonce,
@@ -526,13 +532,10 @@ class Scenario:
             raise ValueError("balances are non-negative")
         if min(self.max_rounds, self.commit_jitter, self.reveal_jitter) < 1:
             raise ValueError("max_rounds and the jitters must be at least 1")
+        self.expand_strategies()    # raises on any entry a run cannot use
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["strategies"] = [list(s) for s in self.strategies]
-        doc["cics"] = [asdict(c) for c in self.cics]
-        doc["its"] = [asdict(i) for i in self.its]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_json(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -549,16 +552,19 @@ class Scenario:
             doc["policy"] = SettlementPolicy(**doc["policy"])
             doc["windows"] = WindowConfig(**doc["windows"])
             scenario = cls(**doc)
-            scenario.expand_strategies()
         except (ValueError, KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario: {exc!r}") from exc
         return scenario
 
     def expand_strategies(self) -> list:
+        """One Strategy per node from `[kind, count]` or `[kind, count,
+        {param: value}]` entries; `adversary.Strategy` checks the kind and
+        its parameter against `adversary.KINDS`."""
         out = []
         for kind, count, *rest in self.strategies:
-            params = rest[0] if rest else {}
-            out += [adversary.Strategy(kind=kind, **params)] * count
+            if type(count) is not int or count < 0 or len(rest) > 1:
+                raise ValueError(f"not a [kind, count, params] entry: {[kind, count, *rest]}")
+            out += [adversary.Strategy(kind, **(rest[0] if rest else {}))] * count
         if len(out) != self.m_total:
             raise ValueError(
                 f"strategy counts sum to {len(out)}, pool size is {self.m_total}")
@@ -577,7 +583,7 @@ class RunResult:
 
 
 def event_lines(events: list) -> list:
-    return ["".join(_ENCODE(e, 0)) for e in events]
+    return [canonical_json(e) for e in events]
 
 
 class Simulation:
@@ -641,37 +647,15 @@ class Simulation:
             self._honest_digests[key] = (digest, final)
         return self._honest_digests[key]
 
-    def _plan_digest(self, node: NodeRecord, cid: bytes, it: ItContext,
-                     round_index: int):
-        """What this node will reveal, by strategy, and whether it reveals."""
-        strategy = node.strategy
-        tid = it.tx.tid
-        honest_digest, _ = self._honest_digest(cid, round_index)
-        tag = be8(node.node_id) + tid + be8(round_index)
-        if strategy.kind == adversary.HONEST:
-            return honest_digest, True
-        if strategy.kind == adversary.SILENT:
-            return honest_digest, False
-        if strategy.kind == adversary.BYZ_SINGLE:
-            return Digest(seed=sha256(b"byz-seed", tid, be8(round_index)),
-                          root=MerkleRoot(sha256(b"byz-root", tid))), True
-        if strategy.kind == adversary.BYZ_MULTI:
-            slot = node.node_id % strategy.fanout
-            return Digest(seed=sha256(b"byz-seed", tid, be8(round_index), be8(slot)),
-                          root=MerkleRoot(sha256(b"byz-root", tid, be8(slot)))), True
-        if strategy.kind == adversary.COLLUDER:
-            return Digest(seed=sha256(b"collusion", tid, be8(round_index),
-                                      be8(strategy.group)),
-                          root=honest_digest.root), True
-        # freeloader: honest work in round 1, afterwards reuse the winning
-        # root and guess the seed with probability gamma
-        if round_index == 1:
-            return honest_digest, True
-        coin = self._prf_value(b"freeload", tag) / 2.0 ** 256
-        if coin < strategy.gamma:
-            return honest_digest, True
-        return Digest(seed=sha256(b"bad-guess", tag),
-                      root=honest_digest.root), True
+    def _plan_digest(self, node: NodeRecord, tid: bytes, honest: Digest,
+                     round_index: int) -> Digest:
+        """The digest this node submits, by its kind's rule in `adversary.KINDS`."""
+        seed, root = adversary.KINDS[node.strategy.kind].rule(
+            node.strategy, node.node_id, tid, round_index, self._prf_value)
+        if seed is None and root is None:
+            return honest
+        return Digest(seed=sha256(*seed) if seed else honest.seed,
+                      root=MerkleRoot(sha256(*root)) if root else honest.root)
 
     def _jitter(self, label: bytes, tag: bytes, lo: int, hi: int, jitter: int) -> int:
         """A block in [lo, hi], drawn from its first `jitter` blocks."""
@@ -687,14 +671,15 @@ class Simulation:
             sort = check_sort(node.keys, rnd.nonce, self.scenario.q)
             if not sort.selected:
                 continue
-            digest, will_reveal = self._plan_digest(node, cid, it, rnd.round_index)
+            honest, _ = self._honest_digest(cid, rnd.round_index)
+            digest = self._plan_digest(node, it.tx.tid, honest, rnd.round_index)
             se = sha256(digest.encode(), sort.encode())
             tag = be8(node_id) + cid + be8(rnd.round_index)
             commit_at = self._jitter(b"cjit", tag, rnd.commit_open, rnd.commit_close,
                                      self.scenario.commit_jitter)
             self._post(commit_at, "commit", node_id, self.mc.submit_commit,
                        node_id, cid, se)
-            if will_reveal:
+            if adversary.KINDS[node.strategy.kind].reveals:
                 reveal_at = self._jitter(b"rjit", tag, rnd.reveal_open, rnd.reveal_close,
                                          self.scenario.reveal_jitter)
                 self._post(reveal_at, "reveal", node_id, self.mc.submit_reveal,

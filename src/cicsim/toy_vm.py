@@ -136,7 +136,7 @@ class Program:
 
     def start(self, state: CicState, data: bytes = b"",
               gas_limit: Optional[int] = None) -> "ExecCursor":
-        return start(self, state, data, gas_limit=gas_limit)
+        return ExecCursor(self, state, data, gas_limit, self.entry())
 
 
 def _operand(kind: str, tok: str, labels: dict, line_no: int) -> int:
@@ -219,10 +219,6 @@ class Transaction:
         if self.gas_limit <= 0:
             raise ValueError("gas limit must be positive")
 
-    def with_nonce(self, nonce: bytes) -> "Transaction":
-        return Transaction(self.tid, self.cid, self.data,
-                           self.gas_limit, self.gas_price, nonce)
-
 
 class ExecCursor:
     """Mutable position of an interrupted run; single-owner.
@@ -282,11 +278,6 @@ def check_resume(cursor, t_i: int, t_f: int) -> None:
             f"resume at t_i={t_i}, cursor expects {cursor.dynamic_index + 1}")
     if t_i > t_f:
         raise InvalidResume(f"empty subarray [{t_i}, {t_f}]")
-
-
-def start(program: Program, state: CicState, data: bytes = b"",
-          gas_limit: Optional[int] = None) -> ExecCursor:
-    return ExecCursor(program, state, data, gas_limit, program.entry())
 
 
 def _make_steps() -> tuple:
@@ -417,7 +408,7 @@ def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
 def run_full(program: Program, state: CicState, data: bytes = b"",
              gas_limit: Optional[int] = None):
     """Run to halt; returns (final state, total dynamic instruction count)."""
-    cursor = start(program, state, data, gas_limit=gas_limit)
+    cursor = program.start(state, data, gas_limit=gas_limit)
     _step_until(cursor, None)
     return cursor.state, cursor.dynamic_index
 
@@ -536,9 +527,9 @@ class ComputeModel:
                                 gas_limit=gas_limit)
 
 
-def random_program(rng, max_iterations: int = 64, body_ops: int = 6) -> Program:
+def random_program(rng, max_iterations: int = 64) -> Program:
     """A random halting program: straight-line setup plus one counted loop
-    whose body mixes arithmetic, storage traffic, and hashing. `rng` is a
+    whose six-op body mixes arithmetic, storage traffic, and hashing. `rng` is a
     `random.Random`; the result is fully determined by its state.
     """
     setup = []
@@ -547,7 +538,7 @@ def random_program(rng, max_iterations: int = 64, body_ops: int = 6) -> Program:
     iters = rng.randrange(1, max_iterations + 1)
     body = []
     ops = ["add", "sub", "mul", "xor", "and", "mod", "lt", "eq"]
-    for _ in range(body_ops):
+    for _ in range(6):
         kind = rng.random()
         if kind < 0.65:
             op = rng.choice(ops)

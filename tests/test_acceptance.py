@@ -24,8 +24,7 @@ import numpy as np
 from cicsim import adversary, experiments, miracle, protocol, rice
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState
-from cicsim.toy_vm import (ComputeModel, compute_data, random_program,
-                           run_full, run_sub, start)
+from cicsim.toy_vm import ComputeModel, compute_data, random_program, run_full, run_sub
 
 from oracles import count_double_crossings, merged_vs_split_margin, random_tally_batch
 from test_protocol import settle_with_seed_groups
@@ -303,7 +302,7 @@ def test_c12_subarray_composability():
         program = random_program(rng)
         state = CicState(sha256(b"c12", be8(trial)), program.code_id)
         full, total = run_full(program, state)
-        cursor = start(program, state)
+        cursor = program.start(state)
         t_i = 1
         if total > 2 and rng.random() < 0.5:
             cuts = sorted(rng.sample(range(1, total), min(3, total - 1)))

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from cicsim import cli, experiments, miracle, protocol
 from cicsim.hashing import sha256
@@ -49,6 +50,26 @@ def test_vectorized_engine_agrees_with_the_scalar_engine():
     se = (rounds_vec.std(ddof=1) ** 2 / trials
           + rounds_eng.std(ddof=1) ** 2 / trials) ** 0.5
     assert abs(rounds_vec.mean() - rounds_eng.mean()) < 4 * se + 0.05
+
+
+def test_protocol_round_counts_match_the_consensus_monte_carlo():
+    """Cross-layer agreement: the rounds to a decision of full protocol runs
+    and of `simulate_two_root` at one operating point (M=40, q=0.3,
+    f_max=0.4, beta=1e-3, 14 `byz_single` nodes pooling on one wrong root).
+    Two-sample KS test at level 1e-3: over independent seeds a faithful
+    protocol fails it at most 0.1% of the time (less, as KS is conservative
+    on discrete counts). The seeds are fixed, so the outcome never flakes."""
+    params = miracle.ConsensusParams(m_total=40, f_max=0.4, q=0.3, beta=1e-3)
+    mc_rounds, _, _, _ = experiments.simulate_two_root(
+        params, 14 / 40, 20_000, np.random.default_rng(11))
+    run_rounds = []
+    for i in range(400):
+        result = protocol.run_scenario(protocol.Scenario(
+            seed=sha256(SEED, b"cross-layer", bytes([i >> 8, i & 255])).hex(),
+            m_total=40, q=0.3, f_max=0.4, beta=1e-3,
+            strategies=(("honest", 26), ("byz_single", 14))))
+        run_rounds.append(sum(e["type"] == "round_closed" for e in result.events))
+    assert scipy.stats.ks_2samp(run_rounds, mc_rounds).pvalue > 1e-3
 
 
 def test_sweep_rows_are_deterministic():
@@ -205,6 +226,16 @@ def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it
     doc = json.loads(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
     doc.update(edit)
     doc["its"][0].update(it_edit)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed scenario: ")
+
+
+def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
+    doc = json.loads(protocol.Scenario(strategies=(("honest", 22),
+                                                   ("colluder", 2, {"group": 0}))).to_json())
+    doc["strategies"][1][2]["group"] = -1
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["protocol-run", "--scenario", str(path)]) == 2

@@ -506,6 +506,15 @@ BAD_SCENARIO_VALUES = [
     _edited_scenario_json(max_rounds=0),
     _edited_scenario_json(commit_jitter=0),
     _edited_scenario_json(reveal_jitter=0),
+    # each strategy kind takes only the parameter `adversary.KINDS` declares
+    # for it, in that parameter's range, and a count is a non-negative int
+    _edited_scenario_json(strategies=[["honest", 10], ["colluder", 2, {"group": -1}]]),
+    _edited_scenario_json(strategies=[["honest", 10], ["colluder", 2, {"group": 2 ** 64}]]),
+    _edited_scenario_json(strategies=[["honest", 10], ["byz_multi", 2, {"fanout": 2.5}]]),
+    _edited_scenario_json(strategies=[["honest", 12], ["byz_single", -3]]),
+    _edited_scenario_json(strategies=[["honest", 11], ["honest", True]]),
+    _edited_scenario_json(strategies=[["honest", 12, {}, "junk"]]),
+    _edited_scenario_json(strategies=[["honest", 12, {"fanout": 9}]]),
 ]
 
 
@@ -528,7 +537,9 @@ def test_scenario_values_at_their_edges_parse():
                  _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
                  _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0),
                  _edited_windows_json(gas_per_block=1, w_src_slack=0, w_buf=0, w_sr=1),
-                 _edited_scenario_json(max_rounds=1, commit_jitter=1, reveal_jitter=1)):
+                 _edited_scenario_json(max_rounds=1, commit_jitter=1, reveal_jitter=1),
+                 _edited_scenario_json(strategies=[["honest", 7], ["silent", 0],
+                                                   ["colluder", 5, {"group": 2 ** 64 - 1}]])):
         Scenario.from_json(text)
 
 

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,7 @@ from cicsim import toy_vm
 from cicsim.merkle_state import CicState
 from cicsim.toy_vm import (AssemblyError, ComputeModel, GasExhausted, InvalidResume,
                            Program, Transaction, assemble, compute_data, compute_length,
-                           compute_program, random_program, run_full, run_sub,
-                           start)
+                           compute_program, random_program, run_full, run_sub)
 
 from oracles import oracle_state_after, run_program_oracle
 
@@ -77,7 +77,7 @@ def test_run_sub_whole_array_equals_run_full():
     program = compute_program()
     state = fresh_state(program)
     full_state, total = run_full(program, state, compute_data(6))
-    cursor = start(program, state, compute_data(6))
+    cursor = program.start(state, compute_data(6))
     cursor, last = run_sub(program, cursor, 1, total)
     assert cursor.halted and last == total
     assert cursor.state == full_state
@@ -87,7 +87,7 @@ def test_run_sub_past_the_end_reports_the_true_total():
     program = compute_program()
     state = fresh_state(program)
     _, total = run_full(program, state, compute_data(3))
-    cursor = start(program, state, compute_data(3))
+    cursor = program.start(state, compute_data(3))
     cursor, last = run_sub(program, cursor, 1, total + 500)
     assert cursor.halted and last == total < total + 500
 
@@ -117,7 +117,7 @@ def test_split_anywhere_matches_run_full(eta, data):
     state = fresh_state(program)
     full_state, total = run_full(program, state, compute_data(eta))
     cut = data.draw(st.integers(1, total - 1))
-    cursor = start(program, state, compute_data(eta))
+    cursor = program.start(state, compute_data(eta))
     cursor, last = run_sub(program, cursor, 1, cut)
     assert last == cut and not cursor.halted
     cursor, last = run_sub(program, cursor, cut + 1, total)
@@ -133,7 +133,7 @@ def test_chained_random_partitions_compose():
         state = CicState(trial, program.code_id)
         full_state, total = run_full(program, state)
         cuts = sorted(rng.sample(range(1, total), min(5, total - 1)))
-        cursor = start(program, state)
+        cursor = program.start(state)
         t_i = 1
         for cut in cuts:
             cursor, last = run_sub(program, cursor, t_i, cut)
@@ -163,7 +163,7 @@ def test_cursor_root_matches_the_state_root_at_every_interruption(rng, storage):
     assert state == CicState(21, program.code_id, storage)  # the input is left as it was
     assert (final.storage, total) == run_program_oracle(program.instructions, program.entry(),
                                                         storage, b"")
-    cursor = start(program, state)
+    cursor = program.start(state)
     t_i = 1
     while not cursor.halted:
         cursor, last = cursor.resume(t_i, t_i + rng.randrange(1, 40))
@@ -311,7 +311,7 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
             monkeypatch.setattr(toy_vm, "COMPILE_AFTER", compile_after)
             program = Program(program.instructions, program.entries, program.source)
             for k in range(1, total + 1):
-                cursor = start(program, state, data)
+                cursor = program.start(state, data)
                 cursor, last = run_sub(program, cursor, 1, k)
                 assert (last, cursor.halted) == (k, halts and k == total)
                 assert cursor_view(cursor) == oracle[k]
@@ -319,7 +319,7 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
                     cursor, last = run_sub(program, cursor, k + 1, total)
                     assert cursor_view(cursor) == oracle[total]
             for limit in range(1, total):
-                cursor = start(program, state, data, gas_limit=limit)
+                cursor = program.start(state, data, gas_limit=limit)
                 with pytest.raises(GasExhausted):
                     run_sub(program, cursor, 1, total)
                 assert cursor.dynamic_index == limit
@@ -328,7 +328,7 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
         for after in range(1, total):
             monkeypatch.setattr(toy_vm, "COMPILE_AFTER", after)
             fresh = Program(program.instructions, program.entries, program.source)
-            cursor, last = run_sub(fresh, start(fresh, state, data), 1, total)
+            cursor, last = run_sub(fresh, fresh.start(state, data), 1, total)
             assert cursor_view(cursor) == oracle[total]
             assert fresh.warmth[0] == after and fresh.warmth[1] is not None
 
@@ -338,7 +338,7 @@ def test_a_program_compiles_once_it_has_single_stepped_compile_after():
     program = compute_program()
     state = fresh_state(program)
     run_full(program, state, compute_data(10))
-    cursor = start(program, state, compute_data(10))
+    cursor = program.start(state, compute_data(10))
     run_sub(program, cursor, 1, 30)
     assert program.warmth == [compute_length(10) + 30, None]
     eta = (toy_vm.COMPILE_AFTER // 6) * 2
@@ -391,7 +391,7 @@ def test_compute_model_matches_interpreter_states_and_totals():
         assert model.final_state(state, eta) == vm_final
         # interior states agree at every prefix length
         for t in range(0, total + 1, max(total // 7, 1)):
-            cursor = start(program, state, compute_data(eta))
+            cursor = program.start(state, compute_data(eta))
             if t:
                 run_sub(program, cursor, 1, t)
             assert model.state_at(state, eta, t) == cursor.state
@@ -410,4 +410,5 @@ def test_transaction_validation():
         Transaction(tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=0, gas_price=1)
     tx = Transaction(tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=10, gas_price=1)
     assert tx.nonce is None
-    assert tx.with_nonce(sha256(b"n")).nonce == sha256(b"n")
+    assert replace(tx, nonce=sha256(b"n")) == Transaction(
+        tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=10, gas_price=1, nonce=sha256(b"n"))
