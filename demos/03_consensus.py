@@ -28,12 +28,12 @@ for round_index in range(1, 20):
     byz = int(rng.binomial(640, params.q))
     table = update_likelihoods(table, RoundTally(round_index,
                                                  {correct: honest, wrong: byz}))
-    decision = step(table, params)
+    root = step(table, params)
     print(f"round {round_index}: counts=({honest} vs {byz}) "
           f"scores=({table.score(correct):+d}, {table.score(wrong):+d})"
-          f"{'  -> accepted' if decision.accepted else ''}")
-    if decision.accepted:
-        assert decision.root == correct
+          f"{'  -> accepted' if root is not None else ''}")
+    if root is not None:
+        assert root == correct
         break
 
 # --- adaptivity: fewer rounds when the adversary is smaller -----------------

@@ -13,9 +13,9 @@ experiment fails, and 2 with an `error:` line on input it cannot use: a
 missing or unreadable file, a malformed scenario or event log, a bad seed,
 a config file that is not a JSON object, a parameter the experiment does
 not read or of another type than its default, a consensus parameter or
-`rice-overhead` length range outside its domain, a negative `rice-trace
---eta` or a `--rounds` below 1, or a `protocol-run` flag that the
-presence or absence of `--scenario` would leave unused.
+`rice-overhead` length range outside its domain, a `--max-parallel` or
+`--rounds` below 1, a negative `rice-trace --eta`, or a `protocol-run`
+flag that the presence or absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations
@@ -155,10 +155,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "replay":
-        try:
-            report = experiments.replay(args.log)
-        except experiments.DivergenceDetected as exc:
-            print(f"divergence: {exc}", file=sys.stderr)
+        report = experiments.replay(args.log)
+        if not report["identical"]:
+            print(f"divergence: {json.dumps(report, sort_keys=True)}", file=sys.stderr)
             return 1
         print(json.dumps(report, sort_keys=True))
         return 0

@@ -52,10 +52,6 @@ def _fits_default(value, default) -> bool:
     return type(value) is type(default)
 
 
-class DivergenceDetected(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str
@@ -162,16 +158,16 @@ def sweep_point(params: miracle.ConsensusParams, f: float, trials: int,
                       unconverged=int(unconv.sum()))
 
 
-def miracle_sweep_rows(m_total: int, q: float, betas: Sequence[float],
-                       f_values: Sequence[float], trials: int, seed: bytes,
+def miracle_sweep_rows(trials: int, seed: bytes, m: int, q: float,
+                       betas: Sequence[float], f_values: Sequence[float],
                        f_max: Optional[float] = None):
-    """Mean rounds / error rate / node usage over a (beta, f) grid with
-    f_max = f unless pinned (the worst-case design point)."""
+    """Mean rounds / error rate / node usage over a (beta, f) grid of pool
+    size m, with f_max = f unless pinned (the worst-case design point)."""
     rows = []
     for beta in betas:
         for f in f_values:
             design = f_max if f_max is not None else f
-            params = miracle.ConsensusParams(m_total, design, q, beta)
+            params = miracle.ConsensusParams(m, design, q, beta)
             stats = sweep_point(params, f, trials, seed)
             rows.append({"f": f, "beta": beta, "f_max": design,
                          "trials": trials, "mean_rounds": stats.mean_rounds,
@@ -182,17 +178,17 @@ def miracle_sweep_rows(m_total: int, q: float, betas: Sequence[float],
     return rows
 
 
-def adaptive_rows(m_total: int, beta: float, f_max: float, target_rounds: float,
-                  f_values: Sequence[float], trials: int, seed: bytes):
-    """Fix q so the design point runs `target_rounds` in expectation, then
-    sweep the actual Byzantine fraction downwards."""
-    q = miracle.solve_q_for_expected_rounds(m_total, f_max, beta, target_rounds)
-    params = miracle.ConsensusParams(m_total, f_max, q, beta)
+def adaptive_rows(trials: int, seed: bytes, m: int, beta: float, f_max: float,
+                  target_rounds: float, f_values: Sequence[float]):
+    """Fix q so the design point of pool size `m` runs `target_rounds` in
+    expectation, then sweep the actual Byzantine fraction downwards."""
+    q = miracle.solve_q_for_expected_rounds(m, f_max, beta, target_rounds)
+    params = miracle.ConsensusParams(m, f_max, q, beta)
     rows = []
     for f in f_values:
         stats = sweep_point(params, f, trials, seed)
         rows.append({"f": f, "f_max": f_max, "q": q, "beta": beta,
-                     "expected_es": q * m_total, "trials": trials,
+                     "expected_es": q * m, "trials": trials,
                      "mean_rounds": stats.mean_rounds,
                      "ci95_rounds": stats.ci95_rounds, "p_wrong": stats.p_wrong,
                      "mean_nodes_used": stats.mean_nodes_used})
@@ -266,8 +262,9 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
         rows.append({
             "trial": index, "backend": backend, "total": total,
             "phi": trace.phi,
-            "k_of_total": trace.terminal_exponent(),
-            "k_of_last_update": trace.last_update_exponent(),
+            "k_of_total": rice.exponent_of_total(total),
+            "k_of_last_update": (rice.exponent_of_total(trace.update_indices[-1])
+                                 if trace.update_indices else None),
             "phi_bounds_ok": rice.check_phi_bounds(trace),
             "k_relation_ok": rice.check_total_exponent(trace),
             "last_update_fraction": frac,
@@ -288,7 +285,7 @@ def fit_phi_vs_log2_squared(rows: Sequence[dict]):
     return float(coef[0]), float(coef[1]), r2
 
 
-def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes):
+def rice_unmatched_rows(trials: int, seed: bytes, k: int, rounds: int):
     """Strong-unmatched counts for runs ending in a 2^k segment, across
     consecutive rounds of the same synthetic computation."""
     lo, hi = rice.group_end(k - 1) + 1, rice.group_end(k)
@@ -303,7 +300,7 @@ def rice_unmatched_rows(k: int, trials: int, rounds: int, seed: bytes):
         counts = rice.strong_unmatched(traces)
         for trace, strong in zip(traces[1:], counts[1:]):
             rows.append({"trial": index, "total": trace.total, "round": trace.round_index,
-                         "k_of_total": trace.terminal_exponent(), "phi": trace.phi,
+                         "k_of_total": rice.exponent_of_total(trace.total), "phi": trace.phi,
                          "strong_unmatched": strong})
     return rows
 
@@ -393,6 +390,8 @@ def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16):
     reports settlement punishments landing on honest nodes (possible only
     when a wrong root wins or honest seeds fall under the forfeit
     threshold, both of which the incentive design keeps rare)."""
+    if max_parallel < 1:
+        raise ConfigError("max_parallel must be at least 1")
     rows = []
     for index in range(count):
         scenario = random_scenario(index, seed, max_parallel=max_parallel)
@@ -477,24 +476,17 @@ def _rice_overhead_with_fit(trials: int, seed: bytes, t_lo: int, t_hi: int):
 
 
 KINDS = {
-    "miracle_sweep": Kind(
-        lambda trials, seed, m, q, betas, f_values, f_max: miracle_sweep_rows(
-            m, q, betas, f_values, trials, seed, f_max=f_max),
-        {"m": 1600, "q": 0.125, "betas": [1e-10], "f_values": [0.4], "f_max": None}),
-    "adaptive_rounds": Kind(
-        lambda trials, seed, m, beta, f_max, target_rounds, f_values: adaptive_rows(
-            m, beta, f_max, target_rounds, f_values, trials, seed),
-        {"m": 1600, "beta": 1e-20, "f_max": 0.35, "target_rounds": 5.0,
-         "f_values": [0.0, 0.25]}),
+    "miracle_sweep": Kind(miracle_sweep_rows, {"m": 1600, "q": 0.125, "betas": [1e-10],
+                                               "f_values": [0.4], "f_max": None}),
+    "adaptive_rounds": Kind(adaptive_rows, {"m": 1600, "beta": 1e-20, "f_max": 0.35,
+                                            "target_rounds": 5.0, "f_values": [0.0, 0.25]}),
     "es_sizing": Kind(
         lambda trials, seed, m, beta, f_max_values: es_sizing_rows(m, beta, f_max_values),
         {"m": 1600, "beta": 1e-20,
          "f_max_values": [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]}),
     "rice_overhead": Kind(_rice_overhead_with_fit, {"t_lo": 1000, "t_hi": 10_000_000},
                           ("phi_bounds_ok", "k_relation_ok")),
-    "rice_unmatched": Kind(
-        lambda trials, seed, k, rounds: rice_unmatched_rows(k, trials, rounds, seed),
-        {"k": 10, "rounds": 2}),
+    "rice_unmatched": Kind(rice_unmatched_rows, {"k": 10, "rounds": 2}),
     "protocol_run": Kind(protocol_batch_rows, {"max_parallel": 16},
                          ("conserved", "window_discipline", "reveal_binding",
                           "replay_identical")),
@@ -527,8 +519,8 @@ def write_event_log(path: str, result: protocol.RunResult) -> None:
 
 
 def replay(path: str) -> dict:
-    """The replay report of a logged scenario plus the log's versions;
-    raises DivergenceDetected with that report as JSON on any mismatch."""
+    """The replay report of a logged scenario plus the log's versions; its
+    `identical` is false on any mismatch."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
@@ -540,9 +532,6 @@ def replay(path: str) -> dict:
         raise protocol.ScenarioError(f"{path}: malformed log header: {exc!r}") from exc
     scenario = protocol.Scenario.from_json(text)
     report = protocol.replay_check(scenario, lines[1:])
-    out = {**asdict(report), "log_format": header.get("format"),
-           "log_lib": header.get("lib"), "lib": __version__,
-           "version_match": header.get("lib") == __version__}
-    if not report.identical:
-        raise DivergenceDetected(json.dumps(out, sort_keys=True))
-    return out
+    return {**asdict(report), "log_format": header.get("format"),
+            "log_lib": header.get("lib"), "lib": __version__,
+            "version_match": header.get("lib") == __version__}

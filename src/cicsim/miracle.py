@@ -53,14 +53,6 @@ class ConsensusParams:
         if not 0.0 < self.beta < 1.0:
             raise DegenerateParams("error budget must lie in (0, 1)")
 
-    def moments(self, f: float):
-        """Gaussian moments of honest/Byzantine membership counts at actual
-        Byzantine fraction f: (mu_h, var_h, mu_b, var_b)."""
-        m, q = self.m_total, self.q
-        mu_h = q * (1.0 - f) * m
-        mu_b = q * f * m
-        return mu_h, mu_h * (1.0 - q), mu_b, mu_b * (1.0 - q)
-
 
 def threshold(params: ConsensusParams) -> float:
     """Acceptance threshold for the integer score.
@@ -125,23 +117,13 @@ def update_likelihoods(table: LikelihoodTable, tally: RoundTally) -> LikelihoodT
                            charge=table.charge + total * total)
 
 
-@dataclass(frozen=True)
-class Decision:
-    accepted: bool
-    root: Optional[bytes] = None
-
-
-CONTINUE = Decision(accepted=False)
-
-
-def step(table: LikelihoodTable, params: ConsensusParams) -> Decision:
-    """Accept the root whose score strictly exceeds the threshold, else
-    continue (a score exactly at the threshold continues)."""
-    gate = threshold(params)
+def step(table: LikelihoodTable, params: ConsensusParams) -> Optional[bytes]:
+    """The accepted root, whose score strictly exceeds the threshold, or
+    None to continue (a score exactly at the threshold continues)."""
     root, best = table.leader()
-    if root is not None and best > gate:
-        return Decision(accepted=True, root=root)
-    return CONTINUE
+    if root is not None and best > threshold(params):
+        return root
+    return None
 
 
 def expected_rounds(params: ConsensusParams, f: float) -> float:
@@ -152,7 +134,11 @@ def expected_rounds(params: ConsensusParams, f: float) -> float:
     if f > params.f_max:
         raise DegenerateParams("actual fraction above the design fraction")
     beta = params.beta
-    mu_h, var_h, mu_b, var_b = params.moments(f)
+    # Gaussian moments of honest/Byzantine membership counts at fraction f
+    m, q = params.m_total, params.q
+    mu_h = q * (1.0 - f) * m
+    mu_b = q * f * m
+    var_h, var_b = mu_h * (1.0 - q), mu_b * (1.0 - q)
     numerator = ((1.0 - beta) * math.log((1.0 - beta) / beta)
                  + beta * math.log(beta / (1.0 - beta)))
     drift = (((mu_h - mu_b) ** 2 + var_h - var_b) / (2.0 * var_b)
@@ -187,6 +173,8 @@ def one_round_q(m_total: int, f_max: float, beta: float) -> float:
     (qM)^2; bisect for the q where it meets the threshold. The expected set
     size q*M is the headline design figure.
     """
+    if m_total < 1:
+        raise DegenerateParams("pool size must be positive")
     if not 0.0 < beta < 1.0:
         raise DegenerateParams("error budget must lie in (0, 1)")
     log_odds = math.log((1.0 - beta) / beta)
@@ -215,6 +203,8 @@ def ns1_size(f_max: float, m_total: int, beta: float) -> int:
     tail, exp(-n KL(1/2 || f_max)) * sqrt(2 / (pi n)). Saturates at the pool
     size when no admissible n exists below it.
     """
+    if m_total < 1:
+        raise DegenerateParams("pool size must be positive")
     if not 0.0 < f_max < 0.5:
         raise DegenerateParams("design Byzantine fraction must lie in (0, 0.5)")
     if not 0.0 < beta < 1.0:

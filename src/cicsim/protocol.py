@@ -29,11 +29,11 @@ from itertools import zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
-from . import adversary, miracle
+from . import adversary, miracle, rice
 from .hashing import WORD_MASK, be8, sha256, to_word
 from .merkle_state import CicState, MerkleRoot, prove_inclusion, verify_inclusion
 from .randomness import NodeKeys, SortResult, SortitionOracle, check_sort, keygen, random_gen
-from .rice import Digest, rice_execute
+from .rice import Digest
 from .toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
 
 
@@ -77,7 +77,6 @@ class ScenarioError(ValueError):
     """A scenario document or event log that cannot be parsed."""
 
 
-DEPLOYED = "deployed"
 COMMITTING = "committing"
 BUFFERING = "buffering"
 REVEALING = "revealing"
@@ -169,7 +168,7 @@ class ItContext:
     creator: str
     escrow: int
     round1_entropy: bytes
-    phase: str = DEPLOYED
+    phase: str = COMMITTING
     rounds: list = field(default_factory=list)
     table: miracle.LikelihoodTable = field(default_factory=miracle.LikelihoodTable)
     winning_root: Optional[bytes] = None
@@ -229,9 +228,6 @@ class MasterContract:
         self.oracle.register(node.keys)
         self.nodes[node.node_id] = node
 
-    def add_creator(self, name: str, balance: int) -> None:
-        self.creators[name] = balance
-
     def register_cic(self, state: CicState) -> None:
         self.states[state.cid] = state
         self.queues[state.cid] = deque()
@@ -254,7 +250,7 @@ class MasterContract:
         cost = self.policy.d_min + tx.gas_price * tx.gas_limit
         if self.creators.get(creator, 0) < cost:
             raise InsufficientEscrow(f"escrow requires {cost}")
-        self.creators[creator] -= cost
+        self.creators[creator] = self.creators.get(creator, 0) - cost
         # the nonce is drawn at inclusion so sortition cannot be gamed by
         # enrolling keys after seeing it
         nonce = self._beacon()
@@ -344,9 +340,10 @@ class MasterContract:
                 self.emit(block, "missing_state_witness", cid=cid)
                 self.settle(cid, block)
 
-    def close_round(self, cid: bytes, block: int) -> miracle.Decision:
+    def close_round(self, cid: bytes, block: int) -> Optional[bytes]:
         """At the reveal deadline: forfeit silent committers, fold the round's
-        reveals into the likelihood table, and step the consensus."""
+        reveals into the likelihood table, and step the consensus; returns
+        the accepted root or None."""
         it = self.active[cid]
         rnd = it.round
         for node_id in sorted(rnd.commitments):
@@ -357,21 +354,20 @@ class MasterContract:
             counts[digest.root.value] = counts.get(digest.root.value, 0) + 1
         tally = miracle.RoundTally(round_index=rnd.round_index, counts=counts)
         it.table = miracle.update_likelihoods(it.table, tally)
-        decision = miracle.step(it.table, self.params)
+        root = miracle.step(it.table, self.params)
         self.emit(block, "round_closed", cid=cid, round=rnd.round_index,
                   tally={k.hex(): v for k, v in sorted(counts.items())},
-                  accepted=decision.accepted,
-                  winning_root=decision.root if decision.root else None)
-        if decision.accepted:
+                  accepted=root is not None, winning_root=root)
+        if root is not None:
             it.phase = DECIDING
-            it.winning_root = decision.root
+            it.winning_root = root
             it.decide_deadline = block + self.windows.w_sr
         elif rnd.round_index >= self.max_rounds:
             self._finish(it, block, it.escrow, "no_convergence",
                          reason="no convergence within the round cap")
         else:
             self._open_round(it, block + 1)
-        return decision
+        return root
 
     # -- S5: state update, rewards, cleanup --------------------------------------
 
@@ -616,7 +612,7 @@ class Simulation:
             self.models[cid] = model
         self.cids = list(self.models)
         for i, _ in enumerate(scenario.its):
-            self.mc.add_creator(f"creator{i}", scenario.creator_balance)
+            self.mc.creators[f"creator{i}"] = scenario.creator_balance
         self.inbox: dict = {}
         self._msg_seq = 0
         self._honest_digests: dict = {}
@@ -641,8 +637,9 @@ class Simulation:
         if key not in self._honest_digests:
             model = self.models[cid]
             pre = self.mc.states[cid]
-            digest = rice_execute(model, pre, it.tx.data, round_index,
-                                  it.round1_entropy, gas_limit=it.tx.gas_limit)
+            # through the module, so a wrapper patched onto it sees the call
+            digest, _ = rice.rice_execute_traced(model, pre, it.tx.data, round_index,
+                                                 it.round1_entropy, gas_limit=it.tx.gas_limit)
             final = model.final_state(pre, compute_eta(it.tx.data))
             self._honest_digests[key] = (digest, final)
         return self._honest_digests[key]

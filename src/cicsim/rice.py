@@ -112,23 +112,6 @@ class RiceTrace:
             return None
         return (self.total - self.update_indices[-1]) / self.total
 
-    def terminal_exponent(self) -> int:
-        """Exponent of the segment group containing the final index T."""
-        return exponent_of_total(self.total)
-
-    def last_update_exponent(self) -> Optional[int]:
-        """Exponent of the segment holding the last executed seed update."""
-        if not self.update_indices:
-            return None
-        return exponent_of_total(self.update_indices[-1])
-
-
-def rice_execute(executable, state: CicState, data: bytes, round_index: int,
-                 round1_entropy: bytes, gas_limit: Optional[int] = None) -> Digest:
-    digest, _ = rice_execute_traced(executable, state, data, round_index,
-                                    round1_entropy, gas_limit=gas_limit)
-    return digest
-
 
 def rice_execute_traced(executable, state: CicState, data: bytes, round_index: int,
                         round1_entropy: bytes, gas_limit: Optional[int] = None):
@@ -167,9 +150,9 @@ def phi_bounds(trace: RiceTrace):
     a run whose scheduled index in the final segment falls beyond T, that is
     the previous segment); with that reading the band is exact for every run.
     """
-    k = trace.last_update_exponent()
-    if k is None:
+    if not trace.update_indices:
         return None
+    k = exponent_of_total(trace.update_indices[-1])
     return (k - 1) * k // 2, k * (k + 1) // 2
 
 
@@ -183,7 +166,7 @@ def check_phi_bounds(trace: RiceTrace) -> bool:
 
 def check_total_exponent(trace: RiceTrace) -> bool:
     """Group relation 2^k (k-2) + 2 < T <= 2^(k+1) (k-1) + 2 for k of T."""
-    k = trace.terminal_exponent()
+    k = exponent_of_total(trace.total)
     return 2 ** k * (k - 2) + 2 < trace.total <= 2 ** (k + 1) * (k - 1) + 2
 
 

@@ -58,7 +58,7 @@ def test_c01_beta_sweep_reproduction():
     report(1, not failures, "; ".join(lines))
     assert not failures, (
         "published testbed round counts exceed the stated sampling model; "
-        "see the beta-sweep analysis in the decisions ledger: "
+        "see the analysis in this module's docstring: "
         + " | ".join(failures))
 
 
@@ -87,7 +87,7 @@ def test_c02_adaptivity_reproduction():
             failures.append(lines[-1])
     report(2, not failures, "; ".join(lines))
     assert not failures, (
-        "low-f_max published points are testbed artifacts (ledger): "
+        "low-f_max published points are testbed artifacts (see this module's docstring): "
         + " | ".join(failures))
 
 
@@ -177,7 +177,7 @@ def test_c07_schedule_bounds():
     assert r2 > 0.98
     assert not frac_bad, (
         "the 3/(4 log2 T) constant comes from a mis-summed series; the "
-        f"schedule's true tail constant is larger (ledger). {detail}")
+        f"schedule's true tail constant is larger (see this module's docstring). {detail}")
 
 
 def test_c08_round_divergence_and_strong_unmatched():
@@ -195,7 +195,7 @@ def test_c08_round_divergence_and_strong_unmatched():
             state = state.put(key, rng.randint(1, 10 ** 9))
         eta = rng.randint(30, 1000)
         entropy = sha256(SEED, b"c8-entropy", be8(trial))
-        digests = [rice.rice_execute(model, state, compute_data(eta), j, entropy)
+        digests = [rice.rice_execute_traced(model, state, compute_data(eta), j, entropy)[0]
                    for j in range(1, 6)]
         roots = {d.root.value for d in digests}
         seeds = {d.seed for d in digests}

@@ -43,8 +43,7 @@ def test_vectorized_engine_agrees_with_the_scalar_engine():
             table = miracle.update_likelihoods(
                 table, miracle.RoundTally(round_index,
                                           {correct: nh, incorrect: nb}))
-            decision = miracle.step(table, params)
-            if decision.accepted:
+            if miracle.step(table, params) is not None:
                 rounds_eng[t] = round_index
                 break
     se = (rounds_vec.std(ddof=1) ** 2 / trials
@@ -73,7 +72,7 @@ def test_protocol_round_counts_match_the_consensus_monte_carlo():
 
 
 def test_sweep_rows_are_deterministic():
-    kw = dict(m_total=200, q=0.2, betas=[1e-3], f_values=[0.2, 0.3],
+    kw = dict(m=200, q=0.2, betas=[1e-3], f_values=[0.2, 0.3],
               trials=300, seed=SEED)
     assert experiments.miracle_sweep_rows(**kw) == experiments.miracle_sweep_rows(**kw)
 
@@ -148,9 +147,8 @@ def test_event_log_file_round_trip_and_replay(tmp_path):
     idx = next(i for i, l in enumerate(lines) if '"type":"commit"' in l)
     lines[idx] = lines[idx].replace('"se":"', '"se":"ff', 1)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(experiments.DivergenceDetected) as err:
-        experiments.replay(str(path))
-    report = json.loads(str(err.value))
+    report = experiments.replay(str(path))
+    assert not report["identical"]
     assert report["first_divergence"] == idx - 1
     assert report["recorded_line"] == lines[idx]
     assert report["replayed_line"] == result.lines[idx - 1]
@@ -244,7 +242,9 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["miracle-mc", "--q", "2"], ["es-sizing", "--beta", "0"],
                                   ["rice-overhead", "--t-lo", "0"],
-                                  ["rice-overhead", "--t-lo", "50", "--t-hi", "40"]])
+                                  ["rice-overhead", "--t-lo", "50", "--t-hi", "40"],
+                                  ["es-sizing", "--m", "-5"], ["es-sizing", "--m", "0"],
+                                  ["protocol-run", "--trials", "40", "--max-parallel", "-2"]])
 def test_cli_rejects_experiment_flags_outside_their_domain(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cicsim.hashing import sha256
-from cicsim.miracle import (CONTINUE, ConsensusParams, DegenerateParams,
+from cicsim.miracle import (ConsensusParams, DegenerateParams,
                             LikelihoodTable, RoundTally, expected_rounds,
                             ns1_size, one_round_q, solve_q_for_expected_rounds,
                             step, threshold, update_likelihoods)
 
 from oracles import (expected_rounds_oracle, one_round_size_oracle,
-                     threshold_oracle)
+                     scores_from_counts, threshold_oracle)
 
 A, B, C = sha256(b"root-a"), sha256(b"root-b"), sha256(b"root-c")
 
@@ -87,14 +89,42 @@ def test_step_continue_accept_and_tie():
     p = params(m=100, q=0.5, f_max=0.4, beta=1e-3)
     gate = threshold(p)
     below = table_from([{A: int(math.sqrt(gate)) - 1}])
-    assert step(below, p) == CONTINUE
+    assert step(below, p) is None
     above = table_from([{A: int(math.sqrt(gate)) + 2}])
-    decision = step(above, p)
-    assert decision.accepted and decision.root == A
+    assert step(above, p) == A
     # an exact tie continues: craft a table whose score equals the gate
     tie = LikelihoodTable(scores={A: int(gate)}, rounds_elapsed=1, charge=0)
     if int(gate) == gate:
-        assert step(tie, p) == CONTINUE
+        assert step(tie, p) is None
+
+
+ROOTS = [sha256(b"oracle-root", bytes([i])) for i in range(5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds=st.lists(st.dictionaries(st.integers(0, 4), st.just(0) | st.integers(0, 30),
+                                       max_size=5), min_size=1, max_size=8),
+       p=st.sampled_from([params(m=100, q=0.5, f_max=0.4, beta=1e-3),
+                          params(m=1600, q=0.125, f_max=0.4, beta=1e-10),
+                          params(m=40, q=0.3, f_max=0.4, beta=0.5)]))
+def test_table_and_step_match_the_score_oracle_every_round(rounds, p):
+    """Random per-round counts, with roots first seen late, zero counts and
+    empty rounds: after every round each root's score is the oracle's sum,
+    and `step` returns a root exactly when its oracle score exceeds the
+    threshold (at most one can), else None."""
+    gate = threshold(p)
+    table = LikelihoodTable()
+    history = np.zeros((1, 0, len(ROOTS)), dtype=np.int64)
+    for index, counts in enumerate(rounds, 1):
+        table = update_likelihoods(table, RoundTally(
+            index, {ROOTS[i]: c for i, c in counts.items()}))
+        row = [[[counts.get(i, 0) for i in range(len(ROOTS))]]]
+        history = np.concatenate([history, np.array(row, dtype=np.int64)], axis=1)
+        expected = scores_from_counts(history)[0]
+        assert [table.score(root) for root in ROOTS] == expected.tolist()
+        over = [root for root, score in zip(ROOTS, expected) if score > gate]
+        assert len(over) <= 1
+        assert step(table, p) == (over[0] if over else None)
 
 
 def test_expected_rounds_reference_points():

@@ -19,7 +19,7 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, REVEALING,
                              ScenarioError, SettlementPolicy, WindowConfig,
                              event_lines, replay_check, run_scenario)
 from cicsim.randomness import SortitionOracle, check_sort, keygen
-from cicsim.rice import Digest, rice_execute
+from cicsim.rice import Digest, rice_execute_traced
 from cicsim.toy_vm import (ComputeModel, Transaction, compute_data, compute_eta,
                            compute_length)
 
@@ -42,7 +42,7 @@ def build_mc(n_nodes=10, q=1.0, th1=0.60, th2=0.25, reward=10, deposit=100,
         mc.add_node(NodeRecord(node_id=i, keys=keygen(SEED, i),
                                strategy=adversary.Strategy(adversary.HONEST),
                                deposit=deposit, balance=50))
-    mc.add_creator("alice", 1_000_000)
+    mc.creators["alice"] = 1_000_000
     model = ComputeModel()
     state = CicState(sha256(b"test-cid"), model.code_id)
     mc.register_cic(state)
@@ -65,8 +65,8 @@ def deploy(mc, state, tx=None, block=1):
 def honest_material(mc, model, state, it, node_id, round_index=None):
     rnd = it.round
     round_index = round_index or rnd.round_index
-    digest = rice_execute(model, state, it.tx.data, round_index,
-                          it.round1_entropy, gas_limit=it.tx.gas_limit)
+    digest, _ = rice_execute_traced(model, state, it.tx.data, round_index,
+                                    it.round1_entropy, gas_limit=it.tx.gas_limit)
     sort = check_sort(mc.nodes[node_id].keys, rnd.nonce, mc.params.q)
     se = sha256(digest.encode(), sort.encode())
     return digest, sort, se
@@ -212,8 +212,7 @@ def test_zero_reveals_continue_with_fresh_nonce():
     it = deploy(mc, state)
     first_nonce = it.round.nonce
     advance_to_reveal(mc, state)
-    decision = mc.close_round(state.cid, it.round.reveal_close)
-    assert not decision.accepted
+    assert mc.close_round(state.cid, it.round.reveal_close) is None
     assert it.round.round_index == 2
     assert it.round.nonce == sha256(it.tx.nonce, be8(2))
     assert it.round.nonce != first_nonce
@@ -250,10 +249,10 @@ def test_unanimous_round_accepts_immediately():
     # at q = 1 the gate is zero, so a unanimous round scores (qM)^2 > 0
     mc, model, state = build_mc(n_nodes=10, q=1.0, beta=0.01)
     it = deploy(mc, state)
-    decision = run_one_full_round(mc, model, state, range(10))
-    assert decision.accepted
+    root = run_one_full_round(mc, model, state, range(10))
+    assert root is not None
     assert it.phase == DECIDING
-    assert decision.root == it.winning_root
+    assert root == it.winning_root
 
 
 def test_witness_updates_state_and_settles():
@@ -330,7 +329,7 @@ def settle_with_seed_groups(group_sizes, th1=0.60, th2=0.25):
     mc, model, state = build_mc(n_nodes=max(n, 10), q=1.0, beta=0.01,
                                 th1=th1, th2=th2)
     it = deploy(mc, state)
-    honest_digest = rice_execute(model, state, it.tx.data, 1, it.round1_entropy)
+    honest_digest, _ = rice_execute_traced(model, state, it.tx.data, 1, it.round1_entropy)
     digests = {}
     node_id = 0
     groups = []
@@ -341,8 +340,7 @@ def settle_with_seed_groups(group_sizes, th1=0.60, th2=0.25):
             members.append(node_id)
             node_id += 1
         groups.append(members)
-    decision = run_one_full_round(mc, model, state, range(n), digests)
-    assert decision.accepted
+    assert run_one_full_round(mc, model, state, range(n), digests) is not None
     mc.tick(it.decide_deadline)
     return mc, groups
 
@@ -384,12 +382,10 @@ def test_wrong_root_in_early_round_forfeits_despite_later_decision():
     mc, model, state = build_mc(n_nodes=10, q=1.0, beta=1e-4)
     it = deploy(mc, state)
     wrong = Digest(seed=sha256(b"ws"), root=MerkleRoot(sha256(b"wrong-root")))
-    decision = run_one_full_round(mc, model, state, range(10),
-                                  {i: wrong for i in range(5, 10)})
-    assert not decision.accepted
+    assert run_one_full_round(mc, model, state, range(10),
+                              {i: wrong for i in range(5, 10)}) is None
     # round 2: five honest revealers: accepted
-    decision = run_one_full_round(mc, model, state, range(5))
-    assert decision.accepted
+    assert run_one_full_round(mc, model, state, range(5)) is not None
     mc.tick(it.decide_deadline)
     for node_id in range(5, 10):
         assert mc.nodes[node_id].deposit == 0, "early wrong root must forfeit"

@@ -10,7 +10,7 @@ from cicsim.merkle_state import CicState
 from cicsim.experiments import SyntheticRunner
 from cicsim.rice import (check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
-                         rice_execute, rice_execute_traced, segment_exponent,
+                         rice_execute_traced, segment_exponent,
                          segment_start, strong_unmatched, update_index)
 from cicsim.toy_vm import (ComputeModel, assemble, compute_data,
                            compute_program, run_full)
@@ -115,19 +115,19 @@ def test_rounds_share_roots_but_not_seeds():
     model = ComputeModel()
     state = CicState(2, model.code_id)
     entropy = sha256(b"shared-entropy")
-    d1 = rice_execute(model, state, compute_data(40), 1, entropy)
-    d2 = rice_execute(model, state, compute_data(40), 2, entropy)
+    d1, _ = rice_execute_traced(model, state, compute_data(40), 1, entropy)
+    d2, _ = rice_execute_traced(model, state, compute_data(40), 2, entropy)
     assert d1.root == d2.root
     assert d1.seed != d2.seed
     # determinism: identical inputs give a bit-identical digest
-    assert rice_execute(model, state, compute_data(40), 1, entropy) == d1
+    assert rice_execute_traced(model, state, compute_data(40), 1, entropy)[0] == d1
 
 
 def test_digest_matches_plain_execution_root():
     program = compute_program()
     state = CicState(3, program.code_id)
     final, _ = run_full(program, state, compute_data(25))
-    digest = rice_execute(program, state, compute_data(25), 1, sha256(b"x"))
+    digest, _ = rice_execute_traced(program, state, compute_data(25), 1, sha256(b"x"))
     assert digest.root == final.root()
 
 
