@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
-from .hashing import WORD_BYTES, as_word, sha256
+from .hashing import WORD_BYTES, as_word, from_word, sha256
 
 EMPTY_STORAGE_ROOT = sha256(b"cicsim/empty-storage-tree/v1")
 ZERO_WORD = bytes(WORD_BYTES)
@@ -84,28 +84,25 @@ class StorageTree:
     """The storage tree of one mutable word-keyed storage map (int keys to
     int values), kept between roots.
 
-    The first `root` call builds the tree from all of storage. Each later
-    call is told which keys were written since the previous one; keys are
-    never removed. A rewritten key rehashes its leaf and its path to the
-    root. Inserted keys go in by bisection: their leaves are hashed and every
-    node right of the first inserted position is recomputed, because
-    positions shift; nodes to its left, and the leaves of unchanged keys,
-    are kept.
+    It starts from the sorted keys and every level of a built tree. Each
+    `root` call is told which keys were written since the previous one, or
+    the start; keys are never removed. A rewritten key rehashes its leaf
+    and its path to the root. Inserted keys go in by bisection: their leaves
+    are hashed and every node right of the first inserted position is
+    recomputed, because positions shift; nodes to its left, and the leaves
+    of unchanged keys, are kept.
     """
 
     __slots__ = ("keys", "levels")
 
-    def __init__(self):
-        self.keys: list[int] = []
-        self.levels: list[list[bytes]] | None = None
+    def __init__(self, keys: list[int], levels: list[list[bytes]]):
+        self.keys = keys
+        self.levels = levels
 
     def root(self, storage: Mapping[int, int], written) -> bytes:
         """Storage root of `storage`, which differs from the storage of the
-        previous call only at the keys in `written`."""
-        if self.levels is None:
-            self.keys = sorted(storage)
-            self.levels = _tree_levels([_word_leaf(k, storage[k]) for k in self.keys])
-        elif written:
+        previous call, or the start, only at the keys in `written`."""
+        if written:
             self._refresh(storage, written)
         return self.levels[-1][0] if self.keys else EMPTY_STORAGE_ROOT
 
@@ -173,10 +170,12 @@ class CicState:
     Snapshots share no mutable structure, so a state may be handed to any
     number of concurrent readers. The root is computed lazily and cached.
     Storage keys and values are 32-byte words; a state given anything else
-    raises `ValueError`.
+    raises `ValueError`. On first use a state builds and keeps, private and
+    unchanged, its storage as words and its `StorageTree`: `prove_inclusion`
+    reads the tree, and each cursor starts from copies (`working_copy`).
     """
 
-    __slots__ = ("cid", "code", "_storage", "_root")
+    __slots__ = ("cid", "code", "_storage", "_root", "_kept_words_tree")
 
     def __init__(self, cid: "int | bytes", code: "int | bytes",
                  storage: Mapping[bytes, bytes] | None = None):
@@ -184,6 +183,7 @@ class CicState:
         self.code = as_word(code)
         self._storage: dict[bytes, bytes] = dict(storage) if storage else {}
         self._root: MerkleRoot | None = None
+        self._kept_words_tree: "tuple[dict[int, int], StorageTree] | None" = None
         if storage and not all(isinstance(w, bytes) and len(w) == WORD_BYTES
                                for w in chain(self._storage, self._storage.values())):
             raise ValueError(f"storage keys and values must be {WORD_BYTES}-byte words")
@@ -217,6 +217,20 @@ class CicState:
             self._root = MerkleRoot(sha256(self.cid, self.code, storage_root(self._storage)))
         return self._root
 
+    def _kept(self) -> "tuple[dict[int, int], StorageTree]":
+        if self._kept_words_tree is None:
+            storage = self._storage
+            items = sorted(storage)
+            words = {from_word(k): from_word(storage[k]) for k in items}
+            tree = StorageTree(list(words), _tree_levels([sha256(k, storage[k]) for k in items]))
+            self._kept_words_tree = words, tree
+        return self._kept_words_tree
+
+    def working_copy(self) -> "tuple[dict[int, int], StorageTree]":
+        """Copies of the kept storage as words and tree, for a cursor to change."""
+        words, tree = self._kept()
+        return dict(words), StorageTree(list(tree.keys), [list(level) for level in tree.levels])
+
 
 @dataclass(frozen=True)
 class InclusionProof:
@@ -233,19 +247,17 @@ class InclusionProof:
 
 def prove_inclusion(state: CicState, key: "int | bytes") -> InclusionProof:
     key = as_word(key)
-    items = sorted(state.storage)
-    if key not in items:
+    if key not in state._storage:
         raise KeyError(f"key not in storage: {key.hex()}")
-    value = state.get(key)
-    levels = _tree_levels([sha256(k, state.get(k)) for k in items])
-    idx = items.index(key)
+    _, tree = state._kept()
+    idx = bisect_left(tree.keys, from_word(key))
     path = []
-    for level in levels[:-1]:
+    for level in tree.levels[:-1]:
         sibling = idx ^ 1
         if sibling < len(level):
             path.append((level[sibling], bool(sibling > idx)))
         idx //= 2
-    return InclusionProof(key=key, value=value, path=tuple(path))
+    return InclusionProof(key=key, value=state.get(key), path=tuple(path))
 
 
 def verify_inclusion(state_root_: MerkleRoot, cid: "int | bytes", code: "int | bytes",

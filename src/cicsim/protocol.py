@@ -249,6 +249,7 @@ class MasterContract:
         _, creator = queue[0]
         cost = self.policy.d_min + tx.gas_price * tx.gas_limit
         if self.creators.get(creator, 0) < cost:
+            queue.popleft()     # an unfunded transaction never blocks its contract
             raise InsufficientEscrow(f"escrow requires {cost}")
         self.creators[creator] = self.creators.get(creator, 0) - cost
         # the nonce is drawn at inclusion so sortition cannot be gamed by
@@ -442,7 +443,8 @@ class MasterContract:
                 **payload) -> None:
         """The one exit of an intensive transaction: return `returned` of
         the escrow to the creator, log the outcome event `kind`, pop the
-        queue and deploy its next head in the following block."""
+        queue and deploy its next head in the following block; a head that
+        cannot be funded is logged as a refused enqueue and leaves too."""
         cid = it.tx.cid
         self.creators[it.creator] += returned
         it.escrow = 0
@@ -451,8 +453,13 @@ class MasterContract:
         queue = self.queues[cid]
         queue.popleft()
         del self.active[cid]
-        if queue:
-            self.deploy_it(queue[0][0], block + 1)
+        while queue:
+            try:
+                self.deploy_it(queue[0][0], block + 1)
+                break
+            except InsufficientEscrow as exc:
+                self.emit(block + 1, "rejected", message="enqueue", node=-1,
+                          reason=type(exc).__name__, detail=str(exc))
 
     def _forfeit(self, node_id: int, block: int, reason: str, cid: bytes,
                  round_index: Optional[int] = None) -> None:
@@ -656,7 +663,8 @@ class Simulation:
 
     def _jitter(self, label: bytes, tag: bytes, lo: int, hi: int, jitter: int) -> int:
         """A block in [lo, hi], drawn from its first `jitter` blocks."""
-        return lo + self._prf_value(label, tag) % min(jitter, hi - lo + 1)
+        span = min(jitter, hi - lo + 1)
+        return lo if span == 1 else lo + self._prf_value(label, tag) % span
 
     def _plan_round(self, cid: bytes) -> None:
         it = self.mc.active[cid]

@@ -27,12 +27,13 @@ leader (an entry point, a jump target, or the instruction after a `jmp`,
 `jnz` or `halt`), runs straight-line ops and follows `jmp`; it ends with a
 `jnz`, before a `halt`, before an instruction it already holds, or once it
 has copied as many instructions from outside its own block as that block
-has, so all traces together hold at most twice the program. A trace whose
-`jnz` branches back to its start runs as a loop. The interpreter runs a
-trace only where it fits whole before min(t_f, gas limit), a loop as many
-whole times as fit, and single-steps the rest: the halt and the partial
-traces at either edge. So cut points, `GasExhausted` positions and errors
-are those of single-stepping.
+has, so all traces together hold at most twice the program. It keeps the
+registers it touches in locals, loaded on entry and written back on exit;
+one whose `jnz` branches back to its start runs as a loop. The interpreter
+runs a trace only where it fits whole before min(t_f, gas limit), a loop
+as many whole times as fit, and single-steps the rest: the halt and the
+partial traces at either edge. So cut points, `GasExhausted` positions and
+errors are those of single-stepping.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
-from .merkle_state import CicState, StorageTree
+from .merkle_state import CicState
 
 NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
 # single-stepping this many costs ~0.5 ms more than running them compiled,
 # about one compile (2-CPU Xeon), so a program that runs only briefly never
 # pays much more than the cheaper of the two; measured when load and store
-# converted 32-byte storage words, and not re-tuned since
+# converted 32-byte storage words. Traces got faster since; the break-even
+# stays un-tuned until ROADMAP item 1's short-program workload measures it
 COMPILE_AFTER = 2048
 
 (OP_CONST, OP_MOV, OP_ADD, OP_SUB, OP_MUL, OP_MOD, OP_XOR, OP_AND,
@@ -58,24 +60,24 @@ COMPILE_AFTER = 2048
 
 # The ISA's one definition, in opcode order: mnemonic, operand kinds (r a
 # register, i an immediate word, l a label), and the Python source of the
-# effect, None for the control-flow ops. Operands fill slots a, b, c of the
-# instruction in order; {m} is the word mask.
+# effect, None for control flow. Operands fill slots a, b, c in order: {ra},
+# {rb}, {rc} are their registers, {b} the immediate, {m} the word mask.
 _ISA = (
-    ("const", "ri", "regs[{a}] = {b}"),
-    ("mov", "rr", "regs[{a}] = regs[{b}]"),
-    ("add", "rrr", "regs[{a}] = (regs[{b}] + regs[{c}]) & {m}"),
-    ("sub", "rrr", "regs[{a}] = (regs[{b}] - regs[{c}]) & {m}"),
-    ("mul", "rrr", "regs[{a}] = (regs[{b}] * regs[{c}]) & {m}"),
-    ("mod", "rrr", "regs[{a}] = regs[{b}] % regs[{c}] if regs[{c}] else 0"),
-    ("xor", "rrr", "regs[{a}] = regs[{b}] ^ regs[{c}]"),
-    ("and", "rrr", "regs[{a}] = regs[{b}] & regs[{c}]"),
-    ("lt", "rrr", "regs[{a}] = 1 if regs[{b}] < regs[{c}] else 0"),
-    ("eq", "rrr", "regs[{a}] = 1 if regs[{b}] == regs[{c}] else 0"),
+    ("const", "ri", "{ra} = {b}"),
+    ("mov", "rr", "{ra} = {rb}"),
+    ("add", "rrr", "{ra} = s - {m} - 1 if (s := {rb} + {rc}) > {m} else s"),
+    ("sub", "rrr", "{ra} = s + {m} + 1 if (s := {rb} - {rc}) < 0 else s"),
+    ("mul", "rrr", "{ra} = ({rb} * {rc}) & {m}"),
+    ("mod", "rrr", "{ra} = {rb} % {rc} if {rc} else 0"),
+    ("xor", "rrr", "{ra} = {rb} ^ {rc}"),
+    ("and", "rrr", "{ra} = {rb} & {rc}"),
+    ("lt", "rrr", "{ra} = 1 if {rb} < {rc} else 0"),
+    ("eq", "rrr", "{ra} = 1 if {rb} == {rc} else 0"),
     ("jmp", "l", None),
     ("jnz", "rl", None),
-    ("load", "rr", "regs[{a}] = storage.get(regs[{b}], 0)"),
-    ("store", "rr", "storage[regs[{a}]] = regs[{b}]; written.add(regs[{a}])"),
-    ("hash", "rr", 'regs[{a}] = int.from_bytes(sha256(regs[{b}].to_bytes(32, "big")), "big")'),
+    ("load", "rr", "{ra} = storage.get({rb}, 0)"),
+    ("store", "rr", "storage[{ra}] = {rb}; written.add({ra})"),
+    ("hash", "rr", '{ra} = int.from_bytes(sha256({rb}.to_bytes(32, "big")), "big")'),
     ("halt", "", None),
 )
 _OPCODES = {name: op for op, (name, _, _) in enumerate(_ISA)}
@@ -225,10 +227,10 @@ class ExecCursor:
 
     `dynamic_index` counts instructions executed so far; resuming must start
     at `dynamic_index + 1`. The cursor holds storage as words, a private
-    dict of int keys to int values built once from the starting state;
-    `state` encodes a value-semantics snapshot on demand. Stores add their
-    key to `written`; `root_bytes` hands those keys to the cursor's
-    `StorageTree`, so a root rehashes only what changed since the last one.
+    dict of int keys to int values, and its `StorageTree`, both copied from
+    the starting state; `state` encodes a value-semantics snapshot on
+    demand. Stores add their key to `written`; `root_bytes` hands those keys
+    to the tree, so a root rehashes only what changed since the last one.
     """
 
     __slots__ = ("program", "cid", "code", "storage", "written", "tree", "regs",
@@ -239,9 +241,8 @@ class ExecCursor:
         self.program = program
         self.cid = state.cid
         self.code = state.code
-        self.storage = {from_word(k): from_word(v) for k, v in state.storage.items()}
+        self.storage, self.tree = state.working_copy()
         self.written: set = set()
-        self.tree = StorageTree()
         self.regs = [0] * NUM_REGISTERS
         self.pc = pc
         self.dynamic_index = 0
@@ -287,9 +288,9 @@ def _make_steps() -> tuple:
     source = ["def step_jmp(regs, storage, written, a, b, c, pc):\n    return a",
               "def step_jnz(regs, storage, written, a, b, c, pc):\n"
               "    return b if regs[a] else pc"]
-    source += [f"def step_{name}(regs, storage, written, a, b, c, pc):\n"
-               f"    {effect.format(a='a', b='b', c='c', m=WORD_MASK)}\n    return pc"
-               for name, _, effect in _ISA if effect is not None]
+    source += [f"def step_{name}(regs, storage, written, a, b, c, pc):\n    "
+               + effect.format(ra="regs[a]", rb="regs[b]", rc="regs[c]", b="b", m=WORD_MASK)
+               + "\n    return pc" for name, _, effect in _ISA if effect is not None]
     namespace: dict = {}
     exec(compile("\n".join(source), "<toy_vm steps>", "exec"), globals(), namespace)
     return tuple(namespace.get(f"step_{name}") for name, _, _ in _ISA)
@@ -318,19 +319,23 @@ def _trace_pcs(code: tuple, leaders: set, start: int) -> list:
 def _trace_source(code: tuple, pcs: list) -> str:
     """`trace_<start>(regs, storage, written, n)`: returns (next pc, runs),
     a loop running up to n >= 1 times, any other trace once."""
-    op, a, b, _ = code[pcs[-1]]
+    ins = [code[pc] for pc in pcs]
+    touched = sorted({r for op, *slots in ins
+                      for kind, r in zip(_ISA[op][1], slots) if kind == "r"})
+    op, a, b, _ = ins[-1]
     if op == OP_JNZ and b == pcs[0]:
-        leave = [f"if not regs[{a}]:", f"    pc = {pcs[-1] + 1}", "    break",
-                 "if i >= n:", "    break"]
+        leave = [f"if not r{a}:", f"    pc = {pcs[-1] + 1}", "    break"]
     elif op == OP_JNZ:
-        leave = [f"pc = {b} if regs[{a}] else {pcs[-1] + 1}", "break"]
+        leave = [f"pc = {b} if r{a} else {pcs[-1] + 1}", "break"]
     else:
         leave = [f"pc = {a if op == OP_JMP else pcs[-1] + 1}", "break"]
-    body = [_ISA[op][2].format(a=a, b=b, c=c, m=WORD_MASK)
-            for op, a, b, c in (code[pc] for pc in pcs) if _ISA[op][2] is not None]
+    body = [_ISA[op][2].format(ra=f"r{a}", rb=f"r{b}", rc=f"r{c}", b=b, m=WORD_MASK)
+            for op, a, b, c in ins if _ISA[op][2] is not None]
     return "\n".join([f"def trace_{pcs[0]}(regs, storage, written, n):",
-                      f"    pc, i = {pcs[0]}, 0", "    while True:", "        i += 1",
+                      *(f"    r{r} = regs[{r}]" for r in touched),
+                      f"    pc = {pcs[0]}", "    for i in range(1, n + 1):",
                       *(f"        {line}" for line in body + leave),
+                      *(f"    regs[{r}] = r{r}" for r in touched),
                       "    return pc, i"])
 
 

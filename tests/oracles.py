@@ -37,6 +37,22 @@ def merkle_root_oracle(cid: bytes, code: bytes, storage: dict) -> bytes:
     return sha(cid + code + tree)
 
 
+def inclusion_path_oracle(storage: dict, key: bytes) -> tuple:
+    """Audit path of `key`, leaf to storage root, rebuilt from scratch: a
+    (sibling, sibling_is_right) step per level where the node has a sibling."""
+    def climb(nodes, idx):
+        if len(nodes) == 1:
+            return ()
+        sibling = idx + 1 if idx % 2 == 0 else idx - 1
+        step = ((nodes[sibling], sibling > idx),) if sibling < len(nodes) else ()
+        parents = [sha(nodes[i] + nodes[i + 1]) if i + 1 < len(nodes) else nodes[i]
+                   for i in range(0, len(nodes), 2)]
+        return step + climb(parents, idx // 2)
+
+    keys = sorted(storage)
+    return climb([sha(k + storage[k]) for k in keys], keys.index(key))
+
+
 # --- naive single-step interpreter for the same ISA -----------------------------
 
 MASK = (1 << 256) - 1

@@ -9,8 +9,11 @@ that do not match their commitment. After every step it checks:
 * every accepted commit and reveal lies inside its round's window, read
   from the event log;
 * every accepted reveal opens the commitment its node made in that round;
+* a contract's queue holds transactions only behind its active one: an
+  unfunded transaction leaves its queue, whether it is refused at enqueue
+  or when the transaction ahead of it finishes;
 * the only exception a message raises is a `ProtocolError` (any other
-  exception fails the run).
+  exception fails the run), and a clock tick raises none.
 
 Every step is one rule that draws the kind of message: hypothesis switches
 whole rules off at random per run, and a run without commits, reveals or
@@ -182,7 +185,7 @@ class ContractModel(RuleBasedStateMachine):
 
     def tick(self, advance):
         self.block += advance
-        self.send(self.mc.tick, self.block)
+        self.mc.tick(self.block)
 
     # -- invariants -------------------------------------------------------------
 
@@ -190,6 +193,12 @@ class ContractModel(RuleBasedStateMachine):
     def value_is_conserved(self):
         assert self.mc.total_value() == self.baseline
         assert self.mc.treasury >= 0
+
+    @invariant()
+    def queues_wait_only_behind_an_active_transaction(self):
+        for cid, queue in self.mc.queues.items():
+            it = self.mc.active.get(cid)
+            assert not queue or (it is not None and queue[0][0].tid == it.tx.tid)
 
     @invariant()
     def accepted_messages_keep_windows_and_binding(self):

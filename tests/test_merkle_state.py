@@ -9,7 +9,7 @@ from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
                                  StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
 
-from oracles import merkle_root_oracle, sha
+from oracles import inclusion_path_oracle, merkle_root_oracle, sha
 
 
 def make_state(**items) -> CicState:
@@ -138,7 +138,7 @@ def tree_root_after_batches(initial: dict, writes) -> None:
     writes held as words, as the interpreter cursor holds them."""
     storage = dict(initial)
     words = {from_word(k): from_word(v) for k, v in storage.items()}
-    tree = StorageTree()
+    _, tree = CicState(CID, CODE, initial).working_copy()
     for picks, batch in [((), {})] + list(writes):
         present = sorted(storage)
         batch = {**{present[p % len(present)]: to_word(1000 + p % 2 ** 16)
@@ -173,3 +173,20 @@ def test_storage_tree_inserts_before_among_and_after_odd_levels():
                      to_word(2000): to_word(3)}),                             # all kinds
         ]
         tree_root_after_batches(initial, writes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(small_words, small_words, min_size=1, max_size=40),
+       st.dictionaries(small_words, small_words, max_size=8))
+def test_proofs_from_the_kept_levels_match_the_oracle(items, writes):
+    # the first proof builds the state's kept tree and later ones read it; a
+    # state written after that builds its own
+    state = CicState(CID, CODE, items)
+    for later in (state, state.put_many(writes)):
+        storage = later.storage
+        for key in sorted(storage, reverse=True):
+            proof = prove_inclusion(later, key)
+            assert proof.path == inclusion_path_oracle(storage, key)
+            assert (proof.key, proof.value) == (key, storage[key])
+            assert verify_inclusion(later.root(), CID, CODE, proof)
+    assert state.storage == items

@@ -444,6 +444,32 @@ def test_round_cap_abort_deploys_the_queued_transaction_next_block():
     assert list(mc.queues[state.cid]) == [(second, "alice")]
 
 
+def test_a_refused_enqueue_leaves_the_queue():
+    mc, model, state = build_mc()
+    mc.creators["bob"] = 0
+    unfunded, funded = make_tx(state, eta=3), make_tx(state, eta=5)
+    with pytest.raises(InsufficientEscrow):
+        mc.enqueue(unfunded, "bob", 1)
+    assert not mc.queues[state.cid] and state.cid not in mc.active
+    mc.enqueue(funded, "alice", 2)
+    assert mc.active[state.cid].tx.tid == funded.tid
+
+
+def test_an_unfunded_queue_head_is_refused_and_the_next_deploys():
+    # the second transaction's escrow (82) exceeds its creator's balance (40);
+    # it used to raise out of the round-cap exit and block the contract
+    sc = Scenario(m_total=12, q=0.6, max_rounds=1, strategies=(("silent", 12),),
+                  its=(ItSpec(eta=3), ItSpec(eta=10), ItSpec(eta=3)), creator_balance=40)
+    res = run_scenario(sc)
+    assert res.conserved
+    rejected = [e for e in res.events if e["type"] == "rejected"]
+    assert [(e["message"], e["node"], e["reason"]) for e in rejected] == [
+        ("enqueue", -1, "InsufficientEscrow")]
+    tids = [e["tid"] for e in res.events if e["type"] == "queued"]
+    finished = [e["tid"] for e in res.events if e["type"] in ("settled", "no_convergence")]
+    assert finished == [tids[0], tids[2]]
+
+
 # --- scenario-level properties -------------------------------------------------------
 
 def scenario(**kw) -> Scenario:

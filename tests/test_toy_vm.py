@@ -3,6 +3,7 @@
 import pickle
 import random
 from dataclasses import replace
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from cicsim.experiments import SyntheticRunner
 from cicsim.hashing import sha256, to_word
 from cicsim import toy_vm
-from cicsim.merkle_state import CicState
+from cicsim.merkle_state import CicState, prove_inclusion
 from cicsim.toy_vm import (AssemblyError, ComputeModel, GasExhausted, InvalidResume,
                            Program, Transaction, assemble, compute_data, compute_length,
                            compute_program, random_program, run_full, run_sub)
@@ -412,3 +413,95 @@ def test_transaction_validation():
     assert tx.nonce is None
     assert replace(tx, nonce=sha256(b"n")) == Transaction(
         tid=b"t" * 32, cid=b"c" * 32, data=b"", gas_limit=10, gas_price=1, nonce=sha256(b"n"))
+
+
+# r8 = count, r9 = first key, r10 = increment: rewrites the keys of
+# [first, first + count) that are present and inserts the others
+REWRITE_AND_INSERT = """
+func mix
+  mov r0 r8
+  mov r1 r9
+  const r3 1
+loop:
+  jnz r0 body
+  halt
+body:
+  load r2 r1
+  add r2 r2 r10
+  store r1 r2
+  add r1 r1 r3
+  sub r0 r0 r3
+  jmp loop
+"""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 40), st.integers(0, 2 ** 256 - 1), max_size=20),
+       st.integers(0, 40), st.integers(0, 30),
+       st.lists(st.integers(1, 60), max_size=6), st.lists(st.integers(1, 60), max_size=6))
+def test_cursors_from_one_state_share_nothing_with_it_or_each_other(items, first, count,
+                                                                    cuts_a, cuts_b):
+    # both cursors start from copies of the storage as words and the tree the
+    # state keeps; each one's root must be its own state's at every cut, and
+    # the state must read as before once both have run
+    storage = {to_word(k): to_word(v) for k, v in items.items()}
+    data = to_word(count) + to_word(first) + to_word(5)
+    for compile_after in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toy_vm, "COMPILE_AFTER", compile_after)
+            program = assemble(REWRITE_AND_INSERT)
+            state = CicState(9, program.code_id, storage)
+            before = (state.root(), state.storage,
+                      [prove_inclusion(state, k) for k in sorted(storage)])
+            cursors = [program.start(state, data), program.start(state, data)]
+            # each list of steps ends with a run to the halt
+            for steps in zip_longest(cuts_a + [10 ** 6], cuts_b + [10 ** 6]):
+                for cursor, step in zip(cursors, steps):
+                    if step is not None and not cursor.halted:
+                        run_sub(program, cursor, cursor.dynamic_index + 1,
+                                cursor.dynamic_index + step)
+                        assert cursor.root_bytes() == cursor.state.root().value
+            assert all(cursor.halted for cursor in cursors)
+            assert (state.root(), state.storage,
+                    [prove_inclusion(state, k) for k in sorted(storage)]) == before
+            final, _ = run_full(program, state, data)
+            assert final == cursors[0].state == cursors[1].state
+            assert final == run_full(program, CicState(9, program.code_id, storage), data)[0]
+
+
+WRAP = """
+func main
+  const r0 2
+  const r11 1
+loop:
+  add r1 r8 r9
+  sub r2 r8 r9
+  add r3 r9 r8
+  sub r4 r9 r8
+  add r5 r8 r8
+  sub r6 r10 r10
+  add r7 r1 r2
+  sub r0 r0 r11
+  jnz r0 loop
+  halt
+"""
+WORD_MAX = 2 ** 256 - 1
+edge_words = st.sampled_from([0, 1, 2, WORD_MAX - 1, WORD_MAX]) | st.integers(0, WORD_MAX)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edge_words, edge_words)
+def test_add_and_sub_wrap_at_both_ends_stepped_and_compiled(x, y):
+    data = to_word(x) + to_word(y) + to_word(0)
+    w = WORD_MAX + 1
+    expected = [(x + y) % w, (x - y) % w, (x + y) % w, (y - x) % w, 2 * x % w, 0, 2 * x % w]
+    for compile_after in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toy_vm, "COMPILE_AFTER", compile_after)
+            program = assemble(WRAP)
+            state = CicState(5, program.code_id)
+            cursor, total = run_sub(program, program.start(state, data), 1, 100)
+            assert cursor.halted and (program.warmth[1] is None) == (compile_after > 0)
+            assert cursor.regs[1:8] == expected
+            assert cursor_view(cursor) == oracle_state_after(
+                program.instructions, program.entry(), {}, data, total)
