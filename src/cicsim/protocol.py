@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -140,7 +140,7 @@ class WindowConfig:
         return math.ceil(gas_limit / self.gas_per_block) + self.w_src_slack
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     node_id: int
     keys: NodeKeys
@@ -211,15 +211,16 @@ class MasterContract:
         return value
 
     def emit(self, block: int, kind: str, **payload) -> None:
-        event = {"block": block, "type": kind}
+        event = {"block": block, "type": kind, **payload}
         for key, value in payload.items():
-            event[key] = value.hex() if isinstance(value, bytes) else value
+            if isinstance(value, bytes):
+                event[key] = value.hex()
         self.events.append(event)
-        self.lines.append(canonical_json(event))
+        self.lines.append("".join(_ENCODE(event, 0)))
 
     def total_value(self) -> int:
         total = self.treasury + self.burned
-        total += sum(n.balance + n.deposit for n in self.nodes.values())
+        total += sum([n.balance + n.deposit for n in self.nodes.values()])
         total += sum(self.creators.values())
         total += sum(it.escrow for it in self.active.values())
         return total
@@ -254,8 +255,7 @@ class MasterContract:
         self.creators[creator] = self.creators.get(creator, 0) - cost
         # the nonce is drawn at inclusion so sortition cannot be gamed by
         # enrolling keys after seeing it
-        nonce = self._beacon()
-        entropy = self._beacon()
+        nonce, entropy = self._beacon(), self._beacon()
         it = ItContext(tx=replace(tx, nonce=nonce), creator=creator, escrow=cost,
                        round1_entropy=entropy)
         self.active[tx.cid] = it
@@ -266,19 +266,13 @@ class MasterContract:
     def _open_round(self, it: ItContext, open_block: int) -> None:
         index = len(it.rounds) + 1
         nonce = it.tx.nonce if index == 1 else sha256(it.tx.nonce, be8(index))
-        w_src = self.windows.w_src(it.tx.gas_limit)
-        commit_close = open_block + w_src - 1
+        commit_close = open_block + self.windows.w_src(it.tx.gas_limit) - 1
         reveal_open = commit_close + self.windows.w_buf + 1
-        record = RoundRecord(round_index=index, nonce=nonce,
-                             commit_open=open_block, commit_close=commit_close,
-                             reveal_open=reveal_open,
-                             reveal_close=reveal_open + self.windows.w_sr - 1)
-        it.rounds.append(record)
+        edges = dict(commit_open=open_block, commit_close=commit_close,
+                     reveal_open=reveal_open, reveal_close=reveal_open + self.windows.w_sr - 1)
+        it.rounds.append(RoundRecord(round_index=index, nonce=nonce, **edges))
         it.phase = COMMITTING
-        self.emit(open_block, "round_started", cid=it.tx.cid, round=index,
-                  nonce=nonce, commit_open=record.commit_open,
-                  commit_close=record.commit_close, reveal_open=record.reveal_open,
-                  reveal_close=record.reveal_close)
+        self.emit(open_block, "round_started", cid=it.tx.cid, round=index, nonce=nonce, **edges)
 
     # -- S3: commitment and release -------------------------------------------
 
@@ -311,14 +305,15 @@ class MasterContract:
         se = rnd.commitments.get(node_id)
         if se is None:
             raise NoCommitment(f"node {node_id} never committed")
-        if sha256(digest.encode(), sort.encode()) != se:
+        encoded = sort.encode()
+        if sha256(digest.encode(), encoded) != se:
             raise CommitMismatch("reveal does not match the commitment")
         node = self.nodes[node_id]
         if not self.oracle.verify(node.keys.pk, rnd.nonce, self.params.q, sort):
             raise InvalidSortition(f"sortition proof rejected for node {node_id}")
         rnd.reveals[node_id] = (digest, sort)
         self.emit(block, "reveal", cid=cid, round=rnd.round_index, node=node_id,
-                  root=digest.root.value, seed=digest.seed, sort=sort.encode())
+                  root=digest.root.value, seed=digest.seed, sort=encoded)
 
     # -- S4: the phase clock and one consensus round -----------------------------
 
@@ -326,8 +321,7 @@ class MasterContract:
         """Advance every active transaction's phases to `block`: close the
         commit window, open the reveal window, close the round at the reveal
         deadline, or settle a decision whose witness deadline has passed."""
-        for cid in list(self.active):
-            it = self.active[cid]
+        for cid, it in list(self.active.items()):
             # sequential ifs so zero-width windows cascade in one block
             if it.phase == COMMITTING and block >= it.round.commit_close:
                 it.phase = BUFFERING
@@ -350,9 +344,7 @@ class MasterContract:
         for node_id in sorted(rnd.commitments):
             if node_id not in rnd.reveals:
                 self._forfeit(node_id, block, "unrevealed commitment", cid)
-        counts: dict = {}
-        for node_id, (digest, _) in rnd.reveals.items():
-            counts[digest.root.value] = counts.get(digest.root.value, 0) + 1
+        counts = Counter(digest.root.value for digest, _ in rnd.reveals.values())
         tally = miracle.RoundTally(round_index=rnd.round_index, counts=counts)
         it.table = miracle.update_likelihoods(it.table, tally)
         root = miracle.step(it.table, self.params)
@@ -402,7 +394,11 @@ class MasterContract:
         it = self.active[cid]
         winning = it.winning_root
         policy = self.policy
-        gas_fee = it.tx.gas_price * min(it.tx.gas_limit, self._executed_gas(it))
+        # unit gas per instruction; every simulated contract is an instance
+        # of the iterated-update benchmark, whose length is affine in the
+        # iteration count carried by the first input word
+        executed = compute_length(compute_eta(it.tx.data))
+        gas_fee = it.tx.gas_price * min(it.tx.gas_limit, executed)
         refund = it.escrow - policy.d_min - gas_fee
         self.treasury += policy.d_min + gas_fee
         for rnd in it.rounds:
@@ -413,11 +409,8 @@ class MasterContract:
                                   round_index=rnd.round_index)
                 else:
                     groups.setdefault(digest.seed, []).append(node_id)
-            total = sum(len(v) for v in groups.values())
-            if not total:
-                continue
-            for seed_value in sorted(groups):
-                members = groups[seed_value]
+            total = sum(map(len, groups.values()))
+            for _, members in sorted(groups.items()):
                 fraction = len(members) / total
                 if fraction > policy.th1:
                     for node_id in members:
@@ -432,12 +425,6 @@ class MasterContract:
                                       round_index=rnd.round_index)
         self._finish(it, block, refund, "settled", rounds=len(it.rounds),
                      winning_root=winning, gas_fee=gas_fee, refund=refund)
-
-    def _executed_gas(self, it: ItContext) -> int:
-        # unit gas per instruction; every simulated contract is an instance
-        # of the iterated-update benchmark, whose length is affine in the
-        # iteration count carried by the first input word
-        return compute_length(compute_eta(it.tx.data))
 
     def _finish(self, it: ItContext, block: int, returned: int, kind: str,
                 **payload) -> None:
@@ -464,14 +451,12 @@ class MasterContract:
     def _forfeit(self, node_id: int, block: int, reason: str, cid: bytes,
                  round_index: Optional[int] = None) -> None:
         node = self.nodes[node_id]
-        if node.deposit == 0:
-            return
-        amount = node.deposit
-        node.deposit = 0
-        node.active = False
-        self.burned += amount
-        self.emit(block, "forfeit", cid=cid, node=node_id, amount=amount,
-                  reason=reason, round=round_index)
+        amount, node.deposit = node.deposit, 0
+        if amount:
+            node.active = False
+            self.burned += amount
+            self.emit(block, "forfeit", cid=cid, node=node_id, amount=amount,
+                      reason=reason, round=round_index)
 
 
 # --- scenario-driven simulation ------------------------------------------------
@@ -554,10 +539,9 @@ class Scenario:
             doc["its"] = tuple(ItSpec(**i) for i in doc["its"])
             doc["policy"] = SettlementPolicy(**doc["policy"])
             doc["windows"] = WindowConfig(**doc["windows"])
-            scenario = cls(**doc)
+            return cls(**doc)
         except (ValueError, KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario: {exc!r}") from exc
-        return scenario
 
     def expand_strategies(self) -> list:
         """One Strategy per node from `[kind, count]` or `[kind, count,
@@ -591,7 +575,12 @@ def event_lines(events: list) -> list:
 
 class Simulation:
     """Deterministic event loop: nodes plan their messages when a round
-    opens; inclusion happens at block boundaries in a canonical order."""
+    opens; inclusion happens at block boundaries in a canonical order. Three
+    passes visit all M nodes: the node table once per run, the sortition
+    sweep once per round, and the conservation check once per block, which
+    recomputes every ledger term on purpose so a leak shows in its block."""
+
+    _POST_ORDER = {"enqueue": 0, "commit": 1, "reveal": 2, "witness": 3}
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -602,12 +591,10 @@ class Simulation:
                                  SortitionOracle(), sha256(b"beacon", self.seed),
                                  max_rounds=scenario.max_rounds,
                                  treasury=scenario.treasury)
-        strategies = scenario.expand_strategies()
-        for node_id, strategy in enumerate(strategies):
-            self.mc.add_node(NodeRecord(
-                node_id=node_id, keys=keygen(self.seed, node_id),
-                strategy=strategy, deposit=scenario.policy.deposit,
-                balance=scenario.node_balance))
+        seed, add_node = self.seed, self.mc.add_node
+        deposit, balance = scenario.policy.deposit, scenario.node_balance
+        for node_id, strategy in enumerate(scenario.expand_strategies()):
+            add_node(NodeRecord(node_id, keygen(seed, node_id), strategy, deposit, balance))
         self.models: dict = {}
         for index, cic in enumerate(scenario.cics):
             model = ComputeModel(key=cic.key)
@@ -632,9 +619,8 @@ class Simulation:
     def _post(self, block: int, kind: str, node_id: int, call, *args) -> None:
         """Queue `call(*args, block)` for inclusion at `block`, where messages
         go in by kind, then node, then post order."""
-        order = ("enqueue", "commit", "reveal", "witness").index(kind)
         self.inbox.setdefault(block, []).append(
-            (order, node_id, self._msg_seq, kind, call, args))
+            (self._POST_ORDER[kind], node_id, self._msg_seq, kind, call, args))
         self._msg_seq += 1
 
     def _honest_digest(self, cid: bytes, round_index: int):
@@ -652,14 +638,17 @@ class Simulation:
         return self._honest_digests[key]
 
     def _plan_digest(self, node: NodeRecord, tid: bytes, honest: Digest,
-                     round_index: int) -> Digest:
-        """The digest this node submits, by its kind's rule in `adversary.KINDS`."""
-        seed, root = adversary.KINDS[node.strategy.kind].rule(
+                     round_index: int, planned: dict) -> Digest:
+        """The digest this node submits, by its kind's rule in `adversary.KINDS`;
+        `planned` keeps the round's digests by preimages, which nodes share."""
+        preimages = adversary.KINDS[node.strategy.kind].rule(
             node.strategy, node.node_id, tid, round_index, self._prf_value)
-        if seed is None and root is None:
-            return honest
-        return Digest(seed=sha256(*seed) if seed else honest.seed,
-                      root=MerkleRoot(sha256(*root)) if root else honest.root)
+        if preimages not in planned:
+            seed, root = preimages
+            planned[preimages] = honest if seed is None and root is None else Digest(
+                seed=sha256(*seed) if seed else honest.seed,
+                root=MerkleRoot(sha256(*root)) if root else honest.root)
+        return planned[preimages]
 
     def _jitter(self, label: bytes, tag: bytes, lo: int, hi: int, jitter: int) -> int:
         """A block in [lo, hi], drawn from its first `jitter` blocks."""
@@ -669,21 +658,23 @@ class Simulation:
     def _plan_round(self, cid: bytes) -> None:
         it = self.mc.active[cid]
         rnd = it.round
-        for node_id in sorted(self.mc.nodes):
-            node = self.mc.nodes[node_id]
+        nodes, nonce, q, index = self.mc.nodes, rnd.nonce, self.scenario.q, rnd.round_index
+        honest, planned = None, {}
+        # the post order of different nodes decides nothing: delivery sorts by node
+        for node_id, node in nodes.items():
             if not node.active:
                 continue
-            sort = check_sort(node.keys, rnd.nonce, self.scenario.q)
+            sort = check_sort(node.keys, nonce, q)
             if not sort.selected:
                 continue
-            honest, _ = self._honest_digest(cid, rnd.round_index)
-            digest = self._plan_digest(node, it.tx.tid, honest, rnd.round_index)
+            if honest is None:
+                honest, _ = self._honest_digest(cid, index)
+            digest = self._plan_digest(node, it.tx.tid, honest, index, planned)
             se = sha256(digest.encode(), sort.encode())
-            tag = be8(node_id) + cid + be8(rnd.round_index)
+            tag = be8(node_id) + cid + be8(index)
             commit_at = self._jitter(b"cjit", tag, rnd.commit_open, rnd.commit_close,
                                      self.scenario.commit_jitter)
-            self._post(commit_at, "commit", node_id, self.mc.submit_commit,
-                       node_id, cid, se)
+            self._post(commit_at, "commit", node_id, self.mc.submit_commit, node_id, cid, se)
             if adversary.KINDS[node.strategy.kind].reveals:
                 reveal_at = self._jitter(b"rjit", tag, rnd.reveal_open, rnd.reveal_close,
                                          self.scenario.reveal_jitter)
@@ -696,8 +687,7 @@ class Simulation:
         pre = self.mc.states[cid]
         modified = {k: final.get(k) for k in final.storage
                     if pre.get(k) != final.get(k)}
-        for node_id in sorted(it.round.reveals):
-            digest, _ = it.round.reveals[node_id]
+        for node_id, (digest, _) in sorted(it.round.reveals.items()):
             if digest.root.value != it.winning_root:
                 continue
             if digest.root.value == final.root().value:
@@ -729,7 +719,6 @@ class Simulation:
             self._post(spec.submit_block, "enqueue", -1, self.mc.enqueue,
                        tx, f"creator{index}")
         baseline = self.mc.total_value()
-        conserved = True
         block = 0
         while block < MAX_BLOCKS:
             block += 1
@@ -741,15 +730,14 @@ class Simulation:
                     self._plan_round(bytes.fromhex(event["cid"]))
                 elif event["type"] == "round_closed" and event["accepted"]:
                     self._plan_witnesses(bytes.fromhex(event["cid"]), block)
-            if self.mc.total_value() != baseline:
-                conserved = False
-                self.mc.emit(block, "conservation_violated",
-                             expected=baseline, actual=self.mc.total_value())
+            actual = self.mc.total_value()
+            if actual != baseline:
+                self.mc.emit(block, "conservation_violated", expected=baseline, actual=actual)
                 break
             if not self.mc.active and not self.inbox:
                 break
         return RunResult(scenario=scenario, events=self.mc.events, lines=self.mc.lines,
-                         conserved=conserved, total_blocks=block, mc=self.mc,
+                         conserved=actual == baseline, total_blocks=block, mc=self.mc,
                          settled=sum(e["type"] == "settled" for e in self.mc.events))
 
 

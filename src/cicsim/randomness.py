@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
-from .hashing import WORD_MODULUS, be8, sha256
+from .hashing import WORD_MODULUS, be8, sha256, to_word
 
 _SORT_PROOF_TAG = b"cicsim/sortition-proof/v1"
 _SK_TAG = b"cicsim/node-sk/v1"
@@ -32,7 +31,7 @@ def random_gen(experiment_seed: bytes, counter: int) -> bytes:
     return sha256(experiment_seed, be8(counter))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeKeys:
     node_id: int
     pk: bytes
@@ -70,7 +69,6 @@ class SortResult:
 NOT_SELECTED = SortResult(selected=False, output=None, proof=None)
 
 
-@lru_cache(maxsize=1024)
 def sortition_bound(threshold_q: float) -> int:
     """The least integer X with X / 2^256 >= q, by bisection over [0, 2^256]."""
     if not 0.0 <= threshold_q <= 1.0:
@@ -85,6 +83,21 @@ def sortition_bound(threshold_q: float) -> int:
     return lo
 
 
+class _Thresholds(dict):
+    """q -> `sortition_bound(q)` as bytes that a 32-byte output is below iff
+    it is below the bound: its 32-byte word, or for 2^256 33 bytes of 0xff."""
+
+    def __missing__(self, threshold_q: float) -> bytes:
+        bound = sortition_bound(threshold_q)
+        if len(self) >= 1024:
+            self.clear()
+        self[threshold_q] = word = b"\xff" * 33 if bound == WORD_MODULUS else to_word(bound)
+        return word
+
+
+_THRESHOLDS = _Thresholds()
+
+
 def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
     """Secret self-check of execution-set membership for one transaction.
 
@@ -95,9 +108,8 @@ def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
     prf = keys.prf.copy()
     prf.update(nonce)
     output = prf.digest()
-    if int.from_bytes(output, "big") < sortition_bound(threshold_q):
-        return SortResult(selected=True, output=output,
-                          proof=sha256(_SORT_PROOF_TAG, keys.sk, nonce))
+    if output < _THRESHOLDS[threshold_q]:
+        return SortResult(True, output, sha256(_SORT_PROOF_TAG, keys.sk, nonce))
     return NOT_SELECTED
 
 
@@ -126,4 +138,4 @@ class SortitionOracle:
         expected = sha256(sk, nonce)
         return (result.output == expected
                 and result.proof == sha256(_SORT_PROOF_TAG, sk, nonce)
-                and int.from_bytes(expected, "big") < sortition_bound(threshold_q))
+                and expected < _THRESHOLDS[threshold_q])

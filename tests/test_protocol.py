@@ -1,13 +1,15 @@
 """Master-contract rules: windows, binding, settlement branches, replay."""
 
 import json
-from dataclasses import asdict
+import random
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cicsim import adversary
+from cicsim.experiments import random_scenario
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState, MerkleRoot
 from cicsim.miracle import ConsensusParams
@@ -16,8 +18,8 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, REVEALING,
                              InsufficientEscrow, InvalidSortition, ItSpec,
                              MasterContract, NoCommitment, NodeRecord,
                              OutsideWindow, QueueOrderViolation, Scenario,
-                             ScenarioError, SettlementPolicy, WindowConfig,
-                             event_lines, replay_check, run_scenario)
+                             ScenarioError, SettlementPolicy, Simulation,
+                             WindowConfig, event_lines, replay_check, run_scenario)
 from cicsim.randomness import SortitionOracle, check_sort, keygen
 from cicsim.rice import Digest, rice_execute_traced
 from cicsim.toy_vm import (ComputeModel, Transaction, compute_data, compute_eta,
@@ -708,3 +710,93 @@ def test_out_of_window_messages_are_rejected_not_accepted():
         assert event["reason"] in {"OutsideWindow", "NotInSP", "DuplicateCommit",
                                    "NoCommitment", "CommitMismatch",
                                    "InvalidSortition"}
+
+
+# --- whole-run invariants under perturbation -----------------------------------
+
+def _bump(owner, attr):
+    setattr(owner, attr, getattr(owner, attr) + 1)
+
+
+# every term of MasterContract.total_value, each given one unit from nowhere
+LEDGER_TERMS = {
+    "node balance": lambda mc: _bump(mc.nodes[0], "balance"),
+    "node deposit": lambda mc: _bump(mc.nodes[0], "deposit"),
+    "creator": lambda mc: mc.creators.update(creator0=mc.creators["creator0"] + 1),
+    "treasury": lambda mc: _bump(mc, "treasury"),
+    "burned": lambda mc: _bump(mc, "burned"),
+    "active escrow": lambda mc: _bump(next(iter(mc.active.values())), "escrow"),
+}
+
+
+@pytest.mark.parametrize("term", list(LEDGER_TERMS))
+def test_a_silent_leak_in_any_ledger_term_fails_conservation_in_its_block(term):
+    """The per-block check recomputes every term, so a unit that appears
+    outside any contract call is caught in its own block, even one that
+    logs no event."""
+    sc = scenario()
+    clean = run_scenario(sc)
+    deployed = next(e["block"] for e in clean.events if e["type"] == "deployed")
+    settled = next(e["block"] for e in clean.events if e["type"] == "settled")
+    logged = {e["block"] for e in clean.events}
+    quiet = next(b for b in range(deployed + 1, settled) if b not in logged)
+
+    class Leaky(Simulation):
+        def _deliver(self, block):
+            super()._deliver(block)
+            if block == quiet:
+                LEDGER_TERMS[term](self.mc)
+
+    result = Leaky(sc).run()
+    *before, last = result.events
+    assert before == clean.events[:len(before)]
+    assert last["type"] == "conservation_violated" and last["block"] == quiet
+    assert last["actual"] - last["expected"] == 1
+    assert not result.conserved and result.total_blocks == quiet
+
+
+OUTCOME_TYPES = ("round_closed", "reward", "forfeit", "settled")
+
+
+def _outcome(result) -> list:
+    """A run's outcome events without the block each was logged in."""
+    return [{k: v for k, v in e.items() if k != "block"}
+            for e in result.events if e["type"] in OUTCOME_TYPES]
+
+
+class ShuffledDelivery(Simulation):
+    """Delivers each block's messages in a seeded random order instead of
+    the canonical one; `reordered` counts the blocks where that differs."""
+
+    def __init__(self, scenario, salt):
+        super().__init__(scenario)
+        self.rng = random.Random(salt)
+        self.reordered = 0
+
+    def _deliver(self, block):
+        messages = self.inbox.get(block, [])
+        self.rng.shuffle(messages)
+        self.reordered += messages != sorted(messages)
+        # the canonical order sorts on each message's first field
+        self.inbox[block] = [(rank, *message[1:]) for rank, message in enumerate(messages)]
+        super()._deliver(block)
+
+
+def test_a_lone_transaction_outcome_ignores_timing_within_its_windows():
+    """Which window a message lands in decides the outcome; the block within
+    the window and the order within the block do not."""
+    seed = sha256(b"outcome-invariance")
+    singles = [sc for sc in (random_scenario(i, seed) for i in range(240))
+               if len(sc.its) == 1]
+    assert len(singles) >= 50
+    moved = reordered = 0
+    for index, sc in enumerate(singles):
+        base = run_scenario(sc)
+        jittered = run_scenario(replace(sc, commit_jitter=sc.commit_jitter + 5,
+                                        reveal_jitter=sc.reveal_jitter + 5))
+        shuffled = ShuffledDelivery(sc, salt=index)
+        assert _outcome(jittered) == _outcome(base), index
+        assert _outcome(shuffled.run()) == _outcome(base), index
+        moved += jittered.lines != base.lines
+        reordered += shuffled.reordered
+    assert moved and reordered      # both perturbations changed the runs
