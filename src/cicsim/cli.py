@@ -9,13 +9,14 @@ schedule as JSON lines, and `replay` re-executes a recorded protocol log,
 verifies it bit-exactly and reports where it first diverges.
 Every run is pinned by --seed; identical invocations produce identical
 artifacts. The process exits 1 if any invariant audited by the requested
-experiment fails, and 2 with an `error:` line on input it cannot use: a
-missing or unreadable file, a malformed scenario or event log, a bad seed,
-a config file that is not a JSON object, a parameter the experiment does
-not read or of another type than its default, a consensus parameter or
-`rice-overhead` length range outside its domain, a `--max-parallel` or
-`--rounds` below 1, a negative `rice-trace --eta`, or a `protocol-run`
-flag that the presence or absence of `--scenario` would leave unused.
+experiment fails or a `--scenario` run stops at the block cap, and 2 with
+an `error:` line on input it cannot use: a missing or unreadable file, a
+malformed scenario or event log, a bad seed, a config file that is not a
+JSON object, a parameter the experiment does not read or of another type
+than its default, a consensus parameter or `rice-overhead` length range
+outside its domain, a `--max-parallel` or `--rounds` below 1, a negative
+`rice-trace --eta`, or a `protocol-run` flag that the presence or absence
+of `--scenario` would leave unused.
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ def _run(args: argparse.Namespace) -> int:
         audit = experiments.audit_event_log(result.events)
         if args.log:
             experiments.write_event_log(args.log, result)
-        ok = result.conserved and all(audit.values())
+        capped = any(event["type"] == "block_cap" for event in result.events[-1:])
+        ok = result.conserved and all(audit.values()) and not capped
         print(json.dumps({"settled": result.settled, "blocks": result.total_blocks,
                           "events": len(result.events), "conserved": result.conserved,
-                          **audit}, sort_keys=True))
+                          "capped": capped, **audit}, sort_keys=True))
         return 0 if ok else 1
 
     if args.command == "protocol-run" and args.log:

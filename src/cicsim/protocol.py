@@ -26,7 +26,7 @@ import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import ESCAPE_ASCII, c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from . import adversary, miracle, rice
@@ -83,7 +83,7 @@ REVEALING = "revealing"
 DECIDING = "deciding"
 SETTLED = "settled"
 
-# a run that is still going after this many blocks stops there
+# a run that is still going after this many blocks stops there, logging `block_cap`
 MAX_BLOCKS = 100_000
 
 if c_make_encoder is None:
@@ -96,8 +96,44 @@ _ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 
 def canonical_json(doc) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` by the one
-    encoder: every event line, scenario document and experiment spec."""
+    encoder: every scenario document and experiment spec, and the general path
+    and oracle for event lines. Only a `PER_NODE_FIELDS` event whose payload
+    fits its declaration is rendered instead, from a format derived from this."""
     return "".join(_ENCODE(doc, 0))
+
+
+# the per-node kinds' payload fields in call-site order, each an int (never a bool),
+# bytes written as hex, or text that needs no escaping
+PER_NODE_FIELDS = {
+    "commit": dict(cid=bytes, round=int, node=int, se=bytes),
+    "reveal": dict(cid=bytes, round=int, node=int, root=bytes, seed=bytes, sort=bytes),
+    "reward": dict(cid=bytes, node=int, round=int, amount=int),
+    "forfeit": dict(cid=bytes, node=int, amount=int, reason=str, round=int),
+}
+
+
+def _declare(kind: str, declared: dict) -> tuple:
+    """Field names, types, bytes and text fields, and the canonical line as a %-format
+    over the event dict: `canonical_json` of placeholders, unquoted for ints."""
+    of = {wanted: [key for key, json_kind in declared.items() if json_kind is wanted]
+          for wanted in (int, bytes, str)}
+    line = canonical_json({key: f"%({key})s" for key in ("block", *declared)} | {"type": kind})
+    for key in ("block", *of[int]):
+        line = line.replace(f'"%({key})s"', f"%({key})s")
+    return tuple(declared), tuple(declared.values()), of[bytes], of[str], line
+
+
+_FORMATS = {kind: _declare(kind, declared) for kind, declared in PER_NODE_FIELDS.items()}
+_UNDECLARED = (None, (), (), (), "")    # no payload's field names are None
+
+
+def _require_ints(spec, low, *names: str, high=math.inf) -> None:
+    """Amounts, counts, block offsets and words: each named field holds an
+    int, never a bool, from `low` to `high`."""
+    for name in names:
+        value = getattr(spec, name)
+        if type(value) is not int or not low <= value <= high:
+            raise ValueError(f"{name} must be an int from {low} to {high}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +153,7 @@ class SettlementPolicy:
             raise ValueError("thresholds must satisfy 0 < th2 < th1 <= 1")
         if self.th1 <= 0.5:
             raise ValueError("reward threshold must exceed one half")
-        if min(self.reward, self.deposit, self.d_min) < 0:
-            raise ValueError("amounts are non-negative")
+        _require_ints(self, 0, "reward", "deposit", "d_min")
 
 
 @dataclass(frozen=True)
@@ -131,10 +166,8 @@ class WindowConfig:
     w_sr: int = 4
 
     def __post_init__(self) -> None:
-        if self.gas_per_block < 1 or self.w_sr < 1:
-            raise ValueError("gas_per_block and w_sr must be at least 1")
-        if min(self.w_src_slack, self.w_buf) < 0:
-            raise ValueError("w_src_slack and w_buf are non-negative")
+        _require_ints(self, 1, "gas_per_block", "w_sr")
+        _require_ints(self, 0, "w_src_slack", "w_buf")
 
     def w_src(self, gas_limit: int) -> int:
         return math.ceil(gas_limit / self.gas_per_block) + self.w_src_slack
@@ -211,12 +244,21 @@ class MasterContract:
         return value
 
     def emit(self, block: int, kind: str, **payload) -> None:
+        """Append the event, bytes values as hex, and its canonical line. A
+        `PER_NODE_FIELDS` kind (commit, reveal, reward, forfeit) is rendered from
+        its declared format if the payload has exactly its fields, in order, each
+        of its type; any other event by `canonical_json`, the general path."""
         event = {"block": block, "type": kind, **payload}
-        for key, value in payload.items():
-            if isinstance(value, bytes):
-                event[key] = value.hex()
+        names, types, hexed, texts, line = _FORMATS.get(kind, _UNDECLARED)
+        fits = (tuple(payload) == names and type(block) is int
+                and tuple(map(type, payload.values())) == types
+                and not (texts and any(map(ESCAPE_ASCII.search, map(payload.get, texts)))))
+        if not fits:
+            hexed = [key for key, value in payload.items() if isinstance(value, bytes)]
+        for key in hexed:
+            event[key] = payload[key].hex()
         self.events.append(event)
-        self.lines.append("".join(_ENCODE(event, 0)))
+        self.lines.append(line % event if fits else "".join(_ENCODE(event, 0)))
 
     def total_value(self) -> int:
         total = self.treasury + self.burned
@@ -471,12 +513,9 @@ class ItSpec:
     submit_block: int = 1
 
     def __post_init__(self) -> None:
-        if self.eta < 0 or self.gas_price < 0:
-            raise ValueError("eta and gas_price are non-negative")
-        if self.submit_block < 1:
-            raise ValueError("submit_block must be at least 1")
-        if compute_length(self.eta) + self.gas_margin < 1:
-            raise ValueError("gas_margin leaves no positive gas limit")
+        _require_ints(self, 0, "cic_index", "eta", "gas_price")
+        _require_ints(self, 1, "submit_block")
+        _require_ints(self, 1 - compute_length(self.eta), "gas_margin")  # gas limit >= 1
 
 
 @dataclass(frozen=True)
@@ -485,8 +524,7 @@ class CicSpec:
     init: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.key <= WORD_MASK and 0 <= self.init <= WORD_MASK):
-            raise ValueError("key and init must be 256-bit words")
+        _require_ints(self, 0, "key", "init", high=WORD_MASK)
 
 
 @dataclass(frozen=True)
@@ -516,10 +554,8 @@ class Scenario:
             raise ValueError("seed must be 32 bytes of hex")
         if not all(0 <= it.cic_index < len(self.cics) for it in self.its):
             raise ValueError("an its entry names a cic_index outside cics")
-        if min(self.node_balance, self.creator_balance, self.treasury) < 0:
-            raise ValueError("balances are non-negative")
-        if min(self.max_rounds, self.commit_jitter, self.reveal_jitter) < 1:
-            raise ValueError("max_rounds and the jitters must be at least 1")
+        _require_ints(self, 0, "node_balance", "creator_balance", "treasury")
+        _require_ints(self, 1, "m_total", "max_rounds", "commit_jitter", "reveal_jitter")
         self.expand_strategies()    # raises on any entry a run cannot use
 
     def to_json(self) -> str:
@@ -736,6 +772,9 @@ class Simulation:
                 break
             if not self.mc.active and not self.inbox:
                 break
+        else:
+            self.mc.emit(block, "block_cap", max_blocks=MAX_BLOCKS, active=len(self.mc.active),
+                         pending=sum(map(len, self.inbox.values())))
         return RunResult(scenario=scenario, events=self.mc.events, lines=self.mc.lines,
                          conserved=actual == baseline, total_blocks=block, mc=self.mc,
                          settled=sum(e["type"] == "settled" for e in self.mc.events))

@@ -53,7 +53,9 @@ def test_paper_scale_event_log(tmp_path):
         seed=SEED.hex(), m_total=1600, q=0.125, f_max=0.45, beta=1e-6,
         strategies=(("honest", 880), ("byz_single", 720)))
     path = tmp_path / "paper.jsonl"
-    experiments.write_event_log(str(path), protocol.run_scenario(scenario))
+    result = protocol.run_scenario(scenario)
+    assert result.lines == [canonical_line(e) for e in result.events]
+    experiments.write_event_log(str(path), result)
     assert file_hash(path) == (
         "520e58509e2330e49fa996cd873c47a6e9a59d53126d090af41904c1ac05c89e")
 

@@ -9,7 +9,7 @@ wrapped function by name would show up only as a count that reads 0.
 
 from pathlib import Path
 
-from cicsim import experiments, rice
+from cicsim import experiments, protocol, rice
 from cicsim.hashing import sha256
 from cicsim.merkle_state import CicState
 from cicsim.miracle import ConsensusParams
@@ -60,3 +60,24 @@ def test_the_traced_run_reaches_what_it_wraps(monkeypatch):
     params = ConsensusParams(100, 0.4, 0.3, 1e-3)
     assert "experiments.mc" in _spans_reached(
         spans, lambda: experiments.sweep_point(params, 0.3, 50, seed))
+
+
+def test_every_event_passes_through_emit(monkeypatch):
+    """`protocol.events` and `protocol.rejected` count calls of the wrapped
+    `emit`: an event appended any other way would be missing from both."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    seed = sha256(b"traced-run-emit")
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        with recorder.recording(0):
+            experiments.protocol_batch_rows(2, seed)
+    finally:
+        recorder.uninstall()
+    events = [e for index in range(2)
+              for e in protocol.run_scenario(experiments.random_scenario(index, seed)).events]
+    # each scenario runs once and replays once
+    assert recorder.counts["protocol.events"] == 2 * len(events)
+    assert recorder.counts["protocol.rejected"] == 2 * sum(e["type"] == "rejected" for e in events)

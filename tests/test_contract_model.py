@@ -9,6 +9,8 @@ that do not match their commitment. After every step it checks:
 * every accepted commit and reveal lies inside its round's window, read
   from the event log;
 * every accepted reveal opens the commitment its node made in that round;
+* every event's log line is the oracle's canonical line, whichever path in
+  `emit` rendered it;
 * a contract's queue holds transactions only behind its active one: an
   unfunded transaction leaves its queue, whether it is refused at enqueue
   or when the transaction ahead of it finishes;
@@ -34,6 +36,8 @@ from cicsim.protocol import (MasterContract, NodeRecord, ProtocolError,
 from cicsim.randomness import NOT_SELECTED, SortitionOracle, check_sort, keygen
 from cicsim.rice import Digest
 from cicsim.toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
+
+from oracles import canonical_line
 
 SEED = sha256(b"contract-model")
 N_NODES = 6                 # node id N_NODES is outside the pool
@@ -88,6 +92,7 @@ class ContractModel(RuleBasedStateMachine):
         self.send(self.mc.enqueue, self.transaction(0, 0, 4, 0), "alice", self.block)
         self.openings: dict = {}   # (deployment nonce, round, node) -> (Digest, SortResult)
         self.checked = 0           # events already checked
+        self.lined = 0             # events whose lines are already checked
         self.windows: dict = {}    # cid -> its latest round_started event
         self.commits: dict = {}    # (cid, node) -> se accepted in the current round
 
@@ -218,6 +223,12 @@ class ContractModel(RuleBasedStateMachine):
                                      bytes.fromhex(event["sort"])).hex()
                     assert self.commits.get((cid, event["node"])) == opening
         self.checked = len(self.mc.events)
+
+    @invariant()
+    def every_line_is_canonical(self):
+        new = self.mc.events[self.lined:]
+        assert self.mc.lines[self.lined:] == [canonical_line(e) for e in new]
+        self.lined = len(self.mc.events)
 
 
 ContractModel.TestCase.settings = settings(max_examples=30, stateful_step_count=100,

@@ -219,7 +219,10 @@ def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
     ({"q": 2}, {}), ({"beta": 0}, {}), ({"seed": "zz"}, {}), ({"seed": "00"}, {}),
     ({}, {"cic_index": 5}), ({}, {"eta": -1}), ({}, {"gas_price": -1}),
     ({}, {"submit_block": 0}),
-    ({"windows": {"gas_per_block": 0, "w_src_slack": 2, "w_buf": 2, "w_sr": 4}}, {})])
+    ({"windows": {"gas_per_block": 0, "w_src_slack": 2, "w_buf": 2, "w_sr": 4}}, {}),
+    # a float where an int belongs
+    ({"commit_jitter": 1.5}, {}), ({"creator_balance": 1e6}, {}), ({}, {"submit_block": 1.5}),
+    ({"windows": {"gas_per_block": 40, "w_src_slack": 0.5, "w_buf": 2, "w_sr": 4}}, {})])
 def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it_edit):
     doc = json.loads(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
     doc.update(edit)
@@ -228,6 +231,16 @@ def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it
     path.write_text(json.dumps(doc))
     assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed scenario: ")
+
+
+def test_cli_exits_1_on_a_run_stopped_at_the_block_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_BLOCKS", 50)
+    path, log = tmp_path / "scenario.json", tmp_path / "log.jsonl"
+    path.write_text(protocol.Scenario(its=(protocol.ItSpec(submit_block=80),)).to_json())
+    assert cli.main(["protocol-run", "--scenario", str(path), "--log", str(log)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["capped"] and summary["blocks"] == 50 and summary["events"] == 1
+    assert json.loads(log.read_text().splitlines()[-1])["type"] == "block_cap"
 
 
 def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):

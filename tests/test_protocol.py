@@ -13,11 +13,11 @@ from cicsim.experiments import random_scenario
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState, MerkleRoot
 from cicsim.miracle import ConsensusParams
-from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, REVEALING,
-                             SETTLED, CicSpec, CommitMismatch, DuplicateCommit,
-                             InsufficientEscrow, InvalidSortition, ItSpec,
-                             MasterContract, NoCommitment, NodeRecord,
-                             OutsideWindow, QueueOrderViolation, Scenario,
+from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, MAX_BLOCKS,
+                             PER_NODE_FIELDS, REVEALING, SETTLED, CicSpec,
+                             CommitMismatch, DuplicateCommit, InsufficientEscrow,
+                             InvalidSortition, ItSpec, MasterContract, NoCommitment,
+                             NodeRecord, OutsideWindow, QueueOrderViolation, Scenario,
                              ScenarioError, SettlementPolicy, Simulation,
                              WindowConfig, event_lines, replay_check, run_scenario)
 from cicsim.randomness import SortitionOracle, check_sort, keygen
@@ -530,6 +530,16 @@ BAD_SCENARIO_VALUES = [
     _edited_scenario_json(max_rounds=0),
     _edited_scenario_json(commit_jitter=0),
     _edited_scenario_json(reveal_jitter=0),
+    # amounts, counts and block offsets are ints, never floats or bools
+    _edited_scenario_json(commit_jitter=1.5),
+    _edited_scenario_json(creator_balance=1e6),
+    _edited_scenario_json(m_total=12.0),
+    _edited_scenario_json(max_rounds=True),
+    _edited_it_json(submit_block=1.5),
+    _edited_it_json(eta=3.5),
+    _edited_windows_json(w_src_slack=0.5),
+    _edited_scenario_json(policy={**asdict(SettlementPolicy()), "deposit": 0.1}),
+    _edited_scenario_json(cics=[{"key": 0, "init": False}]),
     # each strategy kind takes only the parameter `adversary.KINDS` declares
     # for it, in that parameter's range, and a count is a non-negative int
     _edited_scenario_json(strategies=[["honest", 10], ["colluder", 2, {"group": -1}]]),
@@ -556,6 +566,31 @@ def test_malformed_scenario_json_raises_scenario_error(text):
         Scenario.from_json(text)
 
 
+# every field that holds an amount, a count or a block offset, with a float or a
+# bool in it: at a fractional block a message is never delivered, and a float
+# amount would reach the ledger and the log
+NON_INTEGERS = [
+    *[(Scenario, name, value) for name, value in [
+        ("m_total", 24.0), ("max_rounds", True), ("commit_jitter", 1.5),
+        ("reveal_jitter", 2.5), ("node_balance", 50.0), ("creator_balance", 1e6),
+        ("treasury", False)]],
+    *[(ItSpec, name, value) for name, value in [
+        ("cic_index", False), ("eta", 3.5), ("gas_price", 1.0), ("gas_margin", 12.5),
+        ("submit_block", 1.5)]],
+    (CicSpec, "key", 1.0), (CicSpec, "init", True),
+    *[(WindowConfig, name, value) for name, value in [
+        ("gas_per_block", 10.5), ("w_src_slack", 0.5), ("w_buf", True), ("w_sr", 4.0)]],
+    *[(SettlementPolicy, name, value) for name, value in [
+        ("reward", 10.5), ("deposit", 0.1), ("d_min", True)]],
+]
+
+
+@pytest.mark.parametrize("spec,name,value", NON_INTEGERS)
+def test_non_integer_amounts_counts_and_offsets_are_refused(spec, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        spec(**{name: value})
+
+
 def test_scenario_values_at_their_edges_parse():
     for text in (_edited_it_json(gas_margin=1 - compute_length(4), submit_block=1),
                  _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
@@ -574,6 +609,20 @@ def test_full_run_is_replayable_and_conserved():
     report = replay_check(result.scenario, result.lines)
     assert report.identical and report.first_divergence is None
     assert report.recorded_line is report.replayed_line is report.event_type is None
+
+
+@pytest.mark.parametrize("its,windows,active", [
+    (ItSpec(submit_block=200_000), WindowConfig(), 0),             # never deployed
+    (ItSpec(eta=100_000), WindowConfig(gas_per_block=1), 1),       # inside a commit window
+])
+def test_a_run_stopped_at_the_block_cap_says_so(its, windows, active):
+    result = run_scenario(scenario(its=(its,), windows=windows))
+    assert result.total_blocks == MAX_BLOCKS and result.conserved
+    last = result.events[-1]
+    assert last == {"block": MAX_BLOCKS, "type": "block_cap", "max_blocks": MAX_BLOCKS,
+                    "active": active, "pending": last["pending"]}
+    assert last["pending"] > 0
+    assert [e["type"] for e in result.events].count("block_cap") == 1
 
 
 def _replay_edited(edit):
@@ -635,18 +684,56 @@ _PAYLOAD_VALUES = st.one_of(
                     st.integers(0, 10 ** 6), max_size=4))    # a round tally
 
 
+_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(
+    lambda k: k not in ("block", "kind", "type"))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# a value of each declared JSON kind; text is printable ASCII (quotes and
+# backslashes included) or odd text, so some of it needs escaping
+_OF_KIND = {int: st.integers(-2 ** 80, 2 ** 80), bytes: st.binary(max_size=40),
+            str: st.one_of(st.from_regex(r"[ -~]*", fullmatch=True), _ODD_TEXT)}
+
+
+@st.composite
+def _per_node_events(draw):
+    """A `PER_NODE_FIELDS` kind with its fields in order, each of its declared
+    kind, and at most one change: any other value, a renamed, dropped or
+    added key, or the fields in reverse order."""
+    kind = draw(st.sampled_from(sorted(PER_NODE_FIELDS)))
+    declared = PER_NODE_FIELDS[kind]
+    payload = {key: draw(_OF_KIND[json_kind]) for key, json_kind in declared.items()}
+    key, other = draw(st.sampled_from(list(declared))), draw(_KEYS.filter(
+        lambda k: k not in declared))
+    change = draw(st.sampled_from([None, None, "value", "rename", "drop", "add", "reverse"]))
+    if change == "value":
+        payload[key] = draw(st.one_of(_PAYLOAD_VALUES, _FLOATS))
+    elif change == "rename":
+        payload = {other if k == key else k: v for k, v in payload.items()}
+    elif change == "drop":
+        del payload[key]
+    elif change == "add":
+        payload[other] = draw(_OF_KIND[int])
+    elif change == "reverse":
+        payload = dict(reversed(payload.items()))
+    return kind, payload
+
+
+# a block is a bool in about one example in three, which only the general path renders
 @settings(max_examples=200, deadline=None)
-@given(block=st.integers(0, 2 ** 40), kind=_ODD_TEXT,
-       payload=st.dictionaries(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
-                                       min_size=1, max_size=12)
-                               .filter(lambda k: k not in ("block", "kind", "type")),
-                               _PAYLOAD_VALUES, max_size=8))
-def test_emit_writes_the_canonical_line(block, kind, payload):
+@given(block=st.one_of(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40), st.booleans()),
+       event=st.one_of(
+           st.tuples(st.one_of(_ODD_TEXT, st.sampled_from(sorted(PER_NODE_FIELDS))),
+                     st.dictionaries(_KEYS, st.one_of(_PAYLOAD_VALUES, _FLOATS), max_size=8)),
+           _per_node_events()))
+def test_emit_writes_the_canonical_line(block, event):
+    """Whichever path renders it, the line is the oracle's, and the event
+    keeps the order of its keys."""
+    kind, payload = event
     mc, _, _ = build_mc(n_nodes=1)
     mc.emit(block, kind, **payload)
     expected = {"block": block, "type": kind,
                 **{k: v.hex() if isinstance(v, bytes) else v for k, v in payload.items()}}
     assert mc.events == [expected]
+    assert list(mc.events[0]) == list(expected)
     assert mc.lines == [canonical_line(expected)] == event_lines(mc.events)
 
 
