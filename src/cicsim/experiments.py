@@ -113,35 +113,34 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
                       rng: np.random.Generator):
     """All Byzantine nodes pool on one incorrect root; honest nodes submit
     the correct one. Returns per-trial (rounds, wrong, nodes_used, unconverged
-    mask) using the exact integer score and the real-valued threshold."""
+    mask) using the exact integer score and the real-valued threshold.
+    The wrong root's score is minus the right one's, so a trial is one walk
+    adding (nh - nb)(nh + nb) a round, won above the threshold and lost below
+    its negative, or lost when both hold (a negative threshold, beta > 0.5).
+    `live` keeps the undecided trials in trial order, the order of the draws."""
     n_byz = round(f * params.m_total)
     n_hon = params.m_total - n_byz
     gate = miracle.threshold(params)
-    rounds = np.zeros(trials, dtype=np.int64)
+    rounds = np.full(trials, MC_MAX_ROUNDS, dtype=np.int64)
     wrong = np.zeros(trials, dtype=bool)
     nodes_used = np.zeros(trials, dtype=np.int64)
-    score_c = np.zeros(trials, dtype=np.int64)
-    score_w = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
+    live = np.arange(trials)
+    walk = np.zeros(trials, dtype=np.int64)
     for round_index in range(1, MC_MAX_ROUNDS + 1):
-        count = int(active.sum())
-        if count == 0:
+        if live.size == 0:
             break
-        nh = rng.binomial(n_hon, params.q, size=count).astype(np.int64)
-        nb = (rng.binomial(n_byz, params.q, size=count).astype(np.int64)
-              if n_byz else np.zeros(count, dtype=np.int64))
+        nh = rng.binomial(n_hon, params.q, size=live.size).astype(np.int64)
+        nb = rng.binomial(n_byz, params.q, size=live.size).astype(np.int64) if n_byz else 0
         totals = nh + nb
-        score_c[active] += (nh - nb) * totals
-        score_w[active] += (nb - nh) * totals
-        nodes_used[active] += totals
-        hit_c = score_c > gate
-        hit_w = score_w > gate
-        decided = active & (hit_c | hit_w)
-        rounds[decided] = round_index
-        wrong |= decided & hit_w
-        active &= ~decided
-    unconverged = active.copy()
-    rounds[unconverged] = MC_MAX_ROUNDS
+        walk += (nh - nb) * totals
+        nodes_used[live] += totals
+        hit_w = -walk > gate
+        decided = (walk > gate) | hit_w
+        rounds[live[decided]] = round_index
+        wrong[live[hit_w]] = True
+        live, walk = live[~decided], walk[~decided]
+    unconverged = np.zeros(trials, dtype=bool)
+    unconverged[live] = True
     return rounds, wrong, nodes_used, unconverged
 
 

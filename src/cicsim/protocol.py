@@ -513,9 +513,8 @@ class ItSpec:
     submit_block: int = 1
 
     def __post_init__(self) -> None:
-        _require_ints(self, 0, "cic_index", "eta", "gas_price")
+        _require_ints(self, 0, "cic_index", "eta", "gas_price", "gas_margin")  # gas covers the run
         _require_ints(self, 1, "submit_block")
-        _require_ints(self, 1 - compute_length(self.eta), "gas_margin")  # gas limit >= 1
 
 
 @dataclass(frozen=True)

@@ -357,8 +357,8 @@ def _compile_traces(code: tuple, entries: dict) -> tuple:
                  for pc, pcs in enumerate(traces))
 
 
-def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
-    """Execute instructions while dynamic_index < t_f (or until halt),
+def _step_until(cursor: ExecCursor, t_f: int) -> None:
+    """Execute instructions while dynamic_index < t_f or until halt,
     compiling the program once it has single-stepped COMPILE_AFTER of them."""
     program = cursor.program
     warmth = program.warmth
@@ -366,8 +366,7 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
         t = cursor.dynamic_index
         cold_end = t + COMPILE_AFTER - warmth[0]
         try:
-            _run(cursor, cold_end if t_f is None else min(t_f, cold_end),
-                 (None,) * len(program.instructions))
+            _run(cursor, min(t_f, cold_end), (None,) * len(program.instructions))
         finally:
             warmth[0] += cursor.dynamic_index - t
         if cursor.halted or cursor.dynamic_index == t_f:
@@ -376,8 +375,8 @@ def _step_until(cursor: ExecCursor, t_f: Optional[int]) -> None:
     _run(cursor, t_f, warmth[1])
 
 
-def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
-    """Execute instructions while dynamic_index < t_f (or until halt),
+def _run(cursor: ExecCursor, t_f: int, traces: tuple) -> None:
+    """Execute instructions while dynamic_index < t_f or until halt,
     running each trace in `traces` that fits whole before min(t_f, gas)."""
     code = cursor.program.instructions
     regs = cursor.regs
@@ -386,10 +385,10 @@ def _run(cursor: ExecCursor, t_f: Optional[int], traces: tuple) -> None:
     pc = cursor.pc
     t = cursor.dynamic_index
     limit = cursor.gas_limit
-    bound = min(sys.maxsize if t_f is None else t_f, sys.maxsize if limit is None else limit)
+    bound = min(t_f, sys.maxsize if limit is None else limit)
     n_instr = len(code)
     step = _STEP
-    while t_f is None or t < t_f:
+    while t < t_f:
         if limit is not None and t >= limit:
             cursor.pc, cursor.dynamic_index = pc, t
             raise GasExhausted(f"gas limit {limit} reached before halt")
@@ -414,7 +413,7 @@ def run_full(program: Program, state: CicState, data: bytes = b"",
              gas_limit: Optional[int] = None):
     """Run to halt; returns (final state, total dynamic instruction count)."""
     cursor = program.start(state, data, gas_limit=gas_limit)
-    _step_until(cursor, None)
+    _step_until(cursor, sys.maxsize)
     return cursor.state, cursor.dynamic_index
 
 

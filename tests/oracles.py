@@ -291,3 +291,65 @@ def merged_vs_split_margin(counts_split: np.ndarray) -> np.ndarray:
     split_max = scores_from_counts(counts_split)[:, 1:].max(axis=1)
     merged_score = scores_from_counts(merged)[:, 1]
     return merged_score - split_max
+
+
+# --- exact first passage of the two-root consensus walk -------------------------
+
+def walk_increment_pmf(n_hon: int, n_byz: int, q: float):
+    """(lowest value, pmf) of one round's increment nh^2 - nb^2 of the
+    two-root score walk, for independent nh ~ Bin(n_hon, q) and
+    nb ~ Bin(n_byz, q), by summing the product of the two pmfs over every
+    pair of counts. Counts of probability below 1e-24 are left out: the
+    binomial tails fall off geometrically, so what is dropped is of that
+    order."""
+    from scipy.stats import binom
+
+    def counts(n):
+        pmf = binom.pmf(np.arange(n + 1), n, q)
+        k = np.flatnonzero(pmf >= 1e-24)
+        return k, pmf[k]
+
+    (kh, ph), (kb, pb) = counts(n_hon), counts(n_byz)
+    values = (kh[:, None] ** 2 - kb[None, :] ** 2).ravel()
+    low = int(values.min())
+    return low, np.bincount(values - low, weights=np.outer(ph, pb).ravel())
+
+
+def walk_first_passage(m: int, q: float, f_max: float, beta: float, f: float,
+                       max_rounds: int = 100):
+    """Exact round-count law of the two-root walk with no sampling.
+
+    The walk starts at 0 and continues while |walk| <= threshold; each round
+    the pmf of the undecided walk is convolved (scipy FFT) with the
+    increment pmf, and the mass beyond +threshold is accepted for the right
+    root, the mass beyond -threshold for the wrong one. Returns
+    (p_right, p_wrong, undecided): per-round first-passage probabilities
+    for rounds 1, 2, ... and the mass still undecided after `max_rounds`.
+    Stops early once the undecided mass falls below 1e-18. FFT rounding
+    leaves a noise floor near 1e-16 on every returned probability."""
+    from scipy import fft
+
+    gate = threshold_oracle(m, q, f_max, beta)
+    if gate < 0:
+        raise ValueError("the walk oracle needs a non-negative threshold")
+    n_byz = round(f * m)
+    low, step = walk_increment_pmf(m - n_byz, n_byz, q)
+    top = math.floor(gate)                      # undecided walk values: -top..top
+    undecided = np.zeros(2 * top + 1)
+    undecided[top] = 1.0
+    size = undecided.size + step.size - 1
+    n = fft.next_fast_len(size, real=True)
+    step_hat = fft.rfft(step, n)
+    value = np.arange(size) - top + low         # walk value of each convolved entry
+    above, below = value > top, value < -top
+    inside = ~(above | below)
+    p_right, p_wrong = [], []
+    for _ in range(max_rounds):
+        moved = fft.irfft(fft.rfft(undecided, n) * step_hat, n)[:size]
+        p_right.append(float(moved[above].sum()))
+        p_wrong.append(float(moved[below].sum()))
+        undecided = np.zeros(2 * top + 1)
+        undecided[value[inside] + top] = moved[inside]
+        if undecided.sum() < 1e-18:
+            break
+    return np.array(p_right), np.array(p_wrong), float(max(undecided.sum(), 0.0))

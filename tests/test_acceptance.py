@@ -5,9 +5,10 @@ faithfully but cannot hit, and they are left red on purpose:
 
 * criterion 1 and the low-f_max half of criterion 2 target round counts
   measured on the original hardware testbed; those published points exceed
-  what the stated sampling model can produce (at f = f_max = 0.30 the model
-  yields a mean of 1.000004 rounds, the published curve shows 1.12), so the
-  gap is a testbed artifact, not a simulator parameter.
+  what the stated sampling model can produce (at f = f_max = 0.30, M=1600,
+  q=0.125 and beta=1e-10 the model's exact mean is 1.0000078 rounds, from
+  the walk oracle in tests/oracles.py; the published curve shows 1.12), so
+  the gap is a testbed artifact, not a simulator parameter.
 * criterion 7's last-update-fraction bound 3/(4 log2 T) follows from a
   mis-summed geometric series; the schedule obeys the same Theta(1/log2 T)
   scaling but with a larger constant, and roughly a third of runs land

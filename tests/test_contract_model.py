@@ -20,10 +20,12 @@ that do not match their commitment. After every step it checks:
 Every step is one rule that draws the kind of message: hypothesis switches
 whole rules off at random per run, and a run without commits, reveals or
 ticks would never reach a decision. The run is derandomized with a fixed
-example and step count, so it checks the same sequences every time.
+example and step count, so it checks the same sequences every time. It
+skips hypothesis's shrink phase: shrinking a failing 100-step run takes
+minutes, so a failure reports its falsifying example unshrunk, in seconds.
 """
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -232,5 +234,7 @@ class ContractModel(RuleBasedStateMachine):
 
 
 ContractModel.TestCase.settings = settings(max_examples=30, stateful_step_count=100,
-                                           deadline=None, derandomize=True)
+                                           deadline=None, derandomize=True,
+                                           phases=(Phase.explicit, Phase.reuse,
+                                                   Phase.generate))
 TestContractModel = ContractModel.TestCase

@@ -1,5 +1,6 @@
 """Harness plumbing: determinism, CSV artifacts, CLI, log replay."""
 
+import functools
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ import scipy.stats
 
 from cicsim import cli, experiments, miracle, protocol
 from cicsim.hashing import sha256
+
+from oracles import walk_first_passage
 
 SEED = sha256(b"experiments-tests")
 
@@ -69,6 +72,70 @@ def test_protocol_round_counts_match_the_consensus_monte_carlo():
             strategies=(("honest", 26), ("byz_single", 14))))
         run_rounds.append(sum(e["type"] == "round_closed" for e in result.events))
     assert scipy.stats.ks_2samp(run_rounds, mc_rounds).pvalue > 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def exact_round_law(m, q, f_max, beta, f):
+    """The walk oracle's law of `simulate_two_root`'s outputs: P(rounds = k)
+    for k = 1..MC_MAX_ROUNDS, with undecided trials at the cap, and P(wrong)."""
+    cap = experiments.MC_MAX_ROUNDS
+    p_right, p_wrong, undecided = walk_first_passage(m, q, f_max, beta, f, max_rounds=cap)
+    law = np.zeros(cap)
+    law[:p_right.size] = p_right + p_wrong
+    law[-1] += undecided
+    return law, float(p_wrong.sum())
+
+
+def bins_of_at_least(expected, least=5.0):
+    """Starts of contiguous round bins holding `least` expected trials or more
+    each; a tail short of that joins the bin before it."""
+    starts, held = [0], 0.0
+    for k, e in enumerate(expected[:-1]):
+        held += e
+        if held >= least:
+            starts.append(k + 1)
+            held = 0.0
+    if held + expected[-1] < least and len(starts) > 1:
+        starts.pop()
+    return starts
+
+
+@pytest.mark.parametrize("m,q,f_max,beta,f,seed", [
+    (1600, 0.125, 0.40, 1e-10, 0.40, 1),    # criterion 1's three points
+    (1600, 0.125, 0.45, 1e-10, 0.45, 2),
+    (1600, 0.125, 0.45, 1e-6, 0.45, 3),
+    (60, 0.2, 0.40, 1e-3, 0.0, 4),          # small, no Byzantine node
+    (40, 0.3, 0.40, 0.05, 0.40, 5),         # small, the wrong root often wins
+])
+def test_monte_carlo_matches_the_exact_walk(m, q, f_max, beta, f, seed):
+    """`simulate_two_root` against the walk oracle's exact first-passage law:
+    a chi-square test on the round-count pmf (bins of at least 5 expected
+    trials) and an exact binomial test on the wrong decisions, each at level
+    1e-4. Over independent seeds a faithful simulator fails one of the ten
+    tests at most 0.1% of the time; the seeds are fixed, so the outcome
+    never flakes."""
+    trials = 20_000
+    law, p_wrong = exact_round_law(m, q, f_max, beta, f)
+    rounds, wrong, _, _ = experiments.simulate_two_root(
+        miracle.ConsensusParams(m, f_max, q, beta), f, trials, np.random.default_rng(seed))
+    starts = bins_of_at_least(law * trials)
+    assert len(starts) >= 2
+    observed = np.add.reduceat(np.bincount(rounds - 1, minlength=law.size), starts)
+    expected = np.add.reduceat(law, starts) * trials
+    assert scipy.stats.chisquare(observed, expected).pvalue > 1e-4
+    test = scipy.stats.binomtest(int(wrong.sum()), trials, min(max(p_wrong, 0.0), 1.0))
+    assert test.pvalue > 1e-4
+
+
+@pytest.mark.parametrize("f_max,beta,mean", [
+    (0.40, 1e-10, "1.7778"), (0.45, 1e-10, "5.6690"), (0.45, 1e-6, "3.6825"),
+    # the README's model figure at f = f_max = 0.30
+    (0.30, 1e-10, "1.0000078"), (0.30, 1e-6, "1.0000002")])
+def test_exact_walk_mean_rounds(f_max, beta, mean):
+    """Exact mean rounds at f = f_max, M=1600, q=0.125, to the digits given."""
+    law, _ = exact_round_law(1600, 0.125, f_max, beta, f_max)
+    exact = float((np.arange(1, law.size + 1) * law).sum())
+    assert f"{exact:.{len(mean) - 2}f}" == mean
 
 
 def test_sweep_rows_are_deterministic():
@@ -218,7 +285,7 @@ def test_cli_rejects_a_malformed_scenario_file(tmp_path, capsys):
 @pytest.mark.parametrize("edit,it_edit", [
     ({"q": 2}, {}), ({"beta": 0}, {}), ({"seed": "zz"}, {}), ({"seed": "00"}, {}),
     ({}, {"cic_index": 5}), ({}, {"eta": -1}), ({}, {"gas_price": -1}),
-    ({}, {"submit_block": 0}),
+    ({}, {"submit_block": 0}), ({}, {"gas_margin": -1}),
     ({"windows": {"gas_per_block": 0, "w_src_slack": 2, "w_buf": 2, "w_sr": 4}}, {}),
     # a float where an int belongs
     ({"commit_jitter": 1.5}, {}), ({"creator_balance": 1e6}, {}), ({}, {"submit_block": 1.5}),

@@ -14,7 +14,7 @@ from cicsim.miracle import (ConsensusParams, DegenerateParams,
                             step, threshold, update_likelihoods)
 
 from oracles import (expected_rounds_oracle, one_round_size_oracle,
-                     scores_from_counts, threshold_oracle)
+                     scores_from_counts, threshold_oracle, walk_first_passage)
 
 A, B, C = sha256(b"root-a"), sha256(b"root-b"), sha256(b"root-c")
 
@@ -125,6 +125,20 @@ def test_table_and_step_match_the_score_oracle_every_round(rounds, p):
         over = [root for root, score in zip(ROOTS, expected) if score > gate]
         assert len(over) <= 1
         assert step(table, p) == (over[0] if over else None)
+
+
+@pytest.mark.parametrize("f_max", [0.30, 0.40, 0.45])
+def test_exact_error_stays_within_the_budget(f_max):
+    """The paper's error guarantee with no sampling: against Byzantine
+    nodes pooled on one wrong root, the walk oracle's exact P(wrong) is at
+    most beta at f = f_max and f = f_max - 0.05 (M=1600, q=0.125). Every
+    beta here is at least 1e-10, far above the oracle's FFT noise floor
+    (~1e-16), so each comparison is resolved even where P(wrong) itself sits
+    at the floor; budgets near 1e-14 or below need direct convolution."""
+    for beta in (1e-2, 1e-6, 1e-10):
+        for f in (f_max, f_max - 0.05):
+            _, p_wrong, _ = walk_first_passage(1600, 0.125, f_max, beta, f)
+            assert p_wrong.sum() <= beta, (f_max, beta, f, p_wrong.sum())
 
 
 def test_expected_rounds_reference_points():

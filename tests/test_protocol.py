@@ -517,6 +517,7 @@ BAD_SCENARIO_VALUES = [
     _edited_it_json(submit_block=-5),
     _edited_it_json(gas_margin=-100),
     _edited_it_json(gas_margin=-compute_length(4)),   # gas limit 0
+    _edited_it_json(gas_margin=-1),                   # gas limit one short of the run
     _edited_scenario_json(cics=[{"key": -1, "init": 0}]),
     _edited_scenario_json(cics=[{"key": 0, "init": 2 ** 256}]),
     _edited_scenario_json(node_balance=-1),
@@ -592,7 +593,7 @@ def test_non_integer_amounts_counts_and_offsets_are_refused(spec, name, value):
 
 
 def test_scenario_values_at_their_edges_parse():
-    for text in (_edited_it_json(gas_margin=1 - compute_length(4), submit_block=1),
+    for text in (_edited_it_json(gas_margin=0, submit_block=1),
                  _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
                  _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0),
                  _edited_windows_json(gas_per_block=1, w_src_slack=0, w_buf=0, w_sr=1),
@@ -600,6 +601,11 @@ def test_scenario_values_at_their_edges_parse():
                  _edited_scenario_json(strategies=[["honest", 7], ["silent", 0],
                                                    ["colluder", 5, {"group": 2 ** 64 - 1}]])):
         Scenario.from_json(text)
+
+
+def test_a_gas_limit_of_exactly_the_run_settles():
+    result = run_scenario(scenario(its=(ItSpec(eta=4, gas_margin=0),)))
+    assert result.settled == 1 and result.conserved
 
 
 def test_full_run_is_replayable_and_conserved():
