@@ -13,8 +13,9 @@ experiment fails or a `--scenario` run stops at the block cap, and 2 with
 an `error:` line on input it cannot use: a missing or unreadable file, a
 malformed scenario or event log, a bad seed, a config file that is not a
 JSON object, a parameter the experiment does not read or of another type
-than its default, a consensus parameter or `rice-overhead` length range
-outside its domain, a `--max-parallel` or `--rounds` below 1, a negative
+than its default, a consensus parameter, a Byzantine fraction `--f` (in
+[0, 1], above `--f-max` allowed) or a `rice-overhead` length range (2 <= t_lo
+<= t_hi) outside its domain, a `--max-parallel` or `--rounds` below 1, a negative
 `rice-trace --eta`, or a `protocol-run` flag that the presence or absence
 of `--scenario` would leave unused.
 """

@@ -118,6 +118,8 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
     adding (nh - nb)(nh + nb) a round, won above the threshold and lost below
     its negative, or lost when both hold (a negative threshold, beta > 0.5).
     `live` keeps the undecided trials in trial order, the order of the draws."""
+    if not 0 <= f <= 1:
+        raise miracle.DegenerateParams("actual Byzantine fraction must lie in [0, 1]")
     n_byz = round(f * params.m_total)
     n_hon = params.m_total - n_byz
     gate = miracle.threshold(params)
@@ -179,8 +181,9 @@ def miracle_sweep_rows(trials: int, seed: bytes, m: int, q: float,
 
 def adaptive_rows(trials: int, seed: bytes, m: int, beta: float, f_max: float,
                   target_rounds: float, f_values: Sequence[float]):
-    """Fix q so the design point of pool size `m` runs `target_rounds` in
-    expectation, then sweep the actual Byzantine fraction downwards."""
+    """Fix q so the design point of pool size `m` runs `target_rounds` by the
+    Wald/Gaussian `expected_rounds` (the exact mean is lower, see
+    `solve_q_for_expected_rounds`), then sweep the actual f downwards."""
     q = miracle.solve_q_for_expected_rounds(m, f_max, beta, target_rounds)
     params = miracle.ConsensusParams(m, f_max, q, beta)
     rows = []
@@ -232,8 +235,8 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
     Mixes three substrates: closed-form benchmark runs, synthetic runs, and
     (below 20,000 instructions) randomly generated programs on the interpreter.
     """
-    if not 1 <= t_lo <= t_hi:
-        raise ConfigError("rice_overhead needs 1 <= t_lo <= t_hi")
+    if not 2 <= t_lo <= t_hi:
+        raise ConfigError("rice_overhead needs 2 <= t_lo <= t_hi")
     rng = random.Random(int.from_bytes(sha256(seed, b"rice-overhead"), "big"))
     rows = []
     for index in range(count):

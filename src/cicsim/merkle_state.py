@@ -7,20 +7,20 @@ storage entries, bound to (cid, code). Equal contents give equal roots, any
 single write changes the root, and inclusion of any (key, value) pair can be
 proven against the root.
 
-Tree shape: leaves are sha256(key || value) over keys in ascending byte
-order; internal nodes are sha256(left || right); an odd node is promoted
-unchanged to the next level. The root of empty storage is a fixed sentinel.
-The full root is sha256(cid || code || storage_root).
+Tree shape: leaves are sha256(key || value) over keys in ascending order;
+internal nodes are sha256(left || right); an odd node is promoted unchanged
+to the next level. The root of empty storage is a fixed sentinel. The full
+root is sha256(cid || code || storage_root).
 
+`CicState`, `StorageTree` and the interpreter cursor all hold storage as
+words, int keys to int values. Keys and values are 32-byte big-endian words
+only at the edges: where they come in, where they are handed out, and in
+`_word_leaf`, the one leaf encoding; ints sort as those encodings do.
 `storage_root` computes the storage root from scratch. `StorageTree` keeps
-every level of the tree between calls, for a single owner whose storage
-changes a few keys at a time (the interpreter cursor, at each RICE seed
-update): given the keys written since its last root, it rehashes only the
-paths above rewritten leaves and, where keys were inserted, the nodes whose
-positions shifted. It takes storage held as words, as the cursor holds it
-while it runs: int keys to int values, encoded as 32-byte words only when a
-leaf is hashed. Ints sort as their fixed-width big-endian encodings do, so
-its root is the same function of storage as `storage_root`.
+every level between calls, for a single owner whose storage changes a few
+keys at a time (the cursor, at each RICE seed update): given the keys
+written since its last root, it rehashes only the paths above rewritten
+leaves and, where keys were inserted, the nodes whose positions shifted.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
-from .hashing import WORD_BYTES, as_word, from_word, sha256
+from .hashing import WORD_BYTES, as_word, from_word, sha256, to_word
 
 EMPTY_STORAGE_ROOT = sha256(b"cicsim/empty-storage-tree/v1")
-ZERO_WORD = bytes(WORD_BYTES)
 
 
 @dataclass(frozen=True)
@@ -69,20 +68,20 @@ def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
 
 
 def _word_leaf(key: int, value: int) -> bytes:
-    """The leaf of a word-keyed entry: `to_word`'s encoding, inlined."""
+    """The leaf of an entry: sha256 of its key and value as 32-byte words,
+    `to_word`'s encoding inlined."""
     return sha256(key.to_bytes(WORD_BYTES, "big"), value.to_bytes(WORD_BYTES, "big"))
 
 
-def storage_root(storage: Mapping[bytes, bytes]) -> bytes:
-    if not storage:
+def storage_root(words: Mapping[int, int]) -> bytes:
+    """The storage root of `words` (int keys to int values), from scratch."""
+    if not words:
         return EMPTY_STORAGE_ROOT
-    leaves = [sha256(k, storage[k]) for k in sorted(storage)]
-    return _tree_levels(leaves)[-1][0]
+    return _tree_levels([_word_leaf(k, words[k]) for k in sorted(words)])[-1][0]
 
 
 class StorageTree:
-    """The storage tree of one mutable word-keyed storage map (int keys to
-    int values), kept between roots.
+    """The storage tree of one mutable storage map, kept between roots.
 
     It starts from the sorted keys and every level of a built tree. Each
     `root` call is told which keys were written since the previous one, or
@@ -169,67 +168,65 @@ class CicState:
 
     Snapshots share no mutable structure, so a state may be handed to any
     number of concurrent readers. The root is computed lazily and cached.
-    Storage keys and values are 32-byte words; a state given anything else
-    raises `ValueError`. On first use a state builds and keeps, private and
-    unchanged, its storage as words and its `StorageTree`: `prove_inclusion`
-    reads the tree, and each cursor starts from copies (`working_copy`).
+    Storage is held once, as words. Keys and values are checked as they come
+    in (`ValueError` unless 32-byte strings, or ints of 256 bits outside the
+    constructor) and go out as 32-byte words. A state keeps the `StorageTree`
+    it builds on first use; proofs read it and each cursor copies it.
     """
 
-    __slots__ = ("cid", "code", "_storage", "_root", "_kept_words_tree")
+    __slots__ = ("cid", "code", "_words", "_root", "_tree")
 
     def __init__(self, cid: "int | bytes", code: "int | bytes",
                  storage: Mapping[bytes, bytes] | None = None):
         self.cid = as_word(cid)
         self.code = as_word(code)
-        self._storage: dict[bytes, bytes] = dict(storage) if storage else {}
-        self._root: MerkleRoot | None = None
-        self._kept_words_tree: "tuple[dict[int, int], StorageTree] | None" = None
         if storage and not all(isinstance(w, bytes) and len(w) == WORD_BYTES
-                               for w in chain(self._storage, self._storage.values())):
+                               for w in chain(storage, storage.values())):
             raise ValueError(f"storage keys and values must be {WORD_BYTES}-byte words")
+        self._words = {from_word(k): from_word(v) for k, v in storage.items()} if storage else {}
+        self._root: MerkleRoot | None = None
+        self._tree: StorageTree | None = None
 
     @property
     def storage(self) -> Mapping[bytes, bytes]:
-        return dict(self._storage)
+        return {to_word(k): to_word(v) for k, v in self._words.items()}
 
     def get(self, key: "int | bytes") -> bytes:
-        return self._storage.get(as_word(key), ZERO_WORD)
+        return to_word(self._words.get(from_word(as_word(key)), 0))
 
     def put(self, key: "int | bytes", value: "int | bytes") -> "CicState":
         return self.put_many({key: value})
 
-    def put_many(self, items: Mapping[bytes, bytes]) -> "CicState":
+    def put_many(self, items: "Mapping[int | bytes, int | bytes]") -> "CicState":
         new = CicState(self.cid, self.code)
-        new._storage = {**self._storage, **{as_word(k): as_word(v) for k, v in items.items()}}
+        new._words = {**self._words,
+                      **{from_word(as_word(k)): from_word(as_word(v)) for k, v in items.items()}}
         return new
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return len(self._words)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CicState):
             return NotImplemented
         return (self.cid == other.cid and self.code == other.code
-                and self._storage == other._storage)
+                and self._words == other._words)
 
     def root(self) -> MerkleRoot:
         if self._root is None:
-            self._root = MerkleRoot(sha256(self.cid, self.code, storage_root(self._storage)))
+            self._root = MerkleRoot(sha256(self.cid, self.code, storage_root(self._words)))
         return self._root
 
-    def _kept(self) -> "tuple[dict[int, int], StorageTree]":
-        if self._kept_words_tree is None:
-            storage = self._storage
-            items = sorted(storage)
-            words = {from_word(k): from_word(storage[k]) for k in items}
-            tree = StorageTree(list(words), _tree_levels([sha256(k, storage[k]) for k in items]))
-            self._kept_words_tree = words, tree
-        return self._kept_words_tree
+    def _kept(self) -> StorageTree:
+        if self._tree is None:
+            keys = sorted(self._words)
+            self._tree = StorageTree(keys, _tree_levels([_word_leaf(k, self._words[k]) for k in keys]))
+        return self._tree
 
     def working_copy(self) -> "tuple[dict[int, int], StorageTree]":
-        """Copies of the kept storage as words and tree, for a cursor to change."""
-        words, tree = self._kept()
-        return dict(words), StorageTree(list(tree.keys), [list(level) for level in tree.levels])
+        """Copies of the storage as words and of the kept tree, for a cursor to change."""
+        tree = self._kept()
+        return dict(self._words), StorageTree(list(tree.keys), [list(level) for level in tree.levels])
 
 
 @dataclass(frozen=True)
@@ -246,18 +243,18 @@ class InclusionProof:
 
 
 def prove_inclusion(state: CicState, key: "int | bytes") -> InclusionProof:
-    key = as_word(key)
-    if key not in state._storage:
-        raise KeyError(f"key not in storage: {key.hex()}")
-    _, tree = state._kept()
-    idx = bisect_left(tree.keys, from_word(key))
+    key = from_word(as_word(key))
+    if key not in state._words:
+        raise KeyError(f"key not in storage: {to_word(key).hex()}")
+    tree = state._kept()
+    idx = bisect_left(tree.keys, key)
     path = []
     for level in tree.levels[:-1]:
         sibling = idx ^ 1
         if sibling < len(level):
             path.append((level[sibling], bool(sibling > idx)))
         idx //= 2
-    return InclusionProof(key=key, value=state.get(key), path=tuple(path))
+    return InclusionProof(key=to_word(key), value=to_word(state._words[key]), path=tuple(path))
 
 
 def verify_inclusion(state_root_: MerkleRoot, cid: "int | bytes", code: "int | bytes",

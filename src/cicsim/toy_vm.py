@@ -12,9 +12,8 @@ wraparound arithmetic. `_ISA` is its one definition: each opcode's
 mnemonic, operand kinds and effect. The assembler parses operands from the
 kinds, and the single-stepper and the trace compiler both run code made
 from the effects. `load`/`store` address contract storage through the key
-held in a register. While a cursor runs, storage is held as words, a dict
-of int keys to int values, so neither converts anything; it is encoded as
-32-byte words only where a root or a `state` snapshot needs it. `hash`
+held in a register. Storage is held as words, a dict of int keys to int
+values, as `CicState` holds it, so neither converts anything. `hash`
 writes the SHA-256 of a register's word encoding. `mod` by zero yields
 zero. Input data is split into 32-byte words loaded into registers r8..r15
 before execution.
@@ -228,9 +227,9 @@ class ExecCursor:
     `dynamic_index` counts instructions executed so far; resuming must start
     at `dynamic_index + 1`. The cursor holds storage as words, a private
     dict of int keys to int values, and its `StorageTree`, both copied from
-    the starting state; `state` encodes a value-semantics snapshot on
-    demand. Stores add their key to `written`; `root_bytes` hands those keys
-    to the tree, so a root rehashes only what changed since the last one.
+    the starting state; `state` is a value-semantics snapshot of the words.
+    Stores add their key to `written`; `root_bytes` hands those keys to the
+    tree, so a root rehashes only what changed since the last one.
     """
 
     __slots__ = ("program", "cid", "code", "storage", "written", "tree", "regs",
@@ -256,8 +255,7 @@ class ExecCursor:
 
     @property
     def state(self) -> CicState:
-        return CicState(self.cid, self.code,
-                        {to_word(k): to_word(v) for k, v in self.storage.items()})
+        return CicState(self.cid, self.code).put_many(self.storage)
 
     def root_bytes(self) -> bytes:
         """The state root, `state.root().value`, from the kept tree."""
@@ -515,10 +513,8 @@ class ComputeModel:
 
     def state_at(self, base: CicState, eta: int, t: int) -> CicState:
         count = min(max(t - 1, 0) // 6, eta)
-        if count == 0:
-            return base
-        key = to_word(self.key)
-        return base.put(key, (from_word(base.get(key)) + count) & WORD_MASK)
+        counter = (from_word(base.get(self.key)) + count) & WORD_MASK
+        return base.put(self.key, counter) if count else base
 
     def final_state(self, base: CicState, eta: int) -> CicState:
         return self.state_at(base, eta, compute_length(eta))

@@ -64,8 +64,10 @@ def test_c01_beta_sweep_reproduction():
 
 
 def test_c02_adaptivity_reproduction():
-    """q solved for five expected rounds at the design point; mean rounds
-    at smaller actual fractions, M=1600, beta=1e-20."""
+    """q solved for five expected rounds at the design point by the
+    Wald/Gaussian `expected_rounds` (the exact walk mean there is 3.847
+    rounds at f_max=0.35 and 3.315 at 0.45); mean rounds at smaller actual
+    fractions, M=1600, beta=1e-20."""
     failures = []
     lines = []
     q35 = miracle.solve_q_for_expected_rounds(1600, 0.35, 1e-20, 5.0)

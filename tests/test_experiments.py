@@ -127,13 +127,17 @@ def test_monte_carlo_matches_the_exact_walk(m, q, f_max, beta, f, seed):
     assert test.pvalue > 1e-4
 
 
-@pytest.mark.parametrize("f_max,beta,mean", [
-    (0.40, 1e-10, "1.7778"), (0.45, 1e-10, "5.6690"), (0.45, 1e-6, "3.6825"),
+@pytest.mark.parametrize("f_max,beta,q,mean", [
+    (0.40, 1e-10, 0.125, "1.7778"), (0.45, 1e-10, 0.125, "5.6690"),
+    (0.45, 1e-6, 0.125, "3.6825"),
     # the README's model figure at f = f_max = 0.30
-    (0.30, 1e-10, "1.0000078"), (0.30, 1e-6, "1.0000002")])
-def test_exact_walk_mean_rounds(f_max, beta, mean):
-    """Exact mean rounds at f = f_max, M=1600, q=0.125, to the digits given."""
-    law, _ = exact_round_law(1600, 0.125, f_max, beta, f_max)
+    (0.30, 1e-10, 0.125, "1.0000078"), (0.30, 1e-6, 0.125, "1.0000002"),
+    # `solve_q_for_expected_rounds(1600, f_max, 1e-20, 5)` returns these q:
+    # the Wald/Gaussian approximation's five rounds are ~3.8 and ~3.3 exact
+    (0.35, 1e-20, 0.04232, "3.847"), (0.45, 1e-20, 0.3410, "3.315")])
+def test_exact_walk_mean_rounds(f_max, beta, q, mean):
+    """Exact mean rounds at f = f_max, M=1600, to the digits given."""
+    law, _ = exact_round_law(1600, q, f_max, beta, f_max)
     exact = float((np.arange(1, law.size + 1) * law).sum())
     assert f"{exact:.{len(mean) - 2}f}" == mean
 
@@ -324,7 +328,10 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
                                   ["rice-overhead", "--t-lo", "0"],
                                   ["rice-overhead", "--t-lo", "50", "--t-hi", "40"],
                                   ["es-sizing", "--m", "-5"], ["es-sizing", "--m", "0"],
-                                  ["protocol-run", "--trials", "40", "--max-parallel", "-2"]])
+                                  ["protocol-run", "--trials", "40", "--max-parallel", "-2"],
+                                  ["miracle-mc", "--f", "1.5", "--f-max", "0.4"],
+                                  ["adaptive", "--f", "-0.2"],
+                                  ["rice-overhead", "--t-lo", "1", "--t-hi", "1"]])
 def test_cli_rejects_experiment_flags_outside_their_domain(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

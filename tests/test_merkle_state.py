@@ -8,6 +8,7 @@ from cicsim.hashing import from_word, sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
                                  StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
+from cicsim.toy_vm import compute_program
 
 from oracles import inclusion_path_oracle, merkle_root_oracle, sha
 
@@ -108,8 +109,14 @@ def test_put_coerces_to_words():
     state = CicState(1, 2, {to_word(5): to_word(6)}).put(5, 7).put_many({to_word(8): 9, 10: 11})
     assert state.storage == {to_word(5): to_word(7), to_word(8): to_word(9),
                              to_word(10): to_word(11)}
-    with pytest.raises(ValueError):
-        state.put(b"\x05", 1)
+    # keys and values are checked where they come in, whether ints or bytes
+    for bad in (-1, 2 ** 256, b"\x05", bytes(31), bytes(33)):
+        for call in (lambda: state.put(bad, 1), lambda: state.put(1, bad),
+                     lambda: state.put_many({bad: 1}), lambda: state.put_many({1: 2, 3: bad}),
+                     lambda: state.get(bad), lambda: prove_inclusion(state, bad)):
+            with pytest.raises(ValueError):
+                call()
+    assert len(state) == 3
 
 
 def test_value_semantics_snapshots_do_not_alias():
@@ -148,7 +155,7 @@ def tree_root_after_batches(initial: dict, writes) -> None:
         words.update({from_word(k): from_word(v) for k, v in batch.items()})
         got = tree.root(words, {from_word(k) for k in batch})
         assert sha256(CID, CODE, got) == merkle_root_oracle(CID, CODE, storage)
-        assert got == storage_root(storage)
+        assert got == storage_root(words)
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,3 +197,30 @@ def test_proofs_from_the_kept_levels_match_the_oracle(items, writes):
             assert (proof.key, proof.value) == (key, storage[key])
             assert verify_inclusion(later.root(), CID, CODE, proof)
     assert state.storage == items
+
+
+# small ints recur as keys across draws; wide ones use all 32 bytes
+any_words = st.one_of(st.integers(0, 300), st.integers(0, 2 ** 256 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(any_words, any_words, max_size=20), st.lists(any_words, max_size=4))
+def test_a_state_from_bytes_from_ints_or_from_a_cursor_is_one_state(items, probes):
+    # storage comes in as a bytes map, as ints through `put_many`, or as the
+    # words of an un-run cursor; all three are one state
+    encoded = {to_word(k): to_word(v) for k, v in items.items()}
+    from_bytes = CicState(CID, CODE, encoded)
+    from_ints = CicState(CID, CODE).put_many(items)
+    from_cursor = compute_program().start(from_bytes).state
+    root = merkle_root_oracle(CID, CODE, encoded)
+    for state in (from_bytes, from_ints, from_cursor):
+        assert state == from_bytes and len(state) == len(items)
+        assert state.storage == encoded
+        for key in list(items) + probes:
+            assert state.get(key) == state.get(to_word(key)) == to_word(items.get(key, 0))
+        assert state.root().value == root
+        for key in items:
+            proof = prove_inclusion(state, key)
+            assert proof.path == inclusion_path_oracle(encoded, to_word(key))
+            assert (proof.key, proof.value) == (to_word(key), encoded[to_word(key)])
+            assert verify_inclusion(state.root(), CID, CODE, proof)

@@ -858,18 +858,24 @@ def _outcome(result) -> list:
 
 
 class ShuffledDelivery(Simulation):
-    """Delivers each block's messages in a seeded random order instead of
-    the canonical one; `reordered` counts the blocks where that differs."""
+    """Delivers each block's messages of the given kinds in a seeded random
+    order among themselves, and the rest where the canonical order puts
+    them; `reordered` counts the blocks where that differs."""
 
-    def __init__(self, scenario, salt):
+    def __init__(self, scenario, salt, kinds=tuple(Simulation._POST_ORDER)):
         super().__init__(scenario)
         self.rng = random.Random(salt)
+        self.kinds = kinds
         self.reordered = 0
 
     def _deliver(self, block):
-        messages = self.inbox.get(block, [])
-        self.rng.shuffle(messages)
-        self.reordered += messages != sorted(messages)
+        messages = sorted(self.inbox.get(block, []))
+        slots = [i for i, message in enumerate(messages) if message[3] in self.kinds]
+        moved = [messages[i] for i in slots]
+        self.rng.shuffle(moved)
+        self.reordered += moved != sorted(moved)
+        for i, message in zip(slots, moved):
+            messages[i] = message
         # the canonical order sorts on each message's first field
         self.inbox[block] = [(rank, *message[1:]) for rank, message in enumerate(messages)]
         super()._deliver(block)
@@ -893,3 +899,22 @@ def test_a_lone_transaction_outcome_ignores_timing_within_its_windows():
         moved += jittered.lines != base.lines
         reordered += shuffled.reordered
     assert moved and reordered      # both perturbations changed the runs
+
+
+def test_same_block_order_couples_transactions_only_through_enqueue_and_witness():
+    """With several transactions, shuffling each block's commits and reveals
+    among themselves, enqueues kept first and witnesses last in canonical
+    order, changes no outcome. Shuffling every kind changes some: each
+    deployment, by an enqueue or by a settling witness for the next queue
+    head, draws its beacon nonce in inclusion order."""
+    seed = sha256(b"outcome-invariance")
+    multi = [sc for sc in (random_scenario(i, seed) for i in range(120)) if len(sc.its) > 1]
+    assert len(multi) >= 60
+    reordered = changed = 0
+    for index, sc in enumerate(multi):
+        base = _outcome(run_scenario(sc))
+        shuffled = ShuffledDelivery(sc, salt=index, kinds=("commit", "reveal"))
+        assert _outcome(shuffled.run()) == base, index
+        reordered += shuffled.reordered
+        changed += _outcome(ShuffledDelivery(sc, salt=index).run()) != base
+    assert reordered and changed
