@@ -15,9 +15,10 @@ malformed scenario or event log, a bad seed, a config file that is not a
 JSON object, a parameter the experiment does not read or of another type
 than its default, a consensus parameter, a Byzantine fraction `--f` (in
 [0, 1], above `--f-max` allowed) or a `rice-overhead` length range (2 <= t_lo
-<= t_hi) outside its domain, a `--max-parallel` or `--rounds` below 1, a negative
-`rice-trace --eta`, or a `protocol-run` flag that the presence or absence
-of `--scenario` would leave unused.
+<= t_hi) outside its domain, `rice-overhead` runs that all have one phi (the
+fit's R^2 is undefined), a `--max-parallel` or `--rounds` below 1, a
+`rice-trace --eta` outside [0, 2**256 - 1], or a `protocol-run` flag that the
+presence or absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import sys
 
 from . import experiments, miracle, protocol, rice
-from .hashing import sha256
+from .hashing import WORD_MASK, sha256
 from .merkle_state import CicState
 from .toy_vm import ComputeModel, compute_data
 
@@ -135,8 +136,9 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "rice-trace":
         entropy = experiments.seed_from_hex(args.seed)
-        if args.eta < 0 or args.rounds < 1:
-            raise experiments.ConfigError("--eta must be >= 0 and --rounds >= 1")
+        if not 0 <= args.eta <= WORD_MASK or args.rounds < 1:
+            raise experiments.ConfigError(
+                "--eta must be >= 0 and --rounds >= 1, with --eta at most 2**256 - 1")
         model = ComputeModel()
         state = CicState(sha256(b"trace-cid", entropy), model.code_id)
         lines = []

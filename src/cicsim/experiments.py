@@ -277,13 +277,17 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
 
 
 def fit_phi_vs_log2_squared(rows: Sequence[dict]):
-    """Least-squares fit phi ~ a (log2 T)^2 + b; returns (a, b, r_squared)."""
+    """Least-squares fit phi ~ a (log2 T)^2 + b; returns (a, b, r_squared).
+    Rows that all have one phi leave R^2 undefined: a `ConfigError`."""
     x = np.array([math.log2(r["total"]) ** 2 for r in rows])
     y = np.array([r["phi"] for r in rows], dtype=float)
+    total_ss = float(((y - y.mean()) ** 2).sum())
+    if total_ss == 0.0:
+        raise ConfigError("every run has the same phi, so the phi fit's R^2 is undefined")
     design = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     pred = design @ coef
-    r2 = 1.0 - float(((y - pred) ** 2).sum() / ((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - float(((y - pred) ** 2).sum()) / total_ss
     return float(coef[0]), float(coef[1]), r2
 
 

@@ -16,11 +16,12 @@ root is sha256(cid || code || storage_root).
 words, int keys to int values. Keys and values are 32-byte big-endian words
 only at the edges: where they come in, where they are handed out, and in
 `_word_leaf`, the one leaf encoding; ints sort as those encodings do.
-`storage_root` computes the storage root from scratch. `StorageTree` keeps
-every level between calls, for a single owner whose storage changes a few
-keys at a time (the cursor, at each RICE seed update): given the keys
-written since its last root, it rehashes only the paths above rewritten
-leaves and, where keys were inserted, the nodes whose positions shifted.
+`StorageTree` is the one tree algorithm. It keeps every level between
+calls and, given the keys written since its last root, rehashes the paths
+above rewritten leaves and recomputes, level by level, the tail of nodes
+whose positions an insert shifted. A tree is built by inserting every key
+into an empty one: `storage_root` does so from scratch, and a `CicState`
+keeps the tree it builds for its proofs and cursors.
 """
 
 from __future__ import annotations
@@ -51,20 +52,11 @@ class MerkleRoot:
 
 def _parents(level: list[bytes]) -> list[bytes]:
     """The level above `level`: pairs are hashed, an odd last node is
-    promoted. On the slice `level[2 * lo:2 * hi]` it gives nodes lo..hi-1."""
+    promoted. On the slice `level[2 * lo:]` it gives the nodes from lo on."""
     nxt = [sha256(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
     if len(level) % 2:
         nxt.append(level[-1])
     return nxt
-
-
-def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
-    """All tree levels bottom-up; the root is the one node of the last
-    level when there are leaves."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        levels.append(_parents(levels[-1]))
-    return levels
 
 
 def _word_leaf(key: int, value: int) -> bytes:
@@ -75,21 +67,20 @@ def _word_leaf(key: int, value: int) -> bytes:
 
 def storage_root(words: Mapping[int, int]) -> bytes:
     """The storage root of `words` (int keys to int values), from scratch."""
-    if not words:
-        return EMPTY_STORAGE_ROOT
-    return _tree_levels([_word_leaf(k, words[k]) for k in sorted(words)])[-1][0]
+    return StorageTree([], [[]]).root(words, words)
 
 
 class StorageTree:
     """The storage tree of one mutable storage map, kept between roots.
 
-    It starts from the sorted keys and every level of a built tree. Each
-    `root` call is told which keys were written since the previous one, or
-    the start; keys are never removed. A rewritten key rehashes its leaf
-    and its path to the root. Inserted keys go in by bisection: their leaves
-    are hashed and every node right of the first inserted position is
-    recomputed, because positions shift; nodes to its left, and the leaves
-    of unchanged keys, are kept.
+    It holds the sorted keys and every level of the tree, and starts empty
+    or from another tree's copy. Each `root` call is told which keys were
+    written since the previous one, or the start; keys are never removed.
+    Written keys go in by bisection, in ascending order: a present key's
+    leaf is rehashed and its position marked dirty, a new key's leaf is
+    inserted. Dirty positions move up a level at a time, each dirty parent
+    rehashed in place. From the first inserted position on, positions
+    shift, so every node of each level is recomputed as a slice.
     """
 
     __slots__ = ("keys", "levels")
@@ -108,37 +99,19 @@ class StorageTree:
     def _refresh(self, storage: Mapping[int, int], written) -> None:
         keys, levels = self.keys, self.levels
         leaves = levels[0]
-        rewritten, fresh = [], []
-        for k in written:
+        # in ascending order, an insert shifts no position taken before it;
+        # from position `start` of a level on, every node is recomputed, and
+        # left of it only the `dirty` ones
+        dirty, start = set(), len(keys)
+        for k in sorted(written):
             i = bisect_left(keys, k)
             if i < len(keys) and keys[i] == k:
-                rewritten.append(i)
+                dirty.add(i)
             else:
-                fresh.append(k)
-        # from position `start` of a level on, every node is recomputed; left
-        # of it, only the nodes in `runs`
-        start = len(keys)
-        if fresh:
-            fresh_set = set(fresh)
-            start = bisect_left(keys, min(fresh))
-            old = iter(leaves[start:])
-            tail = sorted(keys[start:] + fresh)
-            new_leaves = []
-            for k in tail:
-                leaf = None if k in fresh_set else next(old)
-                new_leaves.append(_word_leaf(k, storage[k]) if k in written else leaf)
-            keys[start:] = tail
-            leaves[start:] = new_leaves
-        # sorted, disjoint runs [lo, hi) of rewritten positions left of `start`
-        runs = []
-        for i in sorted(rewritten):
-            if i >= start:
-                break
-            leaves[i] = _word_leaf(keys[i], storage[keys[i]])
-            if runs and runs[-1][1] == i:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i, i + 1])
+                keys.insert(i, k)
+                leaves.insert(i, b"")
+                start = min(start, i)
+            leaves[i] = _word_leaf(k, storage[k])
         level = 0
         while len(levels[level]) > 1:
             prev = levels[level]
@@ -150,16 +123,11 @@ class StorageTree:
                 nxt[start:] = _parents(prev[2 * start:])
             else:
                 start = len(nxt)
-            up = []
-            for lo, hi in runs:
-                lo, hi = lo >> 1, min((hi + 1) >> 1, start)
-                if up and up[-1][1] >= lo:
-                    up[-1][1] = hi
-                elif lo < hi:
-                    up.append([lo, hi])
-            for lo, hi in up:
-                nxt[lo:hi] = _parents(prev[2 * lo:2 * hi])
-            runs = up
+            dirty = {i >> 1 for i in dirty if i >> 1 < start}
+            last = len(prev) - 1
+            for p in dirty:
+                i = 2 * p
+                nxt[p] = sha256(prev[i], prev[i + 1]) if i < last else prev[i]
             level += 1
 
 
@@ -219,8 +187,8 @@ class CicState:
 
     def _kept(self) -> StorageTree:
         if self._tree is None:
-            keys = sorted(self._words)
-            self._tree = StorageTree(keys, _tree_levels([_word_leaf(k, self._words[k]) for k in keys]))
+            self._tree = StorageTree([], [[]])
+            self._tree.root(self._words, self._words)
         return self._tree
 
     def working_copy(self) -> "tuple[dict[int, int], StorageTree]":

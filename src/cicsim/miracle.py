@@ -173,16 +173,14 @@ def one_round_q(m_total: int, f_max: float, beta: float) -> float:
 
     With a single root and the expected qM submissions, the round-1 score is
     (qM)^2; bisect for the q where it meets the threshold. The expected set
-    size q*M is the headline design figure.
+    size q*M is the headline design figure. Parameters outside
+    `ConsensusParams`' domain raise `DegenerateParams`.
     """
-    if m_total < 1:
-        raise DegenerateParams("pool size must be positive")
-    if not 0.0 < beta < 1.0:
-        raise DegenerateParams("error budget must lie in (0, 1)")
+    ConsensusParams(m_total, f_max, 1.0, beta)
     log_odds = math.log((1.0 - beta) / beta)
     rate = (1.0 - f_max) * f_max / ((1.0 - f_max) - f_max)
-    if log_odds <= 0.0 or rate <= 0.0:
-        raise NoSolution("degenerate error budget or design fraction")
+    if log_odds <= 0.0:
+        raise NoSolution("an error budget of 1/2 or more gives no positive threshold")
 
     def excess(q: float) -> float:
         return q * m_total - 2.0 * log_odds * rate * (1.0 - q)
@@ -205,12 +203,7 @@ def ns1_size(f_max: float, m_total: int, beta: float) -> int:
     tail, exp(-n KL(1/2 || f_max)) * sqrt(2 / (pi n)). Saturates at the pool
     size when no admissible n exists below it.
     """
-    if m_total < 1:
-        raise DegenerateParams("pool size must be positive")
-    if not 0.0 < f_max < 0.5:
-        raise DegenerateParams("design Byzantine fraction must lie in (0, 0.5)")
-    if not 0.0 < beta < 1.0:
-        raise DegenerateParams("error budget must lie in (0, 1)")
+    ConsensusParams(m_total, f_max, 1.0, beta)
     kl = -0.5 * math.log(4.0 * f_max * (1.0 - f_max))
     for n in range(1, m_total + 1):
         if math.exp(-n * kl) * math.sqrt(2.0 / (math.pi * n)) < beta:

@@ -37,6 +37,26 @@ def merkle_root_oracle(cid: bytes, code: bytes, storage: dict) -> bytes:
     return sha(cid + code + tree)
 
 
+def tree_rehash_count(n_leaves: int, written_positions, shift_start: int) -> int:
+    """Hashes an incremental storage tree of `n_leaves` leaves should spend
+    on one batch: one per written leaf, plus one per node with two children
+    whose leaf span meets a written position or the shifted tail
+    [shift_start, n_leaves). A node of width w (2, 4, 8, ... leaves) starting
+    at leaf lo spans [lo, lo + w) clipped to the leaves; it has two children
+    when its right half is not empty. Nothing else needs rehashing."""
+    written = set(written_positions)
+    count = len(written)
+    width = 2
+    while width // 2 < n_leaves:
+        for lo in range(0, n_leaves, width):
+            hi = min(lo + width, n_leaves)
+            two_children = lo + width // 2 < n_leaves
+            touched = hi > shift_start or any(lo <= w < hi for w in written)
+            count += two_children and touched
+        width *= 2
+    return count
+
+
 def inclusion_path_oracle(storage: dict, key: bytes) -> tuple:
     """Audit path of `key`, leaf to storage root, rebuilt from scratch: a
     (sibling, sibling_is_right) step per level where the node has a sibling."""

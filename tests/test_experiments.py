@@ -331,8 +331,19 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
                                   ["protocol-run", "--trials", "40", "--max-parallel", "-2"],
                                   ["miracle-mc", "--f", "1.5", "--f-max", "0.4"],
                                   ["adaptive", "--f", "-0.2"],
-                                  ["rice-overhead", "--t-lo", "1", "--t-hi", "1"]])
-def test_cli_rejects_experiment_flags_outside_their_domain(capsys, argv):
+                                  ["rice-overhead", "--t-lo", "1", "--t-hi", "1"],
+                                  ["es-sizing", "--config", '{"f_max_values": [0.5]}'],
+                                  ["rice-trace", "--eta", str(2 ** 256)],
+                                  # every run has one phi: the fit's R^2 is undefined
+                                  ["rice-overhead", "--trials", "3", "--t-lo", "2", "--t-hi", "2"],
+                                  ["rice-overhead", "--trials", "1", "--t-lo", "100",
+                                   "--t-hi", "1000"]])
+def test_cli_rejects_experiment_flags_outside_their_domain(tmp_path, capsys, argv):
+    # the text after --config is written to a file and passed by its path
+    if "--config" in argv:
+        path = tmp_path / "cfg.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

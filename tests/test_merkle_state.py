@@ -4,13 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cicsim import merkle_state
 from cicsim.hashing import from_word, sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
                                  StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
 from cicsim.toy_vm import compute_program
 
-from oracles import inclusion_path_oracle, merkle_root_oracle, sha
+from oracles import inclusion_path_oracle, merkle_root_oracle, sha, tree_rehash_count
 
 
 def make_state(**items) -> CicState:
@@ -141,11 +142,18 @@ batches = st.lists(st.tuples(st.lists(st.integers(0, 2 ** 16), max_size=8),
 
 def tree_root_after_batches(initial: dict, writes) -> None:
     """Apply each batch of writes to one storage map and check the tree's
-    root against the oracle after every batch. The tree is fed the same
+    root against the oracle after every batch, and the hashes it spent
+    against the count an incremental tree needs. The tree is fed the same
     writes held as words, as the interpreter cursor holds them."""
     storage = dict(initial)
     words = {from_word(k): from_word(v) for k, v in storage.items()}
     _, tree = CicState(CID, CODE, initial).working_copy()
+    hashes = []
+
+    def counting_sha256(*parts):
+        hashes.append(parts)
+        return sha256(*parts)
+
     for picks, batch in [((), {})] + list(writes):
         present = sorted(storage)
         batch = {**{present[p % len(present)]: to_word(1000 + p % 2 ** 16)
@@ -153,9 +161,17 @@ def tree_root_after_batches(initial: dict, writes) -> None:
                  **batch}
         storage.update(batch)
         words.update({from_word(k): from_word(v) for k, v in batch.items()})
-        got = tree.root(words, {from_word(k) for k in batch})
+        hashes.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(merkle_state, "sha256", counting_sha256)
+            got = tree.root(words, {from_word(k) for k in batch})
         assert sha256(CID, CODE, got) == merkle_root_oracle(CID, CODE, storage)
+        # a kept tree agrees with one built from scratch
         assert got == storage_root(words)
+        keys = sorted(storage)
+        fresh = [keys.index(k) for k in batch if k not in present]
+        assert len(hashes) == tree_rehash_count(len(keys), [keys.index(k) for k in batch],
+                                                min(fresh, default=len(keys)))
 
 
 @settings(max_examples=200, deadline=None)

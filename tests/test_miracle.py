@@ -175,6 +175,9 @@ def test_one_round_size_against_bisection_oracle():
         # the solved point is the crossing: slightly above passes, below fails
         gate_hi = threshold(ConsensusParams(1600, f_max, q * 1.001, 1e-20))
         assert (q * 1.001 * 1600) ** 2 > gate_hi
+    # f_max = 1/2 zeroes the rate's denominator: outside the domain, not a crash
+    with pytest.raises(DegenerateParams):
+        one_round_q(1600, 0.5, 1e-20)
 
 
 def test_ns1_sizing_series():
