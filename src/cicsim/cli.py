@@ -17,8 +17,9 @@ than its default, a consensus parameter, a Byzantine fraction `--f` (in
 [0, 1], above `--f-max` allowed) or a `rice-overhead` length range (2 <= t_lo
 <= t_hi) outside its domain, `rice-overhead` runs that all have one phi (the
 fit's R^2 is undefined), a `--max-parallel` or `--rounds` below 1, a
-`rice-trace --eta` outside [0, 2**256 - 1], or a `protocol-run` flag that the
-presence or absence of `--scenario` would leave unused.
+`rice-trace --eta` outside [0, 2**256 - 1], an `adaptive` target round count
+that no q in (0, 1) reaches, or a `protocol-run` flag that the presence or
+absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations

@@ -294,11 +294,13 @@ def fit_phi_vs_log2_squared(rows: Sequence[dict]):
 def rice_unmatched_rows(trials: int, seed: bytes, k: int, rounds: int):
     """Strong-unmatched counts for runs ending in a 2^k segment, across
     consecutive rounds of the same synthetic computation."""
+    if k < 2:
+        raise ConfigError("rice_unmatched needs k >= 2")
     lo, hi = rice.group_end(k - 1) + 1, rice.group_end(k)
     rng = random.Random(int.from_bytes(sha256(seed, b"unmatched", be8(k)), "big"))
     rows = []
     for index in range(trials):
-        total = rng.randint(max(lo, 3), hi)
+        total = rng.randint(lo, hi)
         entropy = sha256(seed, b"uent", be8(index))
         runner = SyntheticRunner(total, sha256(seed, b"usalt", be8(index)))
         traces = [rice.rice_execute_traced(runner, None, b"", j, entropy)[1]
@@ -370,22 +372,16 @@ def audit_event_log(events: Sequence[dict]) -> dict:
         kind = event["type"]
         if kind == "round_started":
             windows[event["cid"]] = event
-        elif kind == "commit":
+        elif kind in ("commit", "reveal"):
             w = windows[event["cid"]]
             if not (w["round"] == event["round"]
-                    and w["commit_open"] <= event["block"] <= w["commit_close"]):
+                    and w[kind + "_open"] <= event["block"] <= w[kind + "_close"]):
                 ok_windows = False
-            commits[(event["cid"], event["round"], event["node"])] = event["se"]
-        elif kind == "reveal":
-            w = windows[event["cid"]]
-            if not (w["round"] == event["round"]
-                    and w["reveal_open"] <= event["block"] <= w["reveal_close"]):
-                ok_windows = False
-            se = commits.get((event["cid"], event["round"], event["node"]))
-            opening = sha256(bytes.fromhex(event["seed"]),
-                             bytes.fromhex(event["root"]),
-                             bytes.fromhex(event["sort"])).hex()
-            if se != opening:
+            key = (event["cid"], event["round"], event["node"])
+            if kind == "commit":
+                commits[key] = event["se"]
+            elif commits.get(key) != sha256(*[bytes.fromhex(event[part])
+                                              for part in ("seed", "root", "sort")]).hex():
                 ok_binding = False
     return {"window_discipline": ok_windows, "reveal_binding": ok_binding}
 

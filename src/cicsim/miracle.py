@@ -149,9 +149,10 @@ def expected_rounds(params: ConsensusParams, f: float) -> float:
 def solve_q_for_expected_rounds(m_total: int, f_max: float, beta: float,
                                 target_rounds: float) -> float:
     """Inclusion probability q at which the design-point round count of the
-    Wald/Gaussian `expected_rounds` equals `target_rounds` (bisection). The
-    exact walk mean there is lower: for 5 rounds at M=1600, beta=1e-20, 3.847
-    at f = f_max = 0.35 (q = 0.04232) and 3.315 at 0.45 (q = 0.3410)."""
+    Wald/Gaussian `expected_rounds` equals `target_rounds` (bisection), or
+    `NoSolution` if no q in (0, 1) reaches it. The exact walk mean there is
+    lower: for 5 rounds at M=1600, beta=1e-20, 3.847 at f = f_max = 0.35
+    (q = 0.04232) and 3.315 at 0.45 (q = 0.3410)."""
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def rounds_at(q: float) -> float:
@@ -159,6 +160,8 @@ def solve_q_for_expected_rounds(m_total: int, f_max: float, beta: float,
 
     if rounds_at(hi) > target_rounds:
         raise NoSolution("target below the achievable round count at q -> 1")
+    if rounds_at(lo) < target_rounds:
+        raise NoSolution("target above the achievable round count at q -> 0")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if rounds_at(mid) > target_rounds:

@@ -217,12 +217,12 @@ class MasterContract:
     with its canonical JSON line."""
 
     def __init__(self, params: miracle.ConsensusParams, policy: SettlementPolicy,
-                 windows: WindowConfig, oracle: SortitionOracle,
-                 experiment_seed: bytes, *, max_rounds: int, treasury: int):
+                 windows: WindowConfig, experiment_seed: bytes, *,
+                 max_rounds: int, treasury: int):
         self.params = params
         self.policy = policy
         self.windows = windows
-        self.oracle = oracle
+        self.oracle = SortitionOracle()
         self.experiment_seed = experiment_seed
         self.max_rounds = max_rounds
         self.nodes: dict = {}
@@ -623,8 +623,7 @@ class Simulation:
         params = miracle.ConsensusParams(scenario.m_total, scenario.f_max,
                                          scenario.q, scenario.beta)
         self.mc = MasterContract(params, scenario.policy, scenario.windows,
-                                 SortitionOracle(), sha256(b"beacon", self.seed),
-                                 max_rounds=scenario.max_rounds,
+                                 sha256(b"beacon", self.seed), max_rounds=scenario.max_rounds,
                                  treasury=scenario.treasury)
         seed, add_node = self.seed, self.mc.add_node
         deposit, balance = scenario.policy.deposit, scenario.node_balance
@@ -719,19 +718,18 @@ class Simulation:
     def _plan_witnesses(self, cid: bytes, block: int) -> None:
         it = self.mc.active[cid]
         _, final = self._honest_digest(cid, it.round.round_index)
-        pre = self.mc.states[cid]
-        modified = {k: final.get(k) for k in final.storage
-                    if pre.get(k) != final.get(k)}
+        if it.winning_root == final.root().value:
+            pre = self.mc.states[cid]
+            modified = {k: final.get(k) for k in final.storage
+                        if pre.get(k) != final.get(k)}
+            witness = modified, [prove_inclusion(final, k) for k in sorted(modified)]
+        else:
+            # a fabricated root has no preimage; every attempt must fail
+            witness = {to_word(7): sha256(b"junk", it.winning_root)}, []
         for node_id, (digest, _) in sorted(it.round.reveals.items()):
-            if digest.root.value != it.winning_root:
-                continue
-            if digest.root.value == final.root().value:
-                witness = modified, [prove_inclusion(final, k) for k in sorted(modified)]
-            else:
-                # a fabricated root has no preimage; the attempt must fail
-                witness = {to_word(7): sha256(b"junk", digest.root.value)}, []
-            self._post(block + 1, "witness", node_id, self.mc.submit_witness,
-                       node_id, cid, *witness)
+            if digest.root.value == it.winning_root:
+                self._post(block + 1, "witness", node_id, self.mc.submit_witness,
+                           node_id, cid, *witness)
 
     # -- block loop -------------------------------------------------------------
 

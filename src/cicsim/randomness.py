@@ -9,8 +9,9 @@ the node's own sk) and independent across nodes. Each `NodeKeys` keeps the
 midstate sha256(sk) from keygen, so a check hashes only the nonce, and the
 test out / 2^256 < q is exact in integers as out < `sortition_bound(q)`, as
 correctly rounded int/int division is monotone in the numerator. Proof
-verification is simulation-grade: a registry oracle maps pk back to sk and
-re-derives, mimicking a real VRF's verifiability without its cryptography.
+verification is simulation-grade: a registry oracle maps pk back to the
+node's keys and re-runs `check_sort` on them, mimicking a real VRF's
+verifiability without its cryptography.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
 class SortitionOracle:
     """Simulator-held registry standing in for VRF proof verification.
 
-    Holds the pk -> sk map; verification re-derives the sortition output and
-    proof from sk and checks the selection condition. Nothing outside the
-    oracle ever needs another node's sk.
+    Holds the pk -> `NodeKeys` map; verification re-runs `check_sort` on the
+    registered keys and accepts a selected claim only if it is exactly that
+    result. Nothing outside the oracle ever needs another node's sk.
     """
 
     def __init__(self) -> None:
@@ -126,16 +127,12 @@ class SortitionOracle:
 
     def register(self, keys: NodeKeys) -> None:
         existing = self._by_pk.get(keys.pk)
-        if existing is not None and existing != keys.sk:
+        if existing is not None and existing.sk != keys.sk:
             raise ValueError("pk already registered with a different sk")
-        self._by_pk[keys.pk] = keys.sk
+        self._by_pk[keys.pk] = keys
 
     def verify(self, pk: bytes, nonce: bytes, threshold_q: float,
                result: SortResult) -> bool:
-        sk = self._by_pk.get(pk)
-        if sk is None or not result.selected:
-            return False
-        expected = sha256(sk, nonce)
-        return (result.output == expected
-                and result.proof == sha256(_SORT_PROOF_TAG, sk, nonce)
-                and expected < _THRESHOLDS[threshold_q])
+        keys = self._by_pk.get(pk)
+        return (keys is not None and result.selected
+                and check_sort(keys, nonce, threshold_q) == result)

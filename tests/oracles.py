@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -254,6 +255,55 @@ def rice_round_oracle(total: int, root_at, round_index: int, entropy: bytes):
         seed = sha(seed + root_at(index))
         updates.append(index)
     return seed, root_at(total), updates
+
+
+def _tail_gap_floor(total: int) -> int:
+    """Least gap T - t_last that c07 counts as a miss: the least g with
+    g / T >= 3 / (4 log2 T), compared in floats as c07 compares them."""
+    bound = 3.0 / (4.0 * math.log2(total))
+    gap = max(1, math.ceil(bound * total) - 2)
+    while gap > 1 and (gap - 1) / total >= bound:
+        gap -= 1
+    while gap / total < bound:
+        gap += 1
+    return gap
+
+
+def schedule_tail_miss(total: int) -> Fraction:
+    """Exact P((T - t_last)/T >= 3/(4 log2 T)) for one RICE round of T =
+    `total` instructions, each segment's offset uniform on [0, 2^k) (sha256
+    as a random oracle). The run halts at T before any update there, so the
+    last segment, starting at S with exponent k, updates only if its offset
+    u is below T - S; otherwise t_last is the previous segment's start plus
+    its offset. A run with no update at all counts as a miss, as in c07."""
+    table = segment_table_oracle(total)
+    (start, k), gap = table[-1], _tail_gap_floor(total)
+    reached = total - start             # offsets 0 .. reached - 1 update
+    # an update at start + u misses iff total - start - u >= gap
+    p = Fraction(max(0, reached - gap + 1), 2 ** k)
+    unreached = Fraction(2 ** k - reached, 2 ** k)
+    if len(table) == 1:
+        return p + unreached
+    prev_start, prev_k = table[-2]
+    prev_misses = min(2 ** prev_k, max(0, total - prev_start - gap + 1))
+    return p + unreached * Fraction(prev_misses, 2 ** prev_k)
+
+
+def schedule_tail_supremum(t_lo: int, t_hi: int):
+    """(value, T): the largest (T - t_last)/T * log2 T over every T in
+    [t_lo, t_hi] and every offset outcome. At any T the largest gap is
+    T minus the previous segment's start (this segment's update not
+    reached, the previous one at offset 0), and within a segment
+    (1 - S_prev / T) log2 T grows with T, so each segment's last T in
+    range is the only candidate. Needs t_lo >= 3, past the first segment."""
+    table = segment_table_oracle(t_hi)
+    starts = [start for start, _ in table] + [table[-1][0] + 2 ** table[-1][1]]
+    best = (0.0, None)
+    for prev_start, next_start in zip(starts, starts[2:]):
+        total = min(next_start - 1, t_hi)
+        if total >= t_lo:
+            best = max(best, ((total - prev_start) / total * math.log2(total), total))
+    return best
 
 
 def strong_unmatched_tail_bound(k: int, round_index: int, b2: int, x: int) -> float:

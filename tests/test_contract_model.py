@@ -35,7 +35,7 @@ from cicsim.merkle_state import CicState, MerkleRoot, prove_inclusion
 from cicsim.miracle import ConsensusParams
 from cicsim.protocol import (MasterContract, NodeRecord, ProtocolError,
                              SettlementPolicy, WindowConfig)
-from cicsim.randomness import NOT_SELECTED, SortitionOracle, check_sort, keygen
+from cicsim.randomness import NOT_SELECTED, check_sort, keygen
 from cicsim.rice import Digest
 from cicsim.toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
 
@@ -77,7 +77,7 @@ class ContractModel(RuleBasedStateMachine):
             ConsensusParams(N_NODES, 0.4, Q, 0.45),
             SettlementPolicy(reward=10, deposit=100, d_min=0),
             WindowConfig(gas_per_block=40, w_src_slack=3, w_buf=1, w_sr=4),
-            SortitionOracle(), sha256(b"beacon", SEED), max_rounds=4, treasury=5)
+            sha256(b"beacon", SEED), max_rounds=4, treasury=5)
         for node_id in range(N_NODES):
             self.mc.add_node(NodeRecord(
                 node_id=node_id, keys=keygen(SEED, node_id),

@@ -179,6 +179,15 @@ def test_rice_unmatched_rows():
     assert all(r["strong_unmatched"] >= 3 for r in rows)  # sqrt(9), generously
 
 
+def test_rice_unmatched_needs_a_segment_exponent_of_two_or_more():
+    # exponent 1 holds only T = 1 and 2, and the rows draw T from 3 up
+    for k in (1, 0, -3):
+        spec = experiments.ExperimentSpec(kind="rice_unmatched", params={"k": k}, trials=3)
+        with pytest.raises(experiments.ConfigError, match="k >= 2"):
+            experiments.run(spec)
+    assert experiments.rice_unmatched_rows(3, SEED, 2, 2)
+
+
 def test_protocol_batch_and_audit():
     rows = experiments.protocol_batch_rows(6, SEED, max_parallel=4)
     for row in rows:
@@ -337,7 +346,10 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
                                   # every run has one phi: the fit's R^2 is undefined
                                   ["rice-overhead", "--trials", "3", "--t-lo", "2", "--t-hi", "2"],
                                   ["rice-overhead", "--trials", "1", "--t-lo", "100",
-                                   "--t-hi", "1000"]])
+                                   "--t-hi", "1000"],
+                                  # no q in (0, 1) makes the design point that slow
+                                  ["adaptive", "--target-rounds", "1000"],
+                                  ["adaptive", "--beta", "0.6"]])
 def test_cli_rejects_experiment_flags_outside_their_domain(tmp_path, capsys, argv):
     # the text after --config is written to a file and passed by its path
     if "--config" in argv:

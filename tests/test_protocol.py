@@ -20,7 +20,7 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, MAX_BLOCKS,
                              NodeRecord, OutsideWindow, QueueOrderViolation, Scenario,
                              ScenarioError, SettlementPolicy, Simulation,
                              WindowConfig, event_lines, replay_check, run_scenario)
-from cicsim.randomness import SortitionOracle, check_sort, keygen
+from cicsim.randomness import check_sort, keygen
 from cicsim.rice import Digest, rice_execute_traced
 from cicsim.toy_vm import (ComputeModel, Transaction, compute_data, compute_eta,
                            compute_length)
@@ -32,13 +32,12 @@ SEED = sha256(b"protocol-tests")
 
 def build_mc(n_nodes=10, q=1.0, th1=0.60, th2=0.25, reward=10, deposit=100,
              d_min=5, beta=1e-6, f_max=0.4, w_buf=2, w_sr=4, max_rounds=50):
-    oracle = SortitionOracle()
     params = ConsensusParams(n_nodes, f_max, q, beta)
     policy = SettlementPolicy(th1=th1, th2=th2, reward=reward, deposit=deposit,
                               d_min=d_min)
     windows = WindowConfig(gas_per_block=10_000, w_src_slack=2, w_buf=w_buf,
                            w_sr=w_sr)
-    mc = MasterContract(params, policy, windows, oracle, sha256(b"exp", SEED),
+    mc = MasterContract(params, policy, windows, sha256(b"exp", SEED),
                         max_rounds=max_rounds, treasury=100_000)
     for i in range(n_nodes):
         mc.add_node(NodeRecord(node_id=i, keys=keygen(SEED, i),

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from cicsim import randomness
 from cicsim.hashing import sha256
-from cicsim.randomness import (NodeKeys, SortitionOracle, SortResult, check_sort,
-                               keygen, random_gen, sortition_bound)
+from cicsim.randomness import (NOT_SELECTED, NodeKeys, SortitionOracle, SortResult,
+                               check_sort, keygen, random_gen, sortition_bound)
 from oracles import SORT_PROOF_TAG, sha, sortition_oracle
 
 SEED = sha256(b"randomness-tests")
@@ -136,7 +137,79 @@ def test_oracle_verifies_genuine_results_and_rejects_forgeries():
     assert not oracle.verify(stranger.pk, nonce, q, result)
     forged = type(result)(selected=True, output=sha256(b"x"), proof=result.proof)
     assert not oracle.verify(keys.pk, nonce, q, forged)
+    forged = type(result)(selected=True, output=result.output, proof=sha256(b"x"))
+    assert not oracle.verify(keys.pk, nonce, q, forged)
     assert not oracle.verify(keys.pk, sha256(b"other-nonce"), q, result)
+
+
+def _claims(keys, stranger, nonce, other_nonce, q, junk):
+    """(pk, claim) pairs a node could reveal: its own result, the same with a
+    forged output, proof or `selected`, its result at another nonce, a
+    stranger's result, and its own result under the stranger's pk."""
+    own = check_sort(keys, nonce, q)
+    genuine = SortResult(True, sha(keys.sk + nonce), sha(SORT_PROOF_TAG + keys.sk + nonce))
+    return [(keys.pk, claim) for claim in (
+        own, genuine, NOT_SELECTED,
+        SortResult(True, junk, genuine.proof), SortResult(True, genuine.output, junk),
+        SortResult(True, None, None), SortResult(False, genuine.output, genuine.proof),
+        check_sort(keys, other_nonce, q), check_sort(stranger, nonce, q),
+        check_sort(keys, nonce, 1.0))] + [(stranger.pk, own), (stranger.pk, genuine)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sk=st.binary(min_size=32, max_size=32), other_sk=st.binary(min_size=32, max_size=32),
+       nonce=st.binary(min_size=32, max_size=32), q=st.floats(0.0, 1.0),
+       junk=st.binary(min_size=32, max_size=32))
+def test_verify_is_check_sort_rerun_on_the_registered_keys(sk, other_sk, nonce, q, junk):
+    """A claim verifies iff it is selected and equal to `check_sort` run on
+    the keys registered under its pk; an unregistered pk verifies nothing."""
+    keys = NodeKeys(node_id=0, pk=sha(b"pk" + sk), sk=sk)
+    stranger = NodeKeys(node_id=1, pk=sha(b"pk" + other_sk), sk=other_sk)
+    oracle = SortitionOracle()
+    oracle.register(keys)
+    other_nonce = sha(b"other" + nonce)
+    for pk, claim in _claims(keys, stranger, nonce, other_nonce, q, junk):
+        registered = keys if pk == keys.pk else None
+        expected = (registered is not None and claim.selected
+                    and check_sort(registered, nonce, q) == claim)
+        assert oracle.verify(pk, nonce, q, claim) == expected, claim
+
+
+def test_verify_hashes_once_per_valid_claim(monkeypatch):
+    """The output comes from the keys' PRF midstate, so a valid claim costs
+    one hash, its proof's; a claim that is not selected costs none."""
+    calls = []
+
+    def counting(*parts):
+        calls.append(parts)
+        return sha256(*parts)
+
+    monkeypatch.setattr(randomness, "sha256", counting)
+    oracle = SortitionOracle()
+    keys = keygen(SEED, 6)
+    oracle.register(keys)
+    for j in range(20):
+        nonce = sha256(b"count", bytes([j]))
+        result = check_sort(keys, nonce, 1.0)
+        calls.clear()
+        assert oracle.verify(keys.pk, nonce, 1.0, result)
+        assert len(calls) == 1
+        calls.clear()
+        assert not oracle.verify(keys.pk, nonce, 1.0, NOT_SELECTED)
+        assert not calls
+
+
+def test_register_refuses_a_pk_under_another_sk():
+    oracle = SortitionOracle()
+    keys = keygen(SEED, 8)
+    oracle.register(keys)
+    # the same keys again, even under another node id, are accepted
+    oracle.register(keys)
+    oracle.register(NodeKeys(node_id=9, pk=keys.pk, sk=keys.sk))
+    with pytest.raises(ValueError, match="different sk"):
+        oracle.register(NodeKeys(node_id=8, pk=keys.pk, sk=sha256(b"impostor")))
+    nonce = sha256(b"after-refusal")
+    assert oracle.verify(keys.pk, nonce, 1.0, check_sort(keys, nonce, 1.0))
 
 
 def test_result_encoding_is_fixed_width():

@@ -1,13 +1,17 @@
 """Schedule arithmetic, seed chains, digests, and the appendix-style bounds."""
 
 import hashlib
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+from scipy.stats import binomtest
 
-from cicsim.hashing import sha256, to_word
+from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState
-from cicsim.experiments import SyntheticRunner
+from cicsim.experiments import SyntheticRunner, rice_overhead_rows
 from cicsim.rice import (check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
                          rice_execute_traced, segment_exponent,
@@ -16,8 +20,9 @@ from cicsim.toy_vm import (ComputeModel, assemble, compute_data,
                            compute_program, run_full)
 
 from oracles import (merkle_root_oracle, oracle_state_after, rice_round_oracle,
-                     run_program_oracle, segment_table_oracle,
-                     strong_unmatched_tail_bound)
+                     run_program_oracle, schedule_tail_miss, schedule_tail_supremum,
+                     segment_table_oracle, strong_unmatched_tail_bound)
+from test_acceptance import SEED as ACCEPTANCE_SEED
 
 
 def test_exponent_sequence_prefix():
@@ -210,6 +215,75 @@ def test_empirical_unmatched_tail_dominates_the_binomial_bound():
             # allow three-sigma Monte Carlo slack on the empirical side
             slack = 3 * (bound * (1 - bound) / n) ** 0.5
             assert empirical >= bound - slack - 1e-9, (b2, x, empirical, bound)
+
+
+# --- the last-update tail: c07's 3/(4 log2 T) sub-check against its exact law ---
+
+def _tail_outcomes(total: int):
+    """Every t_last of a run of `total` instructions (None for no update),
+    one per combination of all its segments' offsets, by walking them."""
+    table = segment_table_oracle(total)
+    for offsets in itertools.product(*[range(2 ** k) for _, k in table]):
+        updates = [start + u for (start, _), u in zip(table, offsets) if start + u < total]
+        yield updates[-1] if updates else None
+
+
+def _misses(total: int, t_last) -> bool:
+    # c07's rule: a run passes iff (T - t_last)/T < 3/(4 log2 T) in floats
+    return t_last is None or not (total - t_last) / total < 3.0 / (4.0 * math.log2(total))
+
+
+@pytest.mark.parametrize("total", range(3, 27))
+def test_schedule_tail_law_over_every_offset_outcome(total):
+    outcomes = list(_tail_outcomes(total))
+    assert schedule_tail_miss(total) * len(outcomes) == sum(
+        _misses(total, t) for t in outcomes)
+    worst = max((total - t) / total * math.log2(total) for t in outcomes if t is not None)
+    assert schedule_tail_supremum(total, total) == (worst, total)
+
+
+def test_schedule_tail_supremum_on_c07s_range():
+    """The largest (T - t_last)/T * log2 T over T in [1e3, 1e7]: T = 2,050,
+    the last T of the second exponent-8 segment, its update not reached and
+    the previous one at offset 0; 3.66 times the 3/4 of c07's bound."""
+    value, total = schedule_tail_supremum(1_000, 10_000_000)
+    assert total == 2050
+    assert value == pytest.approx(511 / 2050 * math.log2(2050), rel=1e-15)
+    assert value == pytest.approx(2.742302237724, rel=1e-12)
+    # a range's supremum is the largest of its parts'
+    parts = [schedule_tail_supremum(lo, hi) for lo, hi in
+             ((1_000, 2_049), (2_050, 2_050), (2_051, 10_000_000))]
+    assert max(parts) == (value, total)
+
+
+@pytest.mark.parametrize("total", [10, 37, 1_500, 9_218, 50_000, 700_000])
+def test_schedule_tail_law_against_synthetic_runs(total):
+    """Misses of the last-update sub-check over synthetic runs of one length,
+    against the exact law at level 1e-4. At T = 10 the law is 1/2; an
+    update allowed at index T itself would make it 1/4."""
+    runs = 1_500
+    misses = 0
+    for i in range(runs):
+        runner = SyntheticRunner(total, sha256(b"tail-salt", be8(i)))
+        _, trace = rice_execute_traced(runner, None, b"", 1, sha256(b"tail-entropy", be8(i)))
+        t_last = trace.update_indices[-1] if trace.update_indices else None
+        misses += _misses(total, t_last)
+    assert binomtest(misses, runs, float(schedule_tail_miss(total))).pvalue > 1e-4
+
+
+def test_c07_misses_match_the_exact_law_of_its_corpus():
+    """c07's corpus, redrawn: its last-fraction miss count is a sum of
+    independent Bernoulli(schedule_tail_miss(T)) over the runs' lengths, so
+    its exact Poisson-binomial law must not put it in a 1e-4 tail."""
+    rows = rice_overhead_rows(1000, 1_000, 10_000_000, ACCEPTANCE_SEED)
+    observed = sum(not r["last_fraction_ok"] for r in rows)
+    law = np.ones(1)
+    for row in rows:
+        p = float(schedule_tail_miss(row["total"]))
+        law = np.convolve(law, [1.0 - p, p])
+    mean = float(np.dot(np.arange(law.size), law))
+    assert 300 < mean < 380 and observed == 331
+    assert law[:observed + 1].sum() > 0.5e-4 and law[observed:].sum() > 0.5e-4
 
 
 def test_invalid_arguments():
