@@ -18,8 +18,8 @@ than its default, a consensus parameter, a Byzantine fraction `--f` (in
 <= t_hi) outside its domain, `rice-overhead` runs that all have one phi (the
 fit's R^2 is undefined), a `--max-parallel` or `--rounds` below 1, a
 `rice-trace --eta` outside [0, 2**256 - 1], an `adaptive` target round count
-that no q in (0, 1) reaches, or a `protocol-run` flag that the presence or
-absence of `--scenario` would leave unused.
+that no q in (0, 1) reaches (NaN included), or a `protocol-run` flag that the
+presence or absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations

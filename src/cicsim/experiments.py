@@ -296,6 +296,8 @@ def rice_unmatched_rows(trials: int, seed: bytes, k: int, rounds: int):
     consecutive rounds of the same synthetic computation."""
     if k < 2:
         raise ConfigError("rice_unmatched needs k >= 2")
+    if rounds < 2:
+        raise ConfigError("rice_unmatched needs rounds >= 2: each row compares two rounds")
     lo, hi = rice.group_end(k - 1) + 1, rice.group_end(k)
     rng = random.Random(int.from_bytes(sha256(seed, b"unmatched", be8(k)), "big"))
     rows = []

@@ -150,9 +150,11 @@ def solve_q_for_expected_rounds(m_total: int, f_max: float, beta: float,
                                 target_rounds: float) -> float:
     """Inclusion probability q at which the design-point round count of the
     Wald/Gaussian `expected_rounds` equals `target_rounds` (bisection), or
-    `NoSolution` if no q in (0, 1) reaches it. The exact walk mean there is
-    lower: for 5 rounds at M=1600, beta=1e-20, 3.847 at f = f_max = 0.35
-    (q = 0.04232) and 3.315 at 0.45 (q = 0.3410)."""
+    `NoSolution` if no q in (0, 1) reaches it, as for a NaN target. The
+    exact walk mean there is lower: for 5 rounds at M=1600, beta=1e-20,
+    3.847 at f = f_max = 0.35 (q = 0.04232) and 3.315 at 0.45 (q = 0.3410)."""
+    if math.isnan(target_rounds):
+        raise NoSolution("the target round count is NaN")
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def rounds_at(q: float) -> float:

@@ -643,7 +643,6 @@ class Simulation:
             self.mc.creators[f"creator{i}"] = scenario.creator_balance
         self.inbox: dict = {}
         self._msg_seq = 0
-        self._honest_digests: dict = {}
 
     # -- node-side planning ----------------------------------------------------
 
@@ -656,20 +655,6 @@ class Simulation:
         self.inbox.setdefault(block, []).append(
             (self._POST_ORDER[kind], node_id, self._msg_seq, kind, call, args))
         self._msg_seq += 1
-
-    def _honest_digest(self, cid: bytes, round_index: int):
-        """Digest and post-state of a faithful execution, cached per round."""
-        it = self.mc.active[cid]
-        key = (cid, it.tx.tid, round_index)
-        if key not in self._honest_digests:
-            model = self.models[cid]
-            pre = self.mc.states[cid]
-            # through the module, so a wrapper patched onto it sees the call
-            digest, _ = rice.rice_execute_traced(model, pre, it.tx.data, round_index,
-                                                 it.round1_entropy, gas_limit=it.tx.gas_limit)
-            final = model.final_state(pre, compute_eta(it.tx.data))
-            self._honest_digests[key] = (digest, final)
-        return self._honest_digests[key]
 
     def _plan_digest(self, node: NodeRecord, tid: bytes, honest: Digest,
                      round_index: int, planned: dict) -> Digest:
@@ -702,7 +687,10 @@ class Simulation:
             if not sort.selected:
                 continue
             if honest is None:
-                honest, _ = self._honest_digest(cid, index)
+                # through the module, so a wrapper patched onto it sees the call
+                honest, _ = rice.rice_execute_traced(self.models[cid], self.mc.states[cid],
+                                                     it.tx.data, index, it.round1_entropy,
+                                                     gas_limit=it.tx.gas_limit)
             digest = self._plan_digest(node, it.tx.tid, honest, index, planned)
             se = sha256(digest.encode(), sort.encode())
             tag = be8(node_id) + cid + be8(index)
@@ -717,9 +705,9 @@ class Simulation:
 
     def _plan_witnesses(self, cid: bytes, block: int) -> None:
         it = self.mc.active[cid]
-        _, final = self._honest_digest(cid, it.round.round_index)
+        pre = self.mc.states[cid]
+        final = self.models[cid].final_state(pre, compute_eta(it.tx.data))
         if it.winning_root == final.root().value:
-            pre = self.mc.states[cid]
             modified = {k: final.get(k) for k in final.storage
                         if pre.get(k) != final.get(k)}
             witness = modified, [prove_inclusion(final, k) for k in sorted(modified)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hashing import WORD_MODULUS, be8, sha256, to_word
 
@@ -52,8 +52,7 @@ def keygen(experiment_seed: bytes, node_id: int) -> NodeKeys:
     return NodeKeys(node_id=node_id, pk=sha256(_PK_TAG, sk), sk=sk)
 
 
-@dataclass(frozen=True)
-class SortResult:
+class SortResult(NamedTuple):
     """Outcome of one sortition check; `output` is None when not selected."""
 
     selected: bool

@@ -179,11 +179,13 @@ def test_rice_unmatched_rows():
     assert all(r["strong_unmatched"] >= 3 for r in rows)  # sqrt(9), generously
 
 
-def test_rice_unmatched_needs_a_segment_exponent_of_two_or_more():
-    # exponent 1 holds only T = 1 and 2, and the rows draw T from 3 up
-    for k in (1, 0, -3):
-        spec = experiments.ExperimentSpec(kind="rice_unmatched", params={"k": k}, trials=3)
-        with pytest.raises(experiments.ConfigError, match="k >= 2"):
+def test_rice_unmatched_needs_a_segment_exponent_and_a_round_count_of_two_or_more():
+    # exponent 1 holds only T = 1 and 2, and the rows draw T from 3 up; each row
+    # counts a round's strong-unmatched updates against the round before
+    for name, value in [("k", 1), ("k", 0), ("k", -3),
+                        ("rounds", 1), ("rounds", 0), ("rounds", -2)]:
+        spec = experiments.ExperimentSpec(kind="rice_unmatched", params={name: value}, trials=3)
+        with pytest.raises(experiments.ConfigError, match=f"{name} >= 2"):
             experiments.run(spec)
     assert experiments.rice_unmatched_rows(3, SEED, 2, 2)
 
@@ -349,6 +351,7 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
                                    "--t-hi", "1000"],
                                   # no q in (0, 1) makes the design point that slow
                                   ["adaptive", "--target-rounds", "1000"],
+                                  ["adaptive", "--target-rounds", "nan"],
                                   ["adaptive", "--beta", "0.6"]])
 def test_cli_rejects_experiment_flags_outside_their_domain(tmp_path, capsys, argv):
     # the text after --config is written to a file and passed by its path

@@ -3,13 +3,14 @@
 import json
 import random
 from dataclasses import asdict, replace
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cicsim import adversary
-from cicsim.experiments import random_scenario
+from cicsim.experiments import audit_event_log, random_scenario
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState, MerkleRoot
 from cicsim.miracle import ConsensusParams
@@ -917,3 +918,115 @@ def test_same_block_order_couples_transactions_only_through_enqueue_and_witness(
         reordered += shuffled.reordered
         changed += _outcome(ShuffledDelivery(sc, salt=index).run()) != base
     assert reordered and changed
+
+
+def test_the_post_state_is_built_once_per_accepted_round(monkeypatch):
+    """Witness planning builds the post-state; rounds that decide nothing do not."""
+    calls = []
+    final_state = ComputeModel.final_state
+    monkeypatch.setattr(ComputeModel, "final_state",
+                        lambda model, *args: calls.append(1) or final_state(model, *args))
+    seed = sha256(b"post-state-count")
+    accepted = closed = 0
+    for index in range(30):
+        closes = [e for e in run_scenario(random_scenario(index, seed)).events
+                  if e["type"] == "round_closed"]
+        accepted += sum(e["accepted"] for e in closes)
+        closed += len(closes)
+    assert len(calls) == accepted and closed > accepted
+
+
+# --- small scope: every loss of up to two messages, every delivery order ------
+
+SMALL = Scenario(seed=sha256(b"smallscope", bytes([0])).hex(), m_total=4, q=0.99,
+                 f_max=0.4, beta=1e-2, max_rounds=6,
+                 strategies=(("honest", 3), ("byz_single", 1)))
+
+
+class LossyDelivery(Simulation):
+    """Never delivers the messages whose post numbers are in `dropped`; the
+    numbers of later messages do not move. `posted` lists (kind, node, block)
+    for every message posted, dropped or not."""
+
+    def __init__(self, scenario, dropped=frozenset()):
+        super().__init__(scenario)
+        self.dropped = dropped
+        self.posted = []
+
+    def _post(self, block, kind, node_id, call, *args):
+        self.posted.append((kind, node_id, block))
+        if self._msg_seq in self.dropped:
+            self._msg_seq += 1
+        else:
+            super()._post(block, kind, node_id, call, *args)
+
+
+class OrderedDelivery(Simulation):
+    """Delivers each block's commits, and separately its reveals, in the given
+    node orders; kinds keep their canonical order between them."""
+
+    def __init__(self, scenario, commit_order, reveal_order):
+        super().__init__(scenario)
+        self.orders = {"commit": commit_order, "reveal": reveal_order}
+
+    def _deliver(self, block):
+        def position(message):
+            rank, node_id, seq, kind, *_ = message
+            return rank, self.orders.get(kind, (node_id,)).index(node_id), seq
+
+        messages = sorted(self.inbox.get(block, []), key=position)
+        self.inbox[block] = [(rank, *message[1:]) for rank, message in enumerate(messages)]
+        super()._deliver(block)
+
+
+def _checked_run(make):
+    """Run a case twice; both runs give the same lines, and the first keeps
+    value, window discipline and binding, and never reaches the block cap."""
+    result, again = make().run(), make().run()
+    assert result.lines == again.lines
+    assert result.conserved
+    assert all(audit_event_log(result.events).values())
+    assert "block_cap" not in [e["type"] for e in result.events]
+    return result
+
+
+def test_small_scope_every_loss_of_up_to_two_messages():
+    """Unharmed, the run posts one round of 12 messages. A lost enqueue
+    leaves an empty log. Losing two of the three honest reveals forfeits both
+    silent committers and leaves one honest and one Byzantine node tied in
+    every later round, so the run ends unconverged at the round cap. Every
+    other loss still settles."""
+    sim = LossyDelivery(SMALL)
+    result = sim.run()
+    # all four nodes are selected: every commit lands in block 2, every reveal in block 7
+    assert [kind for kind, *_ in sim.posted] == ["enqueue", *["commit", "reveal"] * 4,
+                                                  *["witness"] * 3]
+    assert {(kind, block) for kind, _, block in sim.posted[1:9]} == {("commit", 2),
+                                                                      ("reveal", 7)}
+    assert len(result.events) == 22 and result.settled == 1
+    honest = {n for n, rec in sim.mc.nodes.items() if rec.strategy.kind == adversary.HONEST}
+    honest_reveals = [seq for seq, (kind, node_id, _) in enumerate(sim.posted)
+                      if kind == "reveal" and node_id in honest]
+    cases = [frozenset(c) for size in range(3) for c in combinations(range(12), size)]
+    assert len(cases) == 79 and len(honest_reveals) == 3
+    for dropped in cases:
+        result = _checked_run(lambda: LossyDelivery(SMALL, dropped))
+        if 0 in dropped:
+            assert result.events == [], dropped
+        elif len(dropped) == 2 and dropped <= set(honest_reveals):
+            closes = [e for e in result.events if e["type"] == "round_closed"]
+            silent = {e["node"] for e in result.events if e["type"] == "forfeit"}
+            assert result.events[-1]["type"] == "no_convergence", dropped
+            assert len(closes) == SMALL.max_rounds and not any(e["accepted"] for e in closes)
+            assert silent == {sim.posted[seq][1] for seq in dropped}
+        else:
+            assert result.settled == 1, dropped
+
+
+def test_small_scope_every_order_of_round_one_commits_and_reveals():
+    base = _outcome(_checked_run(lambda: Simulation(SMALL)))
+    orders = list(permutations(range(4)))
+    for commit_order in orders:
+        for reveal_order in orders:
+            result = _checked_run(lambda: OrderedDelivery(SMALL, commit_order, reveal_order))
+            assert result.settled == 1 and _outcome(result) == base, (commit_order, reveal_order)
