@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
-from .hashing import WORD_BYTES, as_word, from_word, sha256, to_word
+from .hashing import WORD_BYTES, WORD_MODULUS, as_word, from_word, sha256, to_word
 
 EMPTY_STORAGE_ROOT = sha256(b"cicsim/empty-storage-tree/v1")
 
@@ -63,6 +63,13 @@ def _word_leaf(key: int, value: int) -> bytes:
     """The leaf of an entry: sha256 of its key and value as 32-byte words,
     `to_word`'s encoding inlined."""
     return sha256(key.to_bytes(WORD_BYTES, "big"), value.to_bytes(WORD_BYTES, "big"))
+
+
+def _word_int(value: "int | bytes") -> int:
+    """A key or value as an int, checked as `as_word` checks it; an int in range is kept."""
+    if isinstance(value, bytes) or not 0 <= value < WORD_MODULUS:
+        return from_word(as_word(value))
+    return value
 
 
 def storage_root(words: Mapping[int, int]) -> bytes:
@@ -160,7 +167,7 @@ class CicState:
         return {to_word(k): to_word(v) for k, v in self._words.items()}
 
     def get(self, key: "int | bytes") -> bytes:
-        return to_word(self._words.get(from_word(as_word(key)), 0))
+        return to_word(self._words.get(_word_int(key), 0))
 
     def put(self, key: "int | bytes", value: "int | bytes") -> "CicState":
         return self.put_many({key: value})
@@ -168,7 +175,7 @@ class CicState:
     def put_many(self, items: "Mapping[int | bytes, int | bytes]") -> "CicState":
         new = CicState(self.cid, self.code)
         new._words = {**self._words,
-                      **{from_word(as_word(k)): from_word(as_word(v)) for k, v in items.items()}}
+                      **{_word_int(k): _word_int(v) for k, v in items.items()}}
         return new
 
     def __len__(self) -> int:
@@ -191,10 +198,14 @@ class CicState:
             self._tree.root(self._words, self._words)
         return self._tree
 
+    def words(self) -> dict[int, int]:
+        """A copy of the storage as words, for a cursor to change."""
+        return dict(self._words)
+
     def working_copy(self) -> "tuple[dict[int, int], StorageTree]":
         """Copies of the storage as words and of the kept tree, for a cursor to change."""
         tree = self._kept()
-        return dict(self._words), StorageTree(list(tree.keys), [list(level) for level in tree.levels])
+        return self.words(), StorageTree(list(tree.keys), [list(level) for level in tree.levels])
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ class InclusionProof:
 
 
 def prove_inclusion(state: CicState, key: "int | bytes") -> InclusionProof:
-    key = from_word(as_word(key))
+    key = _word_int(key)
     if key not in state._words:
         raise KeyError(f"key not in storage: {to_word(key).hex()}")
     tree = state._kept()

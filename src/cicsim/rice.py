@@ -28,10 +28,11 @@ from .merkle_state import CicState, MerkleRoot
 # --- segment schedule -------------------------------------------------------
 
 def segment_exponent(index: int) -> int:
-    """K[index] for the 1-based segment index: exponent k repeats k times."""
+    """K[index] for the 1-based segment index: exponent k repeats k times,
+    so K is the least k with k(k+1)/2 >= index (exact for every index)."""
     if index < 1:
         raise ValueError("segment index is 1-based")
-    return math.ceil((math.sqrt(1 + 8 * index) - 1) / 2)
+    return (math.isqrt(8 * index - 7) + 1) // 2
 
 
 def group_end(k: int) -> int:
@@ -123,22 +124,27 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
     (cursor, last index run), with `halted`, `dynamic_index` and
     `root_bytes()`; `toy_vm.check_resume` holds the rules every resume
     obeys. Substrates are an assembled Program (the interpreter), a
-    ComputeModel and the synthetic runner (both closed form). Returns
-    (Digest, RiceTrace).
+    ComputeModel and the synthetic runner (both closed form). The driver
+    walks the schedule, keeping the next segment's start, its exponent k and
+    the segments left at k, so each t_f is `update_index` of the next
+    segment. Returns (Digest, RiceTrace).
     """
     seed = init_seed(round_index, round1_entropy)
     cursor = executable.start(state, data, gas_limit=gas_limit)
     updates: list = []
-    last = 0
+    last, start, k, left = 0, 1, 1, 1
     while True:
         # subarray [last + 1, t_f], t_f the next segment's update index
-        cursor, last = cursor.resume(last + 1, update_index(len(updates) + 1, seed))
+        cursor, last = cursor.resume(last + 1, start + first_bits(seed, k))
         if cursor.halted:
             digest = Digest(seed=seed, root=MerkleRoot(cursor.root_bytes()))
             return digest, RiceTrace(round_index=round_index, total=last,
                                      update_indices=tuple(updates), digest=digest)
         seed = sha256(seed, cursor.root_bytes())
         updates.append(last)
+        start, left = start + 2 ** k, left - 1
+        if not left:
+            k = left = k + 1
 
 
 # --- schedule bounds and cross-round analysis --------------------------------

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
-from .merkle_state import CicState
+from .merkle_state import CicState, StorageTree
 
 NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
@@ -470,8 +470,9 @@ def compute_eta(data: bytes) -> int:
 @dataclass
 class ClosedFormCursor:
     """Cursor of a closed-form substrate: a resume jumps straight to
-    min(t_f, total), and the root is a function of the dynamic index alone.
-    Gas is checked as in the interpreter, before the cursor moves."""
+    min(t_f, total), and the root is a function of the dynamic index alone,
+    which only grows, so `root_at` may keep state between calls. Gas is
+    checked as in the interpreter, before the cursor moves."""
 
     total: int
     root_at: Callable[[int], bytes]
@@ -504,7 +505,11 @@ class ComputeModel:
     at eta (the i-th store executes at dynamic index 6i + 1). That makes the
     state at any interruption point computable without interpretation, which
     is what lets schedule experiments reach T ~ 1e7 and beyond. Digests are
-    bit-identical to interpreting compute_program (covered by tests).
+    bit-identical to interpreting compute_program (covered by tests). A
+    cursor's root is `state_at`'s without the state: the pre-state's root
+    until the first store, then the root of the cursor's own `StorageTree`,
+    built over the words at the first nonzero counter, whose one leaf each
+    later root rewrites.
     """
 
     def __init__(self, key: int = 0):
@@ -521,10 +526,17 @@ class ComputeModel:
 
     def start(self, state: CicState, data: bytes = b"",
               gas_limit: Optional[int] = None) -> ClosedFormCursor:
-        eta = compute_eta(data)
-        return ClosedFormCursor(compute_length(eta),
-                                lambda t: self.state_at(state, eta, t).root().value,
-                                gas_limit=gas_limit)
+        eta, key = compute_eta(data), self.key
+        words, tree = state.words(), StorageTree([], [[]])
+        base = words.get(key, 0)
+
+        def root_at(t: int) -> bytes:
+            count = min(max(t - 1, 0) // 6, eta)
+            if not count:
+                return state.root().value
+            words[key] = (base + count) & WORD_MASK
+            return sha256(state.cid, state.code, tree.root(words, (key,) if tree.keys else words))
+        return ClosedFormCursor(compute_length(eta), root_at, gas_limit=gas_limit)
 
 
 def random_program(rng, max_iterations: int = 64) -> Program:

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cicsim import merkle_state
-from cicsim.hashing import from_word, sha256, to_word
+from cicsim.hashing import as_word, from_word, sha256, to_word
 from cicsim.merkle_state import (CicState, EMPTY_STORAGE_ROOT, MerkleRoot,
                                  StorageTree, prove_inclusion, storage_root,
                                  verify_inclusion)
@@ -110,13 +110,17 @@ def test_put_coerces_to_words():
     state = CicState(1, 2, {to_word(5): to_word(6)}).put(5, 7).put_many({to_word(8): 9, 10: 11})
     assert state.storage == {to_word(5): to_word(7), to_word(8): to_word(9),
                              to_word(10): to_word(11)}
-    # keys and values are checked where they come in, whether ints or bytes
+    # keys and values are checked where they come in, whether ints or bytes,
+    # with the error `as_word` gives
     for bad in (-1, 2 ** 256, b"\x05", bytes(31), bytes(33)):
+        with pytest.raises(ValueError) as expected:
+            as_word(bad)
         for call in (lambda: state.put(bad, 1), lambda: state.put(1, bad),
                      lambda: state.put_many({bad: 1}), lambda: state.put_many({1: 2, 3: bad}),
                      lambda: state.get(bad), lambda: prove_inclusion(state, bad)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as raised:
                 call()
+            assert str(raised.value) == str(expected.value)
     assert len(state) == 3
 
 

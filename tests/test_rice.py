@@ -1,14 +1,17 @@
 """Schedule arithmetic, seed chains, digests, and the appendix-style bounds."""
 
+import collections
 import hashlib
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from cicsim import hashing, merkle_state
 from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState
 from cicsim.experiments import SyntheticRunner, rice_overhead_rows
@@ -16,7 +19,7 @@ from cicsim.rice import (check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
                          rice_execute_traced, segment_exponent,
                          segment_start, strong_unmatched, update_index)
-from cicsim.toy_vm import (ComputeModel, assemble, compute_data,
+from cicsim.toy_vm import (ComputeModel, assemble, compute_data, compute_length,
                            compute_program, run_full)
 
 from oracles import (merkle_root_oracle, oracle_state_after, rice_round_oracle,
@@ -35,6 +38,17 @@ def test_segment_starts_match_cumulative_sums():
     for index, (start, k) in enumerate(table, 1):
         assert segment_start(index) == start
         assert segment_exponent(index) == k
+
+
+@pytest.mark.parametrize("k", [2 ** 30, 2 ** 40])
+def test_segment_exponent_is_exact_on_both_sides_of_large_group_boundaries(k):
+    # segments (k-1)k/2 + 1 .. k(k+1)/2 have exponent k; a float square root
+    # misrounds here
+    first, last = (k - 1) * k // 2 + 1, k * (k + 1) // 2
+    assert segment_exponent(first - 1) == k - 1
+    assert segment_exponent(first) == segment_exponent(first + 1) == k
+    assert segment_exponent(last - 1) == segment_exponent(last) == k
+    assert segment_exponent(last + 1) == k + 1
 
 
 def test_group_containment_of_totals():
@@ -104,6 +118,49 @@ def test_rice_rounds_match_the_schedule_oracle(round_index):
         assert (digest.seed, digest.root.value) == (seed, root)
         assert trace.digest == digest and trace.round_index == round_index
         assert updates  # every case runs past several segments
+
+
+def test_the_driver_walks_the_schedule_across_many_groups():
+    # a synthetic round long enough to reach exponent 12: every update index
+    # the driver's walk picks is the oracle table's
+    runner = SyntheticRunner(60_000, sha256(b"long-salt"))
+    entropy = sha256(b"long-entropy")
+    for round_index in (1, 2):
+        digest, trace = rice_execute_traced(runner, None, b"", round_index, entropy)
+        seed, root, updates = rice_round_oracle(runner.total, runner.root_at,
+                                                round_index, entropy)
+        assert list(trace.update_indices) == updates
+        assert (digest.seed, digest.root.value, trace.total) == (seed, root, runner.total)
+        assert exponent_of_total(updates[-1]) == 12 and trace.phi > 66
+
+
+def test_a_closed_form_round_hashes_as_building_each_state_did(monkeypatch):
+    # one ComputeModel round on a one-key state whose root is already known:
+    # the cursor never builds a tree from scratch, and it hashes exactly as
+    # often as building each interrupted state and its root did (pinned)
+    model = ComputeModel(key=7)
+    state = CicState(sha256(b"count-cic"), model.code_id).put(7, 40)
+    entropy, data = sha256(b"count"), compute_data(5_000)
+    state.root()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(hashing, "hashlib",
+                        types.SimpleNamespace(sha256=counted("sha256", hashlib.sha256)))
+    monkeypatch.setattr(merkle_state, "storage_root",
+                        counted("storage_root", merkle_state.storage_root))
+    _, trace = rice_execute_traced(model, state, data, 2, entropy)
+    monkeypatch.undo()
+    assert trace.total == compute_length(5_000) and trace.phi == 61
+    assert calls["storage_root"] == 0
+    # one to start round 2's seed, one per update, two per root after the
+    # first store (the counter's leaf, then cid and code): 59 updates and
+    # the final root
+    assert calls["sha256"] == 1 + 61 + 2 * 60
 
 
 def test_trivial_program_has_zero_updates():

@@ -13,6 +13,7 @@ from cicsim.experiments import SyntheticRunner
 from cicsim.hashing import sha256, to_word
 from cicsim import toy_vm
 from cicsim.merkle_state import CicState, prove_inclusion
+from cicsim.rice import rice_execute_traced
 from cicsim.toy_vm import (AssemblyError, ComputeModel, GasExhausted, InvalidResume,
                            Program, Transaction, assemble, compute_data, compute_length,
                            compute_program, random_program, run_full, run_sub)
@@ -404,6 +405,68 @@ def test_compute_model_gas_semantics_match_the_vm():
     cursor = model.start(state, compute_data(4), gas_limit=compute_length(4) - 1)
     with pytest.raises(GasExhausted):
         cursor.resume(1, compute_length(4))
+
+
+# (pre-state storage, counter key): the key alone, absent from an empty
+# state, absent beside another key, a counter that wraps past 2**256 within
+# the run, and the key beside a second key
+CLOSED_FORM_STATES = [
+    ({to_word(3): to_word(40)}, 3),
+    ({}, 3),
+    ({to_word(9): to_word(1)}, 3),
+    ({to_word(3): to_word(2 ** 256 - 5)}, 3),
+    ({to_word(3): to_word(40), to_word(9): to_word(1)}, 3),
+]
+
+
+@pytest.mark.parametrize("storage, key", CLOSED_FORM_STATES)
+def test_compute_model_cursor_root_is_the_state_root_at_every_index(storage, key):
+    # the cursor keeps its own tree; at every dynamic index its root must be
+    # that of the state `state_at` builds, and a RICE round must leave the
+    # pre-state's words, root and proofs as they were
+    eta = 30
+    model = ComputeModel(key=key)
+    state = CicState(4, model.code_id, storage)
+
+    def observed():
+        return (state.storage, state.root(), [prove_inclusion(state, k) for k in sorted(storage)])
+    before = observed()
+    cursor = model.start(state, compute_data(eta))
+    for t in range(1, compute_length(eta) + 1):
+        assert cursor.resume(t, t) == (cursor, t)
+        assert cursor.root_bytes() == model.state_at(state, eta, t).root().value
+    assert cursor.halted
+    final = run_full(compute_program(key), state, compute_data(eta))[0]
+    assert model.final_state(state, eta) == final
+    assert final.get(key) == to_word((int.from_bytes(state.get(key), "big") + eta) % 2 ** 256)
+    rice_execute_traced(model, state, compute_data(eta), 2, sha256(b"closed-form"))
+    assert observed() == before
+
+
+def test_compute_model_cursors_from_one_state_resume_interleaved():
+    # two cursors of one state, resumed in turn, give the roots each gives
+    # when run alone
+    eta = 50
+    model = ComputeModel(key=3)
+    state = CicState(4, model.code_id, {to_word(3): to_word(40), to_word(9): to_word(1)})
+    rng = random.Random(23)
+    cuts = [sorted(rng.sample(range(1, compute_length(eta)), 12)) + [compute_length(eta)]
+            for _ in range(2)]
+
+    def step(cursor, t):
+        cursor.resume(cursor.dynamic_index + 1, t)
+        return cursor.root_bytes()
+    alone = []
+    for run in cuts:
+        cursor = model.start(state, compute_data(eta))
+        alone.append([step(cursor, t) for t in run])
+    cursors = [model.start(state, compute_data(eta)) for _ in cuts]
+    interleaved = [[], []]
+    for pair in zip(*cuts):
+        for i, t in enumerate(pair):
+            interleaved[i].append(step(cursors[i], t))
+    assert interleaved == alone
+    assert alone[0][-1] == alone[1][-1] == model.final_state(state, eta).root().value
 
 
 def test_transaction_validation():
