@@ -42,8 +42,8 @@ def test_segment_starts_match_cumulative_sums():
 
 @pytest.mark.parametrize("k", [2 ** 30, 2 ** 40])
 def test_segment_exponent_is_exact_on_both_sides_of_large_group_boundaries(k):
-    # segments (k-1)k/2 + 1 .. k(k+1)/2 have exponent k; a float square root
-    # misrounds here
+    # segments (k-1)k/2 + 1 .. k(k+1)/2 have exponent k; indices this large
+    # are past a float square root's precision
     first, last = (k - 1) * k // 2 + 1, k * (k + 1) // 2
     assert segment_exponent(first - 1) == k - 1
     assert segment_exponent(first) == segment_exponent(first + 1) == k
@@ -131,7 +131,7 @@ def test_the_driver_walks_the_schedule_across_many_groups():
                                                 round_index, entropy)
         assert list(trace.update_indices) == updates
         assert (digest.seed, digest.root.value, trace.total) == (seed, root, runner.total)
-        assert exponent_of_total(updates[-1]) == 12 and trace.phi > 66
+        assert exponent_of_total(updates[-1]) == 12
 
 
 def test_a_closed_form_round_hashes_as_building_each_state_did(monkeypatch):
