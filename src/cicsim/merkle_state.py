@@ -10,7 +10,7 @@ proven against the root.
 Tree shape: leaves are sha256(key || value) over keys in ascending order;
 internal nodes are sha256(left || right); an odd node is promoted unchanged
 to the next level. The root of empty storage is a fixed sentinel. The full
-root is sha256(cid || code || storage_root).
+root, `state_root`, is sha256(cid || code || storage root).
 
 `CicState`, `StorageTree` and the interpreter cursor all hold storage as
 words, int keys to int values. Keys and values are 32-byte big-endian words
@@ -67,9 +67,14 @@ def _word_leaf(key: int, value: int) -> bytes:
 
 def _word_int(value: "int | bytes") -> int:
     """A key or value as an int, checked as `as_word` checks it; an int in range is kept."""
-    if isinstance(value, bytes) or not 0 <= value < WORD_MODULUS:
-        return from_word(as_word(value))
-    return value
+    if type(value) is int and 0 <= value < WORD_MODULUS:
+        return value
+    return from_word(as_word(value))
+
+
+def state_root(cid: bytes, code: bytes, tree_root: bytes) -> bytes:
+    """The full root of 32-byte `cid` and `code` over the storage root `tree_root`."""
+    return sha256(cid, code, tree_root)
 
 
 def storage_root(words: Mapping[int, int]) -> bytes:
@@ -189,7 +194,7 @@ class CicState:
 
     def root(self) -> MerkleRoot:
         if self._root is None:
-            self._root = MerkleRoot(sha256(self.cid, self.code, storage_root(self._words)))
+            self._root = MerkleRoot(state_root(self.cid, self.code, storage_root(self._words)))
         return self._root
 
     def _kept(self) -> StorageTree:
@@ -241,4 +246,4 @@ def verify_inclusion(state_root_: MerkleRoot, cid: "int | bytes", code: "int | b
     node = sha256(proof.key, proof.value)
     for sibling, sibling_is_right in proof.path:
         node = sha256(node, sibling) if sibling_is_right else sha256(sibling, node)
-    return sha256(as_word(cid), as_word(code), node) == state_root_.value
+    return state_root(as_word(cid), as_word(code), node) == state_root_.value

@@ -17,7 +17,6 @@ skipped update is what the schedule's bounds quantify.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,26 +26,11 @@ from .merkle_state import CicState, MerkleRoot
 
 # --- segment schedule -------------------------------------------------------
 
-def segment_exponent(index: int) -> int:
-    """K[index] for the 1-based segment index: exponent k repeats k times,
-    so K is the least k with k(k+1)/2 >= index (exact for every index)."""
-    if index < 1:
-        raise ValueError("segment index is 1-based")
-    return (math.isqrt(8 * index - 7) + 1) // 2
-
-
 def group_end(k: int) -> int:
     """Last dynamic index covered by segments of exponent <= k."""
     if k < 1:
         return 0
     return (k - 1) * 2 ** (k + 1) + 2
-
-
-def segment_start(index: int) -> int:
-    """First dynamic index of the 1-based segment `index`."""
-    k = segment_exponent(index)
-    position = index - (k - 1) * k // 2  # 1-based position within the k-group
-    return 1 + group_end(k - 1) + (position - 1) * 2 ** k
 
 
 def exponent_of_total(total: int) -> int:
@@ -59,7 +43,7 @@ def exponent_of_total(total: int) -> int:
     return k
 
 
-# --- seed chain and schedule ------------------------------------------------
+# --- seed chain -------------------------------------------------------------
 
 def init_seed(round_index: int, round1_entropy: bytes) -> bytes:
     """Starting seed for a round: the (round-1)-fold hash of round-1 entropy."""
@@ -71,12 +55,6 @@ def init_seed(round_index: int, round1_entropy: bytes) -> bytes:
     if len(seed) != WORD_BYTES:
         raise ValueError("seed is exactly 32 bytes")
     return seed
-
-
-def update_index(segment: int, seed: bytes) -> int:
-    """Scheduled seed-update index in the 1-based `segment`: the segment's
-    start plus the integer value of the seed's first k bits."""
-    return segment_start(segment) + first_bits(seed, segment_exponent(segment))
 
 
 # --- digests and the execution driver ---------------------------------------
@@ -126,8 +104,8 @@ def rice_execute_traced(executable, state: CicState, data: bytes, round_index: i
     obeys. Substrates are an assembled Program (the interpreter), a
     ComputeModel and the synthetic runner (both closed form). The driver
     walks the schedule, keeping the next segment's start, its exponent k and
-    the segments left at k, so each t_f is `update_index` of the next
-    segment. Returns (Digest, RiceTrace).
+    the segments left at k; each t_f is that start plus the integer value of
+    the seed's first k bits. Returns (Digest, RiceTrace).
     """
     seed = init_seed(round_index, round1_entropy)
     cursor = executable.start(state, data, gas_limit=gas_limit)

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .hashing import WORD_MASK, from_word, sha256, to_word
-from .merkle_state import CicState, StorageTree
+from .merkle_state import CicState, StorageTree, state_root
 
 NUM_REGISTERS = 16
 DATA_REGISTER_BASE = 8
@@ -261,7 +261,7 @@ class ExecCursor:
         """The state root, `state.root().value`, from the kept tree."""
         tree_root = self.tree.root(self.storage, self.written)
         self.written.clear()
-        return sha256(self.cid, self.code, tree_root)
+        return state_root(self.cid, self.code, tree_root)
 
     def resume(self, t_i: int, t_f: int):
         return run_sub(self.program, self, t_i, t_f)
@@ -535,7 +535,7 @@ class ComputeModel:
             if not count:
                 return state.root().value
             words[key] = (base + count) & WORD_MASK
-            return sha256(state.cid, state.code, tree.root(words, (key,) if tree.keys else words))
+            return state_root(state.cid, state.code, tree.root(words, (key,) if tree.keys else words))
         return ClosedFormCursor(compute_length(eta), root_at, gas_limit=gas_limit)
 
 

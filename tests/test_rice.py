@@ -17,8 +17,7 @@ from cicsim.merkle_state import CicState
 from cicsim.experiments import SyntheticRunner, rice_overhead_rows
 from cicsim.rice import (check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
-                         rice_execute_traced, segment_exponent,
-                         segment_start, strong_unmatched, update_index)
+                         rice_execute_traced, strong_unmatched)
 from cicsim.toy_vm import (ComputeModel, assemble, compute_data, compute_length,
                            compute_program, run_full)
 
@@ -28,27 +27,14 @@ from oracles import (merkle_root_oracle, oracle_state_after, rice_round_oracle,
 from test_acceptance import SEED as ACCEPTANCE_SEED
 
 
-def test_exponent_sequence_prefix():
-    assert [segment_exponent(i) for i in range(1, 11)] == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
-
-
-def test_segment_starts_match_cumulative_sums():
-    assert [segment_start(i) for i in range(1, 9)] == [1, 3, 7, 11, 19, 27, 35, 51]
+def test_schedule_oracle_prefix_and_group_ends():
+    # the oracle table the driver is held to: hand-derived first segments,
+    # and each exponent group ending where `group_end` says
     table = segment_table_oracle(10 ** 6)
-    for index, (start, k) in enumerate(table, 1):
-        assert segment_start(index) == start
-        assert segment_exponent(index) == k
-
-
-@pytest.mark.parametrize("k", [2 ** 30, 2 ** 40])
-def test_segment_exponent_is_exact_on_both_sides_of_large_group_boundaries(k):
-    # segments (k-1)k/2 + 1 .. k(k+1)/2 have exponent k; indices this large
-    # are past a float square root's precision
-    first, last = (k - 1) * k // 2 + 1, k * (k + 1) // 2
-    assert segment_exponent(first - 1) == k - 1
-    assert segment_exponent(first) == segment_exponent(first + 1) == k
-    assert segment_exponent(last - 1) == segment_exponent(last) == k
-    assert segment_exponent(last + 1) == k + 1
+    assert table[:8] == [(1, 1), (3, 2), (7, 2), (11, 3), (19, 3), (27, 3), (35, 4), (51, 4)]
+    for (start, k), (_, next_k) in zip(table, table[1:]):
+        if next_k != k:
+            assert start + 2 ** k - 1 == group_end(k)
 
 
 def test_group_containment_of_totals():
@@ -66,25 +52,6 @@ def test_seed_initialization_chain():
     for _ in range(3):
         expected = hashlib.sha256(expected).digest()
     assert init_seed(4, entropy) == expected
-
-
-def test_update_index_from_seed_prefix_bits():
-    # first two bits "10" -> offset 2 inside segment 2 (k=2, start 3)
-    seed = b"\x80" + bytes(31)
-    assert segment_exponent(2) == 2 and segment_start(2) == 3
-    assert update_index(2, seed) == 5
-    assert update_index(1, seed) == 2  # first bit "1" -> offset 1 in segment 1
-
-
-def test_update_indices_fall_inside_their_segments():
-    seed = init_seed(1, sha256(b"contiguous"))
-    table = segment_table_oracle(10 ** 4)
-    for segment in range(1, 13):
-        t_f = update_index(segment, seed)
-        start, k = table[segment - 1]
-        assert start <= t_f < start + 2 ** k
-        assert t_f == start + (int.from_bytes(seed, "big") >> (256 - k))
-        seed = sha256(seed, sha256(b"root", to_word(t_f)))
 
 
 def _interpreter_run(program, state, data):
@@ -346,8 +313,6 @@ def test_c07_misses_match_the_exact_law_of_its_corpus():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         init_seed(0, sha256(b"e"))
-    with pytest.raises(ValueError):
-        segment_exponent(0)
     with pytest.raises(ValueError):
         init_seed(1, b"short")
     with pytest.raises(ValueError):
