@@ -97,34 +97,45 @@ _ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 def canonical_json(doc) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` by the one
     encoder: every scenario document and experiment spec, and the general path
-    and oracle for event lines. Only a `PER_NODE_FIELDS` event whose payload
-    fits its declaration is rendered instead, from a format derived from this."""
+    and oracle for event lines. Only a `DECLARED_EVENTS` event whose payload
+    fits its declaration is rendered instead, by an f-string whose text is this."""
     return "".join(_ENCODE(doc, 0))
 
 
-# the per-node kinds' payload fields in call-site order, each an int (never a bool),
+# the declared kinds' payload fields in call-site order, each an int (never a bool),
 # bytes written as hex, or text that needs no escaping
-PER_NODE_FIELDS = {
+DECLARED_EVENTS = {
     "commit": dict(cid=bytes, round=int, node=int, se=bytes),
     "reveal": dict(cid=bytes, round=int, node=int, root=bytes, seed=bytes, sort=bytes),
     "reward": dict(cid=bytes, node=int, round=int, amount=int),
     "forfeit": dict(cid=bytes, node=int, amount=int, reason=str, round=int),
+    "rejected": dict(message=str, node=int, reason=str, detail=str),
 }
 
 
 def _declare(kind: str, declared: dict) -> tuple:
-    """Field names, types, bytes and text fields, and the canonical line as a %-format
-    over the event dict: `canonical_json` of placeholders, unquoted for ints."""
-    of = {wanted: [key for key, json_kind in declared.items() if json_kind is wanted]
-          for wanted in (int, bytes, str)}
-    line = canonical_json({key: f"%({key})s" for key in ("block", *declared)} | {"type": kind})
-    for key in ("block", *of[int]):
-        line = line.replace(f'"%({key})s"', f"%({key})s")
-    return tuple(declared), tuple(declared.values()), of[bytes], of[str], line
+    """Field names, types and text fields, and `render(block, payload) -> (event, line)`
+    compiled from source: the event in key order block, type, fields, bytes as hex, and
+    its line by an f-string, `canonical_json` of an event of placeholders, ints unquoted."""
+    types = dict(block=int, **declared)
+    local = {key: f"v{i}" for i, key in enumerate(types)}   # `round` would shadow a builtin
+    line = canonical_json({key: f"@{v}@" for key, v in local.items()} | {"type": kind})
+    line = line.replace("{", "{{").replace("}", "}}")
+    for key, v in local.items():
+        line = line.replace(f'"@{v}@"' if types[key] is int else f"@{v}@", f"{{{v}}}")
+    event = {"block": "v0", "type": repr(kind)} | local
+    source = "\n    ".join([
+        "def render(v0, payload):",
+        "".join(f"{local[key]}, " for key in declared) + "= payload.values()",
+        *(f"{local[key]} = {local[key]}.hex()" for key in declared if declared[key] is bytes),
+        "return {" + ", ".join(f"{key!r}: {v}" for key, v in event.items()) + f"}}, f{line!r}"])
+    exec(compile(source, f"<render {kind}>", "exec"), namespace := {})
+    texts = [key for key in declared if declared[key] is str]
+    return tuple(declared), tuple(declared.values()), texts, namespace["render"]
 
 
-_FORMATS = {kind: _declare(kind, declared) for kind, declared in PER_NODE_FIELDS.items()}
-_UNDECLARED = (None, (), (), (), "")    # no payload's field names are None
+_RENDERERS = {kind: _declare(kind, declared) for kind, declared in DECLARED_EVENTS.items()}
+_UNDECLARED = (None, (), (), None)    # no payload's field names are None
 
 
 def _require_ints(spec, low, *names: str, high=math.inf) -> None:
@@ -245,20 +256,21 @@ class MasterContract:
 
     def emit(self, block: int, kind: str, **payload) -> None:
         """Append the event, bytes values as hex, and its canonical line. A
-        `PER_NODE_FIELDS` kind (commit, reveal, reward, forfeit) is rendered from
-        its declared format if the payload has exactly its fields, in order, each
-        of its type; any other event by `canonical_json`, the general path."""
-        event = {"block": block, "type": kind, **payload}
-        names, types, hexed, texts, line = _FORMATS.get(kind, _UNDECLARED)
-        fits = (tuple(payload) == names and type(block) is int
+        `DECLARED_EVENTS` kind is rendered by its compiled renderer if the payload
+        has exactly its fields, in order, each of its type; any other event by
+        `canonical_json`, the general path."""
+        names, types, texts, render = _RENDERERS.get(kind, _UNDECLARED)
+        if (tuple(payload) == names and type(block) is int
                 and tuple(map(type, payload.values())) == types
-                and not (texts and any(map(ESCAPE_ASCII.search, map(payload.get, texts)))))
-        if not fits:
-            hexed = [key for key, value in payload.items() if isinstance(value, bytes)]
-        for key in hexed:
-            event[key] = payload[key].hex()
+                and not (texts and any(map(ESCAPE_ASCII.search, map(payload.get, texts))))):
+            event, line = render(block, payload)
+        else:
+            event = {"block": block, "type": kind, **payload}
+            event.update((key, value.hex()) for key, value in payload.items()
+                         if isinstance(value, bytes))
+            line = "".join(_ENCODE(event, 0))
         self.events.append(event)
-        self.lines.append(line % event if fits else "".join(_ENCODE(event, 0)))
+        self.lines.append(line)
 
     def total_value(self) -> int:
         total = self.treasury + self.burned
@@ -513,7 +525,8 @@ class ItSpec:
     submit_block: int = 1
 
     def __post_init__(self) -> None:
-        _require_ints(self, 0, "cic_index", "eta", "gas_price", "gas_margin")  # gas covers the run
+        _require_ints(self, 0, "cic_index", "gas_price", "gas_margin")  # gas covers the run
+        _require_ints(self, 0, "eta", high=WORD_MASK)
         _require_ints(self, 1, "submit_block")
 
 

@@ -32,15 +32,17 @@ def random_gen(experiment_seed: bytes, counter: int) -> bytes:
     return sha256(experiment_seed, be8(counter))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NodeKeys:
+    """A node's keys and `prf`, the midstate sha256(sk); unfrozen, as nothing reassigns them."""
+
     node_id: int
     pk: bytes
     sk: bytes
     prf: "hashlib._Hash" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prf", hashlib.sha256(self.sk))
+        self.prf = hashlib.sha256(self.sk)
 
     def __reduce__(self):
         # hash objects do not pickle; the midstate is rebuilt from sk

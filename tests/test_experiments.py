@@ -315,6 +315,19 @@ def test_cli_rejects_scenario_values_a_run_cannot_use(tmp_path, capsys, edit, it
     assert capsys.readouterr().err.startswith("error: malformed scenario: ")
 
 
+def test_cli_rejects_an_eta_beyond_one_word(tmp_path, capsys):
+    """An `its` eta that `compute_data` cannot encode is refused with the
+    scenario, as `rice-trace --eta` is, not by a traceback from inside the run."""
+    doc = json.loads(protocol.Scenario().to_json())
+    doc["its"][0]["eta"] = 2 ** 300
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["protocol-run", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed scenario: ") and "eta" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_exits_1_on_a_run_stopped_at_the_block_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(protocol, "MAX_BLOCKS", 50)
     path, log = tmp_path / "scenario.json", tmp_path / "log.jsonl"

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 from itertools import combinations, permutations
 
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cicsim import adversary
+from cicsim import adversary, protocol
 from cicsim.experiments import audit_event_log, random_scenario
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState, MerkleRoot
 from cicsim.miracle import ConsensusParams
-from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, MAX_BLOCKS,
-                             PER_NODE_FIELDS, REVEALING, SETTLED, CicSpec,
+from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, DECLARED_EVENTS,
+                             MAX_BLOCKS, REVEALING, SETTLED, CicSpec,
                              CommitMismatch, DuplicateCommit, InsufficientEscrow,
                              InvalidSortition, ItSpec, MasterContract, NoCommitment,
                              NodeRecord, OutsideWindow, QueueOrderViolation, Scenario,
@@ -512,6 +513,7 @@ BAD_SCENARIO_VALUES = [
     _edited_scenario_json(seed="00"),
     _edited_it_json(cic_index=5),
     _edited_it_json(eta=-1),
+    _edited_it_json(eta=2 ** 256),                    # compute_data takes one word
     _edited_it_json(gas_price=-1),
     _edited_it_json(submit_block=0),
     _edited_it_json(submit_block=-5),
@@ -592,9 +594,17 @@ def test_non_integer_amounts_counts_and_offsets_are_refused(spec, name, value):
         spec(**{name: value})
 
 
+@pytest.mark.parametrize("eta", [2 ** 256, 2 ** 300])
+def test_an_eta_beyond_one_word_is_refused(eta):
+    with pytest.raises(ValueError, match=r"^eta must be an int from 0 to \d+, not"):
+        ItSpec(eta=eta)
+    assert ItSpec(eta=2 ** 256 - 1).eta == 2 ** 256 - 1
+
+
 def test_scenario_values_at_their_edges_parse():
     for text in (_edited_it_json(gas_margin=0, submit_block=1),
                  _edited_scenario_json(cics=[{"key": 2 ** 256 - 1, "init": 2 ** 256 - 1}]),
+                 _edited_it_json(eta=2 ** 256 - 1),
                  _edited_scenario_json(node_balance=0, treasury=0, creator_balance=0),
                  _edited_windows_json(gas_per_block=1, w_src_slack=0, w_buf=0, w_sr=1),
                  _edited_scenario_json(max_rounds=1, commit_jitter=1, reveal_jitter=1),
@@ -700,12 +710,12 @@ _OF_KIND = {int: st.integers(-2 ** 80, 2 ** 80), bytes: st.binary(max_size=40),
 
 
 @st.composite
-def _per_node_events(draw):
-    """A `PER_NODE_FIELDS` kind with its fields in order, each of its declared
+def _declared_events(draw):
+    """A `DECLARED_EVENTS` kind with its fields in order, each of its declared
     kind, and at most one change: any other value, a renamed, dropped or
     added key, or the fields in reverse order."""
-    kind = draw(st.sampled_from(sorted(PER_NODE_FIELDS)))
-    declared = PER_NODE_FIELDS[kind]
+    kind = draw(st.sampled_from(sorted(DECLARED_EVENTS)))
+    declared = DECLARED_EVENTS[kind]
     payload = {key: draw(_OF_KIND[json_kind]) for key, json_kind in declared.items()}
     key, other = draw(st.sampled_from(list(declared))), draw(_KEYS.filter(
         lambda k: k not in declared))
@@ -727,9 +737,9 @@ def _per_node_events(draw):
 @settings(max_examples=200, deadline=None)
 @given(block=st.one_of(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40), st.booleans()),
        event=st.one_of(
-           st.tuples(st.one_of(_ODD_TEXT, st.sampled_from(sorted(PER_NODE_FIELDS))),
+           st.tuples(st.one_of(_ODD_TEXT, st.sampled_from(sorted(DECLARED_EVENTS))),
                      st.dictionaries(_KEYS, st.one_of(_PAYLOAD_VALUES, _FLOATS), max_size=8)),
-           _per_node_events()))
+           _declared_events()))
 def test_emit_writes_the_canonical_line(block, event):
     """Whichever path renders it, the line is the oracle's, and the event
     keeps the order of its keys."""
@@ -741,6 +751,31 @@ def test_emit_writes_the_canonical_line(block, event):
     assert mc.events == [expected]
     assert list(mc.events[0]) == list(expected)
     assert mc.lines == [canonical_line(expected)] == event_lines(mc.events)
+
+
+def test_a_paper_scale_run_renders_every_declared_event_by_its_renderer(monkeypatch):
+    """At the paper's operating point (M = 1600, q = 0.125, f = f_max = 0.45)
+    every commit, reveal, reward, rejected duplicate witness and round-numbered
+    forfeit fits its declaration. A call site whose keywords drift from the
+    declared order would still log the same bytes, from the general encoder at
+    about twice the cost, so the encoder's calls are counted by kind."""
+    encoded, encode = Counter(), protocol._ENCODE
+
+    def counting(doc, level):
+        encoded[doc.get("type")] += 1
+        return encode(doc, level)
+
+    monkeypatch.setattr(protocol, "_ENCODE", counting)
+    result = run_scenario(Scenario(m_total=1600, q=0.125, f_max=0.45, beta=1e-6,
+                                   strategies=(("honest", 880), ("byz_single", 720))))
+    kinds = ("commit", "reveal", "reward", "forfeit", "rejected")
+    emitted = Counter(e["type"] for e in result.events)
+    assert all(emitted[kind] for kind in kinds) and emitted["rejected"] > 100
+    unnumbered = sum(e["type"] == "forfeit" and e["round"] is None for e in result.events)
+    assert {kind: encoded[kind] for kind in kinds} == {**dict.fromkeys(kinds, 0),
+                                                       "forfeit": unnumbered}
+    undeclared = len(result.events) - sum(map(emitted.get, kinds))
+    assert sum(encoded.values()) == undeclared + unnumbered
 
 
 def test_an_empty_treasury_pays_rewards_only_from_fees():
