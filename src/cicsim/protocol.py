@@ -118,7 +118,7 @@ def _declare(kind: str, declared: dict) -> tuple:
     compiled from source: the event in key order block, type, fields, bytes as hex, and
     its line by an f-string, `canonical_json` of an event of placeholders, ints unquoted."""
     types = dict(block=int, **declared)
-    local = {key: f"v{i}" for i, key in enumerate(types)}   # `round` would shadow a builtin
+    local = {key: f"v{i}" for i, key in enumerate(types)}   # no field clashes with `payload`
     line = canonical_json({key: f"@{v}@" for key, v in local.items()} | {"type": kind})
     line = line.replace("{", "{{").replace("}", "}}")
     for key, v in local.items():
