@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, adversary, miracle, protocol, rice
 from .hashing import be8, sha256
 from .merkle_state import CicState
+from .randomness import random_gen
 from .toy_vm import ClosedFormCursor, ComputeModel, compute_data, random_program
 
 FORMAT_VERSION = 1
@@ -58,7 +59,6 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
     trials: int = 1000
     seed: str = "00" * 32
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -71,6 +71,8 @@ class ExperimentSpec:
             if not _fits_default(value, default):
                 raise ConfigError(f"{self.kind} parameter {key}={value!r} does not have "
                                   f"the type of its default {default!r}")
+            if value == []:
+                raise ConfigError(f"{self.kind} parameter {key} lists no value")
         if self.trials <= 0:
             raise ConfigError("trial count must be positive")
         seed_from_hex(self.seed)
@@ -85,10 +87,6 @@ class ExperimentSpec:
 
 def _rng(seed: bytes, *tags: bytes) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(sha256(seed, *tags), "big"))
-
-
-def trial_seed(seed: bytes, index: int) -> bytes:
-    return sha256(seed, be8(index))
 
 
 # --- vectorized two-root consensus Monte Carlo --------------------------------
@@ -159,6 +157,12 @@ def sweep_point(params: miracle.ConsensusParams, f: float, trials: int,
                       unconverged=int(unconv.sum()))
 
 
+def _stats_columns(stats: SweepStats) -> dict:
+    """The five `SweepStats` columns that both consensus sweeps report, in order."""
+    return {name: getattr(stats, name) for name in
+            ("trials", "mean_rounds", "ci95_rounds", "p_wrong", "mean_nodes_used")}
+
+
 def miracle_sweep_rows(trials: int, seed: bytes, m: int, q: float,
                        betas: Sequence[float], f_values: Sequence[float],
                        f_max: Optional[float] = None):
@@ -170,11 +174,7 @@ def miracle_sweep_rows(trials: int, seed: bytes, m: int, q: float,
             design = f_max if f_max is not None else f
             params = miracle.ConsensusParams(m, design, q, beta)
             stats = sweep_point(params, f, trials, seed)
-            rows.append({"f": f, "beta": beta, "f_max": design,
-                         "trials": trials, "mean_rounds": stats.mean_rounds,
-                         "ci95_rounds": stats.ci95_rounds,
-                         "p_wrong": stats.p_wrong,
-                         "mean_nodes_used": stats.mean_nodes_used,
+            rows.append({"f": f, "beta": beta, "f_max": design, **_stats_columns(stats),
                          "unconverged": stats.unconverged})
     return rows
 
@@ -189,11 +189,8 @@ def adaptive_rows(trials: int, seed: bytes, m: int, beta: float, f_max: float,
     rows = []
     for f in f_values:
         stats = sweep_point(params, f, trials, seed)
-        rows.append({"f": f, "f_max": f_max, "q": q, "beta": beta,
-                     "expected_es": q * m, "trials": trials,
-                     "mean_rounds": stats.mean_rounds,
-                     "ci95_rounds": stats.ci95_rounds, "p_wrong": stats.p_wrong,
-                     "mean_nodes_used": stats.mean_nodes_used})
+        rows.append({"f": f, "f_max": f_max, "q": q, "beta": beta, "expected_es": q * m,
+                     **_stats_columns(stats)})
     return rows
 
 
@@ -320,7 +317,7 @@ def rice_unmatched_rows(trials: int, seed: bytes, k: int, rounds: int):
 def random_scenario(index: int, seed: bytes, max_parallel: int = 16) -> protocol.Scenario:
     """A small randomized protocol scenario: mixed strategies, one to
     `max_parallel` transactions, occasional shared queues and zero buffers."""
-    rng = random.Random(int.from_bytes(trial_seed(seed, index), "big"))
+    rng = random.Random(int.from_bytes(random_gen(seed, index), "big"))
     m = rng.randint(12, 28)
     n_byz = rng.randint(0, int(0.30 * m))
     n_free = rng.randint(0, 2)
@@ -352,7 +349,7 @@ def random_scenario(index: int, seed: bytes, max_parallel: int = 16) -> protocol
                                 submit_block=rng.randint(1, 3))
                 for i in range(n_its))
     return protocol.Scenario(
-        seed=trial_seed(seed, index).hex(),
+        seed=random_gen(seed, index).hex(),
         m_total=m, q=round(rng.uniform(0.35, 0.65), 3), f_max=0.4,
         beta=10.0 ** -rng.randint(3, 8), max_rounds=rng.randint(6, 10),
         strategies=tuple(strategies), cics=cics, its=its,
@@ -410,9 +407,7 @@ def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16):
             "trial": index, "m_total": scenario.m_total,
             "parallel_its": len(scenario.its), "blocks": result.total_blocks,
             "settled": result.settled, "events": len(result.events),
-            "conserved": result.conserved,
-            "window_discipline": audit["window_discipline"],
-            "reveal_binding": audit["reveal_binding"],
+            "conserved": result.conserved, **audit,
             "replay_identical": replay_ok,
             "honest_forfeits": honest_forfeits,
         })
@@ -499,16 +494,12 @@ KINDS = {
 
 
 def run(spec: ExperimentSpec):
-    """Execute an experiment spec; returns (rows, meta) and writes the CSV
-    artifact when an output path is set."""
+    """Execute an experiment spec; returns (rows, meta), which `render_csv`
+    turns into the CSV artifact."""
     kind = KINDS[spec.kind]
     rows = kind.rows(spec.trials, seed_from_hex(spec.seed), **{**kind.defaults, **spec.params})
-    meta = {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
-            "lib": __version__}
-    if spec.out:
-        with open(spec.out, "w", newline="") as fh:
-            fh.write(render_csv(rows, meta))
-    return rows, meta
+    return rows, {"spec": spec.spec_hash(), "seed": spec.seed, "kind": spec.kind,
+                  "lib": __version__}
 
 
 # --- protocol log files and replay ------------------------------------------------

@@ -146,6 +146,17 @@ def expected_rounds(params: ConsensusParams, f: float) -> float:
     return numerator / drift
 
 
+def _bisect(past, lo: float, hi: float) -> float:
+    """q after 200 halvings of [lo, hi] toward where `past(q)` turns from false to true."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_q_for_expected_rounds(m_total: int, f_max: float, beta: float,
                                 target_rounds: float) -> float:
     """Inclusion probability q at which the design-point round count of the
@@ -164,13 +175,7 @@ def solve_q_for_expected_rounds(m_total: int, f_max: float, beta: float,
         raise NoSolution("target below the achievable round count at q -> 1")
     if rounds_at(lo) < target_rounds:
         raise NoSolution("target above the achievable round count at q -> 0")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rounds_at(mid) > target_rounds:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda q: rounds_at(q) <= target_rounds, lo, hi)
 
 
 def one_round_q(m_total: int, f_max: float, beta: float) -> float:
@@ -190,14 +195,7 @@ def one_round_q(m_total: int, f_max: float, beta: float) -> float:
     def excess(q: float) -> float:
         return q * m_total - 2.0 * log_odds * rate * (1.0 - q)
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda q: excess(q) > 0.0, 0.0, 1.0)
 
 
 def ns1_size(f_max: float, m_total: int, beta: float) -> int:

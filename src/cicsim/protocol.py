@@ -181,7 +181,7 @@ class WindowConfig:
         _require_ints(self, 0, "w_src_slack", "w_buf")
 
     def w_src(self, gas_limit: int) -> int:
-        return math.ceil(gas_limit / self.gas_per_block) + self.w_src_slack
+        return -(-gas_limit // self.gas_per_block) + self.w_src_slack
 
 
 @dataclass(slots=True)
@@ -561,6 +561,9 @@ class Scenario:
     treasury: int = 1_000_000
 
     def __post_init__(self) -> None:
+        if any(isinstance(x, bool) for x in (self.q, self.f_max, self.beta,
+                                              self.policy.th1, self.policy.th2)):
+            raise ValueError("q, f_max, beta, th1 and th2 are numbers, not bools")
         miracle.ConsensusParams(self.m_total, self.f_max, self.q, self.beta)
         if len(bytes.fromhex(self.seed)) != 32:
             raise ValueError("seed must be 32 bytes of hex")

@@ -1,5 +1,6 @@
 """Harness plumbing: determinism, CSV artifacts, CLI, log replay."""
 
+import argparse
 import functools
 import json
 
@@ -150,11 +151,12 @@ def test_sweep_rows_are_deterministic():
 
 def test_csv_artifact_shape_and_determinism(tmp_path):
     spec = experiments.ExperimentSpec(
-        kind="es_sizing", params={"m": 1600, "beta": 1e-20},
-        trials=1, seed="cd" * 32, out=str(tmp_path / "a.csv"))
-    experiments.run(spec)
+        kind="es_sizing", params={"m": 1600, "beta": 1e-20}, trials=1, seed="cd" * 32)
+    argv = ["es-sizing", "--m", "1600", "--beta", "1e-20", "--trials", "1",
+            "--seed", "cd" * 32, "--out", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == 0
     first = (tmp_path / "a.csv").read_bytes()
-    experiments.run(spec)
+    assert cli.main(argv) == 0
     assert (tmp_path / "a.csv").read_bytes() == first
     text = first.decode()
     assert text.startswith("# ")
@@ -420,6 +422,19 @@ def test_misspelled_parameter_is_a_config_error(tmp_path, capsys):
     assert cli.main(["es-sizing", "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command,key", [("miracle-mc", "betas"), ("miracle-mc", "f_values"),
+                                         ("adaptive", "f_values"),
+                                         ("es-sizing", "f_max_values")])
+def test_cli_refuses_an_empty_parameter_list(tmp_path, capsys, command, key):
+    # an empty sweep would print a header-only CSV and exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: []}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{key} lists no value" in captured.err
+
+
 def test_parameter_values_must_have_their_default_type():
     def spec(kind, **params):
         return experiments.ExperimentSpec(kind=kind, params=params, seed="ab" * 32)
@@ -471,6 +486,59 @@ def test_cli_protocol_scenario_rejects_the_batch_flags(tmp_path, capsys, flags):
     # and --log, which only a scenario run writes, is an error without one
     assert cli.main(["protocol-run", "--log", str(tmp_path / "log.jsonl")]) == 2
     assert capsys.readouterr().err == "error: --log needs --scenario\n"
+
+
+# Every subcommand's options as (option strings, dest, type, action, default),
+# pinned as literals so a change to how the flags are built cannot move one.
+_COMMON = [(("--seed",), "seed", None, "store", None),
+           (("--trials",), "trials", int, "store", None),
+           (("--out",), "out", None, "store", None),
+           (("--config",), "config", None, "store", None)]
+PARSERS = {
+    "miracle-mc": [*_COMMON, (("--m",), "m", int, "store", None),
+                   (("--q",), "q", float, "store", None),
+                   (("--beta",), "betas", float, "append", None),
+                   (("--f",), "f_values", float, "append", None),
+                   (("--f-max",), "f_max", float, "store", None)],
+    "adaptive": [*_COMMON, (("--m",), "m", int, "store", None),
+                 (("--beta",), "beta", float, "store", None),
+                 (("--f-max",), "f_max", float, "store", None),
+                 (("--target-rounds",), "target_rounds", float, "store", None),
+                 (("--f",), "f_values", float, "append", None)],
+    "es-sizing": [*_COMMON, (("--m",), "m", int, "store", None),
+                  (("--beta",), "beta", float, "store", None)],
+    "rice-trace": [(("--seed",), "seed", None, "store", cli.DEFAULT_SEED),
+                   (("--eta",), "eta", int, "store", 200),
+                   (("--rounds",), "rounds", int, "store", 1),
+                   (("--out",), "out", None, "store", None)],
+    "rice-overhead": [*_COMMON, (("--t-lo",), "t_lo", int, "store", None),
+                      (("--t-hi",), "t_hi", int, "store", None)],
+    "protocol-run": [*_COMMON, (("--max-parallel",), "max_parallel", int, "store", None),
+                     (("--scenario",), "scenario", None, "store", None),
+                     (("--log",), "log", None, "store", None)],
+    "utility": _COMMON,
+    "replay": [((), "log", None, "store", None)],
+}
+_ACTIONS = {argparse._StoreAction: "store", argparse._AppendAction: "append"}
+
+
+def test_cli_subcommand_parsers_are_pinned(monkeypatch):
+    class Parsed(Exception):
+        pass
+
+    def capture(parser, *args, **kwargs):
+        raise Parsed(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(Parsed) as caught:
+        cli.main([])
+    sub = next(action for action in caught.value.args[0]._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(PARSERS)
+    for name, parser in sub.choices.items():
+        options = [(tuple(a.option_strings), a.dest, a.type, _ACTIONS[type(a)], a.default)
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert options == PARSERS[name], name
 
 
 def test_cli_miracle_mc(tmp_path):

@@ -543,6 +543,12 @@ BAD_SCENARIO_VALUES = [
     _edited_windows_json(w_src_slack=0.5),
     _edited_scenario_json(policy={**asdict(SettlementPolicy()), "deposit": 0.1}),
     _edited_scenario_json(cics=[{"key": 0, "init": False}]),
+    # a fraction or probability is a number, never a bool: q = true would select every node
+    _edited_scenario_json(q=True),
+    _edited_scenario_json(f_max=False),
+    _edited_scenario_json(beta=True),
+    _edited_scenario_json(policy={**asdict(SettlementPolicy()), "th1": True}),
+    _edited_scenario_json(policy={**asdict(SettlementPolicy()), "th2": False}),
     # each strategy kind takes only the parameter `adversary.KINDS` declares
     # for it, in that parameter's range, and a count is a non-negative int
     _edited_scenario_json(strategies=[["honest", 10], ["colluder", 2, {"group": -1}]]),
@@ -599,6 +605,14 @@ def test_an_eta_beyond_one_word_is_refused(eta):
     with pytest.raises(ValueError, match=r"^eta must be an int from 0 to \d+, not"):
         ItSpec(eta=eta)
     assert ItSpec(eta=2 ** 256 - 1).eta == 2 ** 256 - 1
+
+
+def test_the_commit_window_rounds_up_in_integers():
+    # a float quotient rounds 3 * 2**60 + 1 gas at 3 a block down to 2**60 blocks
+    windows = WindowConfig(gas_per_block=3, w_src_slack=0)
+    assert windows.w_src(3 * 2 ** 60 + 1) == 2 ** 60 + 1
+    assert windows.w_src(3 * 2 ** 60) == 2 ** 60 and windows.w_src(1) == 1
+    assert WindowConfig(gas_per_block=40, w_src_slack=2).w_src(81) == 5
 
 
 def test_scenario_values_at_their_edges_parse():
