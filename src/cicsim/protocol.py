@@ -26,7 +26,7 @@ import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from json.encoder import ESCAPE_ASCII, c_make_encoder, encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from . import adversary, miracle, rice
@@ -96,46 +96,71 @@ _ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 
 def canonical_json(doc) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` by the one
-    encoder: every scenario document and experiment spec, and the general path
-    and oracle for event lines. Only a `DECLARED_EVENTS` event whose payload
-    fits its declaration is rendered instead, by an f-string whose text is this."""
+    encoder: every scenario document, log header and experiment spec, and the
+    line layout each event renderer's f-string is generated from."""
     return "".join(_ENCODE(doc, 0))
 
 
-# the declared kinds' payload fields in call-site order, each an int (never a bool),
-# bytes written as hex, or text that needs no escaping
+# every event kind and its payload fields in call-site order, each of a type in _FIELD_TYPES
 DECLARED_EVENTS = {
+    "queued": dict(cid=bytes, tid=bytes, creator=str),
+    "deployed": dict(cid=bytes, tid=bytes, nonce=bytes, entropy=bytes, escrow=int),
+    "round_started": dict(cid=bytes, round=int, nonce=bytes, commit_open=int,
+                          commit_close=int, reveal_open=int, reveal_close=int),
     "commit": dict(cid=bytes, round=int, node=int, se=bytes),
     "reveal": dict(cid=bytes, round=int, node=int, root=bytes, seed=bytes, sort=bytes),
+    "buffering": dict(cid=bytes, round=int),
+    "revealing": dict(cid=bytes, round=int),
+    "missing_state_witness": dict(cid=bytes),
+    "round_closed": dict(cid=bytes, round=int, tally=dict[str, int], accepted=bool,
+                         winning_root=Optional[bytes]),
+    "witness": dict(cid=bytes, node=int, valid=bool, keys=int),
     "reward": dict(cid=bytes, node=int, round=int, amount=int),
-    "forfeit": dict(cid=bytes, node=int, amount=int, reason=str, round=int),
+    "settled": dict(cid=bytes, tid=bytes, rounds=int, winning_root=bytes, gas_fee=int,
+                    refund=int),
+    "no_convergence": dict(cid=bytes, tid=bytes, reason=str),
     "rejected": dict(message=str, node=int, reason=str, detail=str),
+    "forfeit": dict(cid=bytes, node=int, amount=int, reason=str, round=Optional[int]),
+    "conservation_violated": dict(expected=int, actual=int),
+    "block_cap": dict(max_blocks=int, active=int, pending=int),
+}
+
+# each field type as source over its argument `$`: fit test, event value if not `$`, JSON text
+_FIELD_TYPES = {
+    int: ("type($) is int", None, "{$}"),     # never a bool
+    bool: ("type($) is bool", None, "{_json($)}"),
+    str: ("type($) is str", None, "{_text($)}"),
+    bytes: ("type($) is bytes", "$.hex()", '"{$}"'),
+    Optional[int]: ("$ is None or type($) is int", None, "{_json($)}"),
+    Optional[bytes]: ("$ is None or type($) is bytes", "$ if $ is None else $.hex()", "{_json($)}"),
+    dict[str, int]: ("type($) is dict and all(type(k) is str and type(n) is int"
+                     " for k, n in $.items())", None, "{_json($)}"),
 }
 
 
-def _declare(kind: str, declared: dict) -> tuple:
-    """Field names, types and text fields, and `render(block, payload) -> (event, line)`
-    compiled from source: the event in key order block, type, fields, bytes as hex, and
-    its line by an f-string, `canonical_json` of an event of placeholders, ints unquoted."""
+def _declare(kind: str, declared: dict):
+    """`render(block, **payload) -> (event, line)`, compiled: its signature checks the field
+    names and its fit test their types (TypeError); the event's keys go block, type, fields, and
+    its line is an f-string of `canonical_json`'s layout with each field's text in place."""
     types = dict(block=int, **declared)
-    local = {key: f"v{i}" for i, key in enumerate(types)}   # no field clashes with `payload`
-    line = canonical_json({key: f"@{v}@" for key, v in local.items()} | {"type": kind})
+    fields = {key: [s and s.replace("$", key) for s in _FIELD_TYPES[t]] for key, t in types.items()}
+    line = canonical_json({key: f"@{i}@" for i, key in enumerate(types)} | {"type": kind})
     line = line.replace("{", "{{").replace("}", "}}")
-    for key, v in local.items():
-        line = line.replace(f'"@{v}@"' if types[key] is int else f"@{v}@", f"{{{v}}}")
-    event = {"block": "v0", "type": repr(kind)} | local
+    for i, (_, _, text) in enumerate(fields.values()):
+        line = line.replace(f'"@{i}@"', text)
     source = "\n    ".join([
-        "def render(v0, payload):",
-        "".join(f"{local[key]}, " for key in declared) + "= payload.values()",
-        *(f"{local[key]} = {local[key]}.hex()" for key in declared if declared[key] is bytes),
-        "return {" + ", ".join(f"{key!r}: {v}" for key, v in event.items()) + f"}}, f{line!r}"])
-    exec(compile(source, f"<render {kind}>", "exec"), namespace := {})
-    texts = [key for key in declared if declared[key] is str]
-    return tuple(declared), tuple(declared.values()), texts, namespace["render"]
+        f"def render({', '.join(['block', '*', *declared])}):",
+        "if not (" + " and ".join(f"({fit})" for fit, _, _ in fields.values()) + "):",
+        f"    raise TypeError({f'{kind} fields do not fit DECLARED_EVENTS[{kind!r}]'!r})",
+        *(f"{key} = {value}" for key, (_, value, _) in fields.items() if value),
+        f"return {{'block': block, 'type': {kind!r}, "
+        + "".join(f"{key!r}: {key}, " for key in declared) + f"}}, f{line!r}"])
+    exec(compile(source, f"<render {kind}>", "exec"),
+         namespace := dict(_text=encode_basestring_ascii, _json=canonical_json))
+    return namespace["render"]
 
 
 _RENDERERS = {kind: _declare(kind, declared) for kind, declared in DECLARED_EVENTS.items()}
-_UNDECLARED = (None, (), (), None)    # no payload's field names are None
 
 
 def _require_ints(spec, low, *names: str, high=math.inf) -> None:
@@ -255,20 +280,9 @@ class MasterContract:
         return value
 
     def emit(self, block: int, kind: str, **payload) -> None:
-        """Append the event, bytes values as hex, and its canonical line. A
-        `DECLARED_EVENTS` kind is rendered by its compiled renderer if the payload
-        has exactly its fields, in order, each of its type; any other event by
-        `canonical_json`, the general path."""
-        names, types, texts, render = _RENDERERS.get(kind, _UNDECLARED)
-        if (tuple(payload) == names and type(block) is int
-                and tuple(map(type, payload.values())) == types
-                and not (texts and any(map(ESCAPE_ASCII.search, map(payload.get, texts))))):
-            event, line = render(block, payload)
-        else:
-            event = {"block": block, "type": kind, **payload}
-            event.update((key, value.hex()) for key, value in payload.items()
-                         if isinstance(value, bytes))
-            line = "".join(_ENCODE(event, 0))
+        """Append the event and its canonical line, both from the kind's renderer,
+        which raises TypeError on a payload that does not fit `DECLARED_EVENTS`."""
+        event, line = _RENDERERS[kind](block, **payload)
         self.events.append(event)
         self.lines.append(line)
 

@@ -9,8 +9,7 @@ that do not match their commitment. After every step it checks:
 * every accepted commit and reveal lies inside its round's window, read
   from the event log;
 * every accepted reveal opens the commitment its node made in that round;
-* every event's log line is the oracle's canonical line, whichever path in
-  `emit` rendered it;
+* every event's log line is the oracle's canonical line;
 * a contract's queue holds transactions only behind its active one: an
   unfunded transaction leaves its queue, whether it is refused at enqueue
   or when the transaction ahead of it finishes;

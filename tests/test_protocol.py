@@ -1,13 +1,16 @@
 """Master-contract rules: windows, binding, settlement branches, replay."""
 
+import ast
 import json
 import random
-from collections import Counter
+import re
 from dataclasses import asdict, replace
 from itertools import combinations, permutations
+from pathlib import Path
+from typing import Optional, Union, get_args, get_origin
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cicsim import adversary, protocol
@@ -704,92 +707,166 @@ def test_replay_names_an_appended_line():
     assert report.event_type == "reward"
 
 
-_ODD_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/é€\u2028😀'),
-                                      st.characters()), max_size=30)
-_PAYLOAD_VALUES = st.one_of(
-    st.binary(max_size=40),                                  # emitted as hex
-    st.integers(-2 ** 80, 2 ** 80), st.integers(2 ** 63, 2 ** 300),
-    st.booleans(), st.none(), _ODD_TEXT,
-    st.dictionaries(st.binary(min_size=32, max_size=32).map(bytes.hex),
-                    st.integers(0, 10 ** 6), max_size=4))    # a round tally
-
-
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_ODD_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\n\t/é€\u2028😀\ud800\udfff'), st.characters()),
+    max_size=30)
+_INTS = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.integers(2 ** 63, 2 ** 300))
+# fitting values of each declared field type
+_OF_TYPE = {
+    int: _INTS, bool: st.booleans(),
+    str: st.one_of(st.from_regex(r"[ -~]*", fullmatch=True), _ODD_TEXT),
+    bytes: st.binary(max_size=40),
+    Optional[int]: st.one_of(st.none(), _INTS),
+    Optional[bytes]: st.one_of(st.none(), st.binary(max_size=40)),
+    dict[str, int]: st.dictionaries(        # a round tally, and odd keys
+        st.one_of(st.binary(min_size=32, max_size=32).map(bytes.hex), _ODD_TEXT), _INTS,
+        max_size=4),
+}
+# values of every declared type and of none
+_ANY = st.one_of(*_OF_TYPE.values(), st.floats(), st.lists(_INTS, max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.one_of(
+                     st.booleans(), st.floats(), st.text(max_size=3), st.binary(max_size=2)),
+                     min_size=1, max_size=2),
+                 st.dictionaries(st.integers(0, 9), _INTS, min_size=1, max_size=2))
 _KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).filter(
     lambda k: k not in ("block", "kind", "type"))
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-# a value of each declared JSON kind; text is printable ASCII (quotes and
-# backslashes included) or odd text, so some of it needs escaping
-_OF_KIND = {int: st.integers(-2 ** 80, 2 ** 80), bytes: st.binary(max_size=40),
-            str: st.one_of(st.from_regex(r"[ -~]*", fullmatch=True), _ODD_TEXT)}
+
+
+def _fits(declared, value) -> bool:
+    """A declared type's rule, restated: exact classes, so a bool is no int; None
+    where Optional; a tally of str keys and int counts."""
+    if get_origin(declared) is Union:
+        return value is None or _fits(get_args(declared)[0], value)
+    if get_origin(declared) is dict:
+        return type(value) is dict and all(type(k) is str and type(n) is int
+                                           for k, n in value.items())
+    return type(value) is declared
 
 
 @st.composite
 def _declared_events(draw):
-    """A `DECLARED_EVENTS` kind with its fields in order, each of its declared
-    kind, and at most one change: any other value, a renamed, dropped or
-    added key, or the fields in reverse order."""
+    """A `DECLARED_EVENTS` kind and a payload that fits it, its keywords in any order."""
     kind = draw(st.sampled_from(sorted(DECLARED_EVENTS)))
     declared = DECLARED_EVENTS[kind]
-    payload = {key: draw(_OF_KIND[json_kind]) for key, json_kind in declared.items()}
-    key, other = draw(st.sampled_from(list(declared))), draw(_KEYS.filter(
-        lambda k: k not in declared))
-    change = draw(st.sampled_from([None, None, "value", "rename", "drop", "add", "reverse"]))
-    if change == "value":
-        payload[key] = draw(st.one_of(_PAYLOAD_VALUES, _FLOATS))
-    elif change == "rename":
-        payload = {other if k == key else k: v for k, v in payload.items()}
-    elif change == "drop":
-        del payload[key]
-    elif change == "add":
-        payload[other] = draw(_OF_KIND[int])
-    elif change == "reverse":
-        payload = dict(reversed(payload.items()))
-    return kind, payload
+    return kind, {key: draw(_OF_TYPE[declared[key]])
+                  for key in draw(st.permutations(list(declared)))}
 
 
-# a block is a bool in about one example in three, which only the general path renders
-@settings(max_examples=200, deadline=None)
-@given(block=st.one_of(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40), st.booleans()),
-       event=st.one_of(
-           st.tuples(st.one_of(_ODD_TEXT, st.sampled_from(sorted(DECLARED_EVENTS))),
-                     st.dictionaries(_KEYS, st.one_of(_PAYLOAD_VALUES, _FLOATS), max_size=8)),
-           _declared_events()))
+@settings(max_examples=300, deadline=None)
+@given(block=st.integers(0, 2 ** 40), event=_declared_events())
 def test_emit_writes_the_canonical_line(block, event):
-    """Whichever path renders it, the line is the oracle's, and the event
-    keeps the order of its keys."""
+    """Every declared kind with values of every declared type: the line is the
+    oracle's, and the event holds the values, bytes as hex, in declared order."""
     kind, payload = event
     mc, _, _ = build_mc(n_nodes=1)
     mc.emit(block, kind, **payload)
-    expected = {"block": block, "type": kind,
-                **{k: v.hex() if isinstance(v, bytes) else v for k, v in payload.items()}}
-    assert mc.events == [expected]
-    assert list(mc.events[0]) == list(expected)
+    expected = {"block": block, "type": kind}
+    for key in DECLARED_EVENTS[kind]:
+        value = payload[key]
+        expected[key] = value.hex() if isinstance(value, bytes) else value
+    assert [[(k, type(v), v) for k, v in e.items()] for e in mc.events] == [
+        [(k, type(v), v) for k, v in expected.items()]]
     assert mc.lines == [canonical_line(expected)] == event_lines(mc.events)
 
 
-def test_a_paper_scale_run_renders_every_declared_event_by_its_renderer(monkeypatch):
-    """At the paper's operating point (M = 1600, q = 0.125, f = f_max = 0.45)
-    every commit, reveal, reward, rejected duplicate witness and round-numbered
-    forfeit fits its declaration. A call site whose keywords drift from the
-    declared order would still log the same bytes, from the general encoder at
-    about twice the cost, so the encoder's calls are counted by kind."""
-    encoded, encode = Counter(), protocol._ENCODE
+@st.composite
+def _misfits(draw):
+    """A fitting event, and it with one misfit: a value of another type, a bool
+    block, a renamed, dropped or added key, or an undeclared kind."""
+    kind, payload = draw(_declared_events())
+    declared = DECLARED_EVENTS[kind]
+    key, other = draw(st.sampled_from(list(declared))), draw(_KEYS.filter(
+        lambda k: k not in declared))
+    change = draw(st.sampled_from(["value", "block", "rename", "drop", "add", "kind"]))
+    block, bad_kind, bad = 7, kind, dict(payload)
+    if change == "value":
+        bad[key] = draw(_ANY.filter(lambda v: not _fits(declared[key], v)))
+    elif change == "block":
+        block = draw(st.booleans())
+    elif change == "rename":
+        bad = {other if k == key else k: v for k, v in payload.items()}
+    elif change == "drop":
+        del bad[key]
+    elif change == "add":
+        bad[other] = draw(_INTS)
+    else:
+        bad_kind = draw(st.one_of(_ODD_TEXT, _KEYS).filter(lambda k: k not in DECLARED_EVENTS))
+    return kind, payload, change, (block, bad_kind, bad)
 
-    def counting(doc, level):
-        encoded[doc.get("type")] += 1
-        return encode(doc, level)
 
-    monkeypatch.setattr(protocol, "_ENCODE", counting)
-    result = run_scenario(Scenario(m_total=1600, q=0.125, f_max=0.45, beta=1e-6,
-                                   strategies=(("honest", 880), ("byz_single", 720))))
-    kinds = ("commit", "reveal", "reward", "forfeit", "rejected")
-    emitted = Counter(e["type"] for e in result.events)
-    assert all(emitted[kind] for kind in kinds) and emitted["rejected"] > 100
-    unnumbered = sum(e["type"] == "forfeit" and e["round"] is None for e in result.events)
-    assert {kind: encoded[kind] for kind in kinds} == {**dict.fromkeys(kinds, 0),
-                                                       "forfeit": unnumbered}
-    undeclared = len(result.events) - sum(map(emitted.get, kinds))
-    assert sum(encoded.values()) == undeclared + unnumbered
+_REWARD = dict(cid=b"c", node=1, round=2, amount=3)
+_CLOSED = dict(cid=b"c", round=1, tally={"ab": 2}, accepted=True, winning_root=b"r")
+_FORFEIT = dict(cid=b"c", node=1, amount=3, reason="wrong root", round=None)
+
+
+def _misfit(kind, payload, **change):
+    return kind, payload, "value", (7, kind, {**payload, **change})
+
+
+@settings(max_examples=300, deadline=None)
+@given(misfit=_misfits())
+@example(misfit=_misfit("reward", _REWARD, round=True))
+@example(misfit=("reward", _REWARD, "block", (False, "reward", _REWARD)))
+@example(misfit=_misfit("round_closed", _CLOSED, tally={"ab": True}))
+@example(misfit=_misfit("round_closed", _CLOSED, tally={b"ab": 2}))
+@example(misfit=_misfit("round_closed", _CLOSED, accepted=1))
+@example(misfit=_misfit("round_closed", _CLOSED, winning_root="r"))
+@example(misfit=_misfit("forfeit", _FORFEIT, round=False))
+def test_emit_raises_on_a_misfit_and_appends_nothing(misfit):
+    """A payload that does not fit its declaration raises TypeError, an undeclared
+    kind KeyError: neither is a ProtocolError, so no run logs one as `rejected`."""
+    kind, payload, change, (block, bad_kind, bad) = misfit
+    mc, _, _ = build_mc(n_nodes=1)
+    mc.emit(1, kind, **payload)
+    events, lines = list(mc.events), list(mc.lines)
+    with pytest.raises(KeyError if change == "kind" else TypeError):
+        mc.emit(block, bad_kind, **bad)
+    assert mc.events == events and mc.lines == lines
+
+
+def test_every_emitted_kind_is_declared_and_every_declaration_emitted():
+    """The kinds `protocol.py` passes to `emit` and `_finish` as string literals
+    (the one other kind is `_finish` forwarding its own) are the declared kinds."""
+    kinds = [node.args[{"emit": 1, "_finish": 3}[node.func.attr]]
+             for node in ast.walk(ast.parse(Path(protocol.__file__).read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("emit", "_finish")]
+    assert [k.id for k in kinds if not isinstance(k, ast.Constant)] == ["kind"]
+    assert {k.value for k in kinds if isinstance(k, ast.Constant)} == set(DECLARED_EVENTS)
+
+
+def test_an_emitter_bug_propagates_out_of_the_run_unlogged(monkeypatch):
+    """An emit call whose payload does not fit is a bug in the contract, not a
+    rejected message: the run stops with the TypeError, and no line is added."""
+    calls = []
+
+    def submit_commit(mc, node_id, cid, se, block):
+        calls.append((mc, len(mc.lines)))
+        mc.emit(block, "commit", cid=cid, round=True, node=node_id, se=se)
+
+    monkeypatch.setattr(MasterContract, "submit_commit", submit_commit)
+    with pytest.raises(TypeError, match="commit"):
+        run_scenario(scenario())
+    [(mc, lined)] = calls
+    assert len(mc.lines) == len(mc.events) == lined
+    assert not any(e["type"] == "rejected" for e in mc.events)
+
+
+# the README's JSON type for each declared field type
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", bytes: "hex",
+               Optional[int]: "integer or null", Optional[bytes]: "hex or null",
+               dict[str, int]: "tally"}
+
+
+def test_the_readme_log_format_table_is_the_declaration():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Determinism\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.M)
+    assert {kind: re.findall(r"`(\w+)` ([^,]+)", fields) for kind, fields in rows} == {
+        kind: [(key, _JSON_TYPES[t]) for key, t in declared.items()]
+        for kind, declared in DECLARED_EVENTS.items()}
+    assert len(rows) == len(DECLARED_EVENTS)
 
 
 def test_an_empty_treasury_pays_rewards_only_from_fees():
