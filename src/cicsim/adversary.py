@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-import numpy as np
-
 from .hashing import be8
 
 HONEST = "honest"
@@ -152,6 +150,7 @@ def estimate_gammas(m_total: int, q: float, th1: float, th2: float,
     gamma1 = P(|C ∩ ES| > th1 |ES|), gamma2 = P(|C ∩ ES| < th2 |ES|) when
     every pool node joins the set independently with probability q.
     """
+    import numpy as np
     if not 0 <= coalition_size <= m_total:
         raise ValueError("coalition size out of range")
     rng = np.random.default_rng(seed)

@@ -399,8 +399,8 @@ def protocol_batch_rows(count: int, seed: bytes, max_parallel: int = 16):
         result = protocol.run_scenario(scenario)
         audit = audit_event_log(result.events)
         replay_ok = protocol.replay_check(scenario, result.lines).identical
-        honest_ids = {n for n, rec in result.mc.nodes.items()
-                      if rec.strategy.kind == adversary.HONEST}
+        honest_ids = {n for n, s in enumerate(scenario.expand_strategies())
+                      if s.kind == adversary.HONEST}
         honest_forfeits = sum(1 for e in result.events
                               if e["type"] == "forfeit" and e["node"] in honest_ids)
         rows.append({

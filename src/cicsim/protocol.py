@@ -209,16 +209,6 @@ class WindowConfig:
         return -(-gas_limit // self.gas_per_block) + self.w_src_slack
 
 
-@dataclass(slots=True)
-class NodeRecord:
-    node_id: int
-    keys: NodeKeys
-    strategy: adversary.Strategy
-    deposit: int
-    balance: int
-    active: bool = True
-
-
 @dataclass
 class RoundRecord:
     round_index: int
@@ -261,7 +251,8 @@ class MasterContract:
         self.oracle = SortitionOracle()
         self.experiment_seed = experiment_seed
         self.max_rounds = max_rounds
-        self.nodes: dict = {}
+        # by node id: every enrolled node's NodeKeys, the stake pool's, and each ledger entry
+        self.keys, self.pool, self.balances, self.deposits = {}, {}, {}, {}
         self.creators: dict = {}
         self.states: dict = {}          # cid -> CicState
         self.queues: dict = {}          # cid -> deque[Transaction]
@@ -287,15 +278,18 @@ class MasterContract:
         self.lines.append(line)
 
     def total_value(self) -> int:
-        total = self.treasury + self.burned
-        total += sum([n.balance + n.deposit for n in self.nodes.values()])
-        total += sum(self.creators.values())
-        total += sum(it.escrow for it in self.active.values())
-        return total
+        return (self.treasury + self.burned + sum(self.balances.values())
+                + sum(self.deposits.values()) + sum(self.creators.values())
+                + sum(it.escrow for it in self.active.values()))
 
-    def add_node(self, node: NodeRecord) -> None:
-        self.oracle.register(node.keys)
-        self.nodes[node.node_id] = node
+    def add_node(self, keys: NodeKeys, deposit: int, balance: int) -> None:
+        """Enrol a node, once: a second enrolment would restore a forfeited deposit."""
+        node_id = keys.node_id
+        if node_id in self.keys:
+            raise ValueError(f"node {node_id} is already enrolled")
+        self.oracle.register(keys)
+        self.keys[node_id] = self.pool[node_id] = keys
+        self.deposits[node_id], self.balances[node_id] = deposit, balance
 
     def register_cic(self, state: CicState) -> None:
         self.states[state.cid] = state
@@ -346,8 +340,7 @@ class MasterContract:
 
     def submit_commit(self, node_id: int, cid: bytes, se: bytes, block: int) -> None:
         it = self.active.get(cid)
-        node = self.nodes.get(node_id)
-        if node is None or not node.active:
+        if node_id not in self.pool:
             raise NotInSP(f"node {node_id} is not in the stake pool")
         if it is None or it.phase != COMMITTING:
             raise OutsideWindow("no commit window is open")
@@ -376,8 +369,8 @@ class MasterContract:
         encoded = sort.encode()
         if sha256(digest.encode(), encoded) != se:
             raise CommitMismatch("reveal does not match the commitment")
-        node = self.nodes[node_id]
-        if not self.oracle.verify(node.keys.pk, rnd.nonce, self.params.q, sort):
+        # a node forfeited in another transaction still reveals here
+        if not self.oracle.verify(self.keys[node_id].pk, rnd.nonce, self.params.q, sort):
             raise InvalidSortition(f"sortition proof rejected for node {node_id}")
         rnd.reveals[node_id] = (digest, sort)
         self.emit(block, "reveal", cid=cid, round=rnd.round_index, node=node_id,
@@ -484,7 +477,7 @@ class MasterContract:
                     for node_id in members:
                         amount = min(policy.reward, self.treasury)
                         self.treasury -= amount
-                        self.nodes[node_id].balance += amount
+                        self.balances[node_id] += amount
                         self.emit(block, "reward", cid=cid, node=node_id,
                                   round=rnd.round_index, amount=amount)
                 elif fraction < policy.th2:
@@ -518,10 +511,9 @@ class MasterContract:
 
     def _forfeit(self, node_id: int, block: int, reason: str, cid: bytes,
                  round_index: Optional[int] = None) -> None:
-        node = self.nodes[node_id]
-        amount, node.deposit = node.deposit, 0
+        amount, self.deposits[node_id] = self.deposits[node_id], 0
         if amount:
-            node.active = False
+            self.pool.pop(node_id, None)
             self.burned += amount
             self.emit(block, "forfeit", cid=cid, node=node_id, amount=amount,
                       reason=reason, round=round_index)
@@ -641,8 +633,8 @@ def event_lines(events: list) -> list:
 class Simulation:
     """Deterministic event loop: nodes plan their messages when a round
     opens; inclusion happens at block boundaries in a canonical order. Three
-    passes visit all M nodes: the node table once per run, the sortition
-    sweep once per round, and the conservation check once per block, which
+    passes visit all M nodes: enrolment once per run, the sweep of the stake
+    pool once per round, and the conservation check once per block, which
     recomputes every ledger term on purpose so a leak shows in its block."""
 
     _POST_ORDER = {"enqueue": 0, "commit": 1, "reveal": 2, "witness": 3}
@@ -655,10 +647,11 @@ class Simulation:
         self.mc = MasterContract(params, scenario.policy, scenario.windows,
                                  sha256(b"beacon", self.seed), max_rounds=scenario.max_rounds,
                                  treasury=scenario.treasury)
+        self.strategies = scenario.expand_strategies()  # off-chain, so not the contract's
         seed, add_node = self.seed, self.mc.add_node
         deposit, balance = scenario.policy.deposit, scenario.node_balance
-        for node_id, strategy in enumerate(scenario.expand_strategies()):
-            add_node(NodeRecord(node_id, keygen(seed, node_id), strategy, deposit, balance))
+        for node_id in range(scenario.m_total):
+            add_node(keygen(seed, node_id), deposit, balance)
         self.models: dict = {}
         for index, cic in enumerate(scenario.cics):
             model = ComputeModel(key=cic.key)
@@ -686,12 +679,12 @@ class Simulation:
             (self._POST_ORDER[kind], node_id, self._msg_seq, kind, call, args))
         self._msg_seq += 1
 
-    def _plan_digest(self, node: NodeRecord, tid: bytes, honest: Digest,
-                     round_index: int, planned: dict) -> Digest:
+    def _plan_digest(self, node_id: int, strategy: adversary.Strategy, tid: bytes,
+                     honest: Digest, round_index: int, planned: dict) -> Digest:
         """The digest this node submits, by its kind's rule in `adversary.KINDS`;
         `planned` keeps the round's digests by preimages, which nodes share."""
-        preimages = adversary.KINDS[node.strategy.kind].rule(
-            node.strategy, node.node_id, tid, round_index, self._prf_value)
+        preimages = adversary.KINDS[strategy.kind].rule(
+            strategy, node_id, tid, round_index, self._prf_value)
         if preimages not in planned:
             seed, root = preimages
             planned[preimages] = honest if seed is None and root is None else Digest(
@@ -705,32 +698,32 @@ class Simulation:
         return lo if span == 1 else lo + self._prf_value(label, tag) % span
 
     def _plan_round(self, cid: bytes) -> None:
-        it = self.mc.active[cid]
+        mc, scenario = self.mc, self.scenario
+        it = mc.active[cid]
         rnd = it.round
-        nodes, nonce, q, index = self.mc.nodes, rnd.nonce, self.scenario.q, rnd.round_index
-        honest, planned = None, {}
+        nonce, q, index, tid = rnd.nonce, scenario.q, rnd.round_index, it.tx.tid
+        commit_window = rnd.commit_open, rnd.commit_close, scenario.commit_jitter
+        reveal_window = rnd.reveal_open, rnd.reveal_close, scenario.reveal_jitter
+        honest, planned, suffix = None, {}, cid + be8(index)
         # the post order of different nodes decides nothing: delivery sorts by node
-        for node_id, node in nodes.items():
-            if not node.active:
-                continue
-            sort = check_sort(node.keys, nonce, q)
+        for node_id, keys in mc.pool.items():
+            sort = check_sort(keys, nonce, q)
             if not sort.selected:
                 continue
             if honest is None:
                 # through the module, so a wrapper patched onto it sees the call
-                honest, _ = rice.rice_execute_traced(self.models[cid], self.mc.states[cid],
+                honest, _ = rice.rice_execute_traced(self.models[cid], mc.states[cid],
                                                      it.tx.data, index, it.round1_entropy,
                                                      gas_limit=it.tx.gas_limit)
-            digest = self._plan_digest(node, it.tx.tid, honest, index, planned)
+            strategy = self.strategies[node_id]
+            digest = self._plan_digest(node_id, strategy, tid, honest, index, planned)
             se = sha256(digest.encode(), sort.encode())
-            tag = be8(node_id) + cid + be8(index)
-            commit_at = self._jitter(b"cjit", tag, rnd.commit_open, rnd.commit_close,
-                                     self.scenario.commit_jitter)
-            self._post(commit_at, "commit", node_id, self.mc.submit_commit, node_id, cid, se)
-            if adversary.KINDS[node.strategy.kind].reveals:
-                reveal_at = self._jitter(b"rjit", tag, rnd.reveal_open, rnd.reveal_close,
-                                         self.scenario.reveal_jitter)
-                self._post(reveal_at, "reveal", node_id, self.mc.submit_reveal,
+            tag = be8(node_id) + suffix
+            commit_at = self._jitter(b"cjit", tag, *commit_window)
+            self._post(commit_at, "commit", node_id, mc.submit_commit, node_id, cid, se)
+            if adversary.KINDS[strategy.kind].reveals:
+                reveal_at = self._jitter(b"rjit", tag, *reveal_window)
+                self._post(reveal_at, "reveal", node_id, mc.submit_reveal,
                            node_id, cid, digest, sort)
 
     def _plan_witnesses(self, cid: bytes, block: int) -> None:

@@ -51,7 +51,7 @@ class NodeKeys:
 
 def keygen(experiment_seed: bytes, node_id: int) -> NodeKeys:
     sk = sha256(_SK_TAG, experiment_seed, be8(node_id))
-    return NodeKeys(node_id=node_id, pk=sha256(_PK_TAG, sk), sk=sk)
+    return NodeKeys(node_id, sha256(_PK_TAG, sk), sk)
 
 
 class SortResult(NamedTuple):

@@ -252,27 +252,27 @@ def test_c10_settlement_rule_matrix():
     # strict majority seed rewarded, tiny minority forfeits
     mc, (a, b) = settle_with_seed_groups([8, 2])
     checks.append(("0.8 > th1 rewarded",
-                   all(mc.nodes[n].balance == 60 for n in a)))
+                   all(mc.balances[n] == 60 for n in a)))
     checks.append(("0.2 < th2 forfeited",
-                   all(mc.nodes[n].deposit == 0 for n in b)))
+                   all(mc.deposits[n] == 0 for n in b)))
     # balanced split: nobody rewarded, nobody punished
     mc, (a, b) = settle_with_seed_groups([5, 5])
     checks.append(("split untouched",
-                   all(mc.nodes[n].balance == 50 and mc.nodes[n].deposit == 100
+                   all(mc.balances[n] == 50 and mc.deposits[n] == 100
                        for n in a + b)))
     # boundary equality is strict on both sides
     mc, (a, b) = settle_with_seed_groups([3, 1], th1=0.75, th2=0.25)
     checks.append(("== th1 not rewarded",
-                   all(mc.nodes[n].balance == 50 for n in a)))
+                   all(mc.balances[n] == 50 for n in a)))
     checks.append(("== th2 not punished",
-                   all(mc.nodes[n].deposit == 100 for n in b)))
+                   all(mc.deposits[n] == 100 for n in b)))
     # three-way splits around the thresholds
     mc, (a, b, c) = settle_with_seed_groups([7, 2, 1])
-    checks.append(("0.7 > th1 rewarded", all(mc.nodes[n].balance == 60 for n in a)))
-    checks.append(("0.2 < th2 forfeited", all(mc.nodes[n].deposit == 0 for n in b + c)))
+    checks.append(("0.7 > th1 rewarded", all(mc.balances[n] == 60 for n in a)))
+    checks.append(("0.2 < th2 forfeited", all(mc.deposits[n] == 0 for n in b + c)))
     mc, groups = settle_with_seed_groups([4, 3, 3])
     checks.append(("no group past either threshold",
-                   all(mc.nodes[n].balance == 50 and mc.nodes[n].deposit == 100
+                   all(mc.balances[n] == 50 and mc.deposits[n] == 100
                        for g in groups for n in g)))
     ok = all(c for _, c in checks)
     report(10, ok, "; ".join(name for name, _ in checks))

@@ -81,3 +81,31 @@ def test_every_event_passes_through_emit(monkeypatch):
     # each scenario runs once and replays once
     assert recorder.counts["protocol.events"] == 2 * len(events)
     assert recorder.counts["protocol.rejected"] == 2 * sum(e["type"] == "rejected" for e in events)
+
+
+def test_a_paper_scale_run_makes_each_per_node_call_once(monkeypatch):
+    """The traced run's per-layer counts of the three passes over all M nodes:
+    one `keygen` per node, one `check_sort` per pool member per round, and one
+    `total_value` per block plus the baseline. A later inlining or fast path
+    that bypasses a wrapped name shows here as a count that moved."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    scenario = protocol.Scenario(seed=sha256(b"traced-run-passes").hex(), m_total=1600,
+                                 q=0.125, f_max=0.45, beta=1e-6,
+                                 strategies=(("honest", 880), ("byz_single", 720)))
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        with recorder.recording(0):
+            result = protocol.run_scenario(scenario)
+    finally:
+        recorder.uninstall()
+    forfeited, sweeps = 0, 0
+    for event in result.events:
+        forfeited += event["type"] == "forfeit"
+        sweeps += (scenario.m_total - forfeited) * (event["type"] == "round_started")
+    assert result.settled == 1 and sweeps >= 2 * scenario.m_total
+    assert recorder.calls("randomness.keygen") == scenario.m_total
+    assert recorder.calls("randomness.check_sort") == sweeps
+    assert recorder.calls("protocol.total_value") == result.total_blocks + 1

@@ -28,12 +28,11 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from cicsim import adversary, rice
+from cicsim import rice
 from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState, MerkleRoot, prove_inclusion
 from cicsim.miracle import ConsensusParams
-from cicsim.protocol import (MasterContract, NodeRecord, ProtocolError,
-                             SettlementPolicy, WindowConfig)
+from cicsim.protocol import MasterContract, ProtocolError, SettlementPolicy, WindowConfig
 from cicsim.randomness import NOT_SELECTED, check_sort, keygen
 from cicsim.rice import Digest
 from cicsim.toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
@@ -78,9 +77,7 @@ class ContractModel(RuleBasedStateMachine):
             WindowConfig(gas_per_block=40, w_src_slack=3, w_buf=1, w_sr=4),
             sha256(b"beacon", SEED), max_rounds=4, treasury=5)
         for node_id in range(N_NODES):
-            self.mc.add_node(NodeRecord(
-                node_id=node_id, keys=keygen(SEED, node_id),
-                strategy=adversary.Strategy(adversary.HONEST), deposit=100, balance=50))
+            self.mc.add_node(keygen(SEED, node_id), deposit=100, balance=50)
         self.model = ComputeModel()
         self.cids = []
         for index in range(2):
@@ -135,8 +132,8 @@ class ContractModel(RuleBasedStateMachine):
             return
         # a node knows whether sortition selected it and whether it committed
         node = self.choose(pick, [
-            n for n, rec in self.mc.nodes.items() if rec.active and n not in it.round.commitments
-            and check_sort(rec.keys, it.round.nonce, Q).selected])
+            n for n, keys in self.mc.pool.items() if n not in it.round.commitments
+            and check_sort(keys, it.round.nonce, Q).selected])
         digest, _ = rice.rice_execute_traced(
             self.model, self.mc.states[cid], it.tx.data, it.round.round_index,
             it.round1_entropy, gas_limit=it.tx.gas_limit)
@@ -145,11 +142,11 @@ class ContractModel(RuleBasedStateMachine):
         elif digest_kind == "other_seed":
             digest = Digest(seed=sha256(b"seed", be8(node)), root=digest.root)
         nonce = it.round.nonce
-        keys = OUTSIDER if node == N_NODES else self.mc.nodes[node].keys
+        keys = OUTSIDER if node == N_NODES else self.mc.keys[node]
         if sort_kind == "outsider":
             sort = check_sort(OUTSIDER, nonce, 1.0)
         elif sort_kind == "other_node":
-            sort = check_sort(self.mc.nodes[(node + 1) % N_NODES].keys, nonce, 1.0)
+            sort = check_sort(self.mc.keys[(node + 1) % N_NODES], nonce, 1.0)
         elif sort_kind == "stale":
             sort = check_sort(keys, sha256(b"stale", nonce), 1.0)
         else:

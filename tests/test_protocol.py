@@ -2,10 +2,13 @@
 
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin
 
@@ -22,7 +25,7 @@ from cicsim.protocol import (BUFFERING, COMMITTING, DECIDING, DECLARED_EVENTS,
                              MAX_BLOCKS, REVEALING, SETTLED, CicSpec,
                              CommitMismatch, DuplicateCommit, InsufficientEscrow,
                              InvalidSortition, ItSpec, MasterContract, NoCommitment,
-                             NodeRecord, OutsideWindow, QueueOrderViolation, Scenario,
+                             OutsideWindow, QueueOrderViolation, Scenario,
                              ScenarioError, SettlementPolicy, Simulation,
                              WindowConfig, event_lines, replay_check, run_scenario)
 from cicsim.randomness import check_sort, keygen
@@ -45,9 +48,7 @@ def build_mc(n_nodes=10, q=1.0, th1=0.60, th2=0.25, reward=10, deposit=100,
     mc = MasterContract(params, policy, windows, sha256(b"exp", SEED),
                         max_rounds=max_rounds, treasury=100_000)
     for i in range(n_nodes):
-        mc.add_node(NodeRecord(node_id=i, keys=keygen(SEED, i),
-                               strategy=adversary.Strategy(adversary.HONEST),
-                               deposit=deposit, balance=50))
+        mc.add_node(keygen(SEED, i), deposit=deposit, balance=50)
     mc.creators["alice"] = 1_000_000
     model = ComputeModel()
     state = CicState(sha256(b"test-cid"), model.code_id)
@@ -73,7 +74,7 @@ def honest_material(mc, model, state, it, node_id, round_index=None):
     round_index = round_index or rnd.round_index
     digest, _ = rice_execute_traced(model, state, it.tx.data, round_index,
                                     it.round1_entropy, gas_limit=it.tx.gas_limit)
-    sort = check_sort(mc.nodes[node_id].keys, rnd.nonce, mc.params.q)
+    sort = check_sort(mc.keys[node_id], rnd.nonce, mc.params.q)
     se = sha256(digest.encode(), sort.encode())
     return digest, sort, se
 
@@ -141,7 +142,7 @@ def test_commit_requires_pool_membership():
     from cicsim.protocol import NotInSP
     with pytest.raises(NotInSP):
         mc.submit_commit(999, state.cid, se, it.round.commit_open)
-    mc.nodes[3].active = False
+    del mc.pool[3]
     with pytest.raises(NotInSP):
         mc.submit_commit(3, state.cid, se, it.round.commit_open)
 
@@ -179,7 +180,7 @@ def test_reveal_binding_and_window():
     tampered = Digest(seed=sha256(b"tampered"), root=digest.root)
     with pytest.raises(CommitMismatch):
         mc.submit_reveal(0, state.cid, tampered, sort, rnd.reveal_open)
-    bad_sort = check_sort(mc.nodes[1].keys, rnd.nonce, 1.0)
+    bad_sort = check_sort(mc.keys[1], rnd.nonce, 1.0)
     with pytest.raises(CommitMismatch):   # the hash binds sort_res too
         mc.submit_reveal(0, state.cid, digest, bad_sort, rnd.reveal_open)
     mc.submit_reveal(0, state.cid, digest, sort, rnd.reveal_open)
@@ -206,9 +207,27 @@ def test_unrevealed_commitment_forfeits_at_round_close():
     advance_to_reveal(mc, state)
     before = mc.burned
     mc.close_round(state.cid, it.round.reveal_close)
-    assert mc.nodes[0].deposit == 0
-    assert not mc.nodes[0].active
+    assert mc.deposits[0] == 0
+    assert 0 not in mc.pool
     assert mc.burned == before + 100
+
+
+def test_a_node_enrols_once():
+    """Enrolling a forfeited node again would restore its deposit and put it
+    back in the stake pool outside any ledger path, so it is refused."""
+    mc, model, state = build_mc()
+    it = deploy(mc, state)
+    _, _, se = honest_material(mc, model, state, it, 0)
+    mc.submit_commit(0, state.cid, se, it.round.commit_open)
+    advance_to_reveal(mc, state)
+    mc.close_round(state.cid, it.round.reveal_close)
+    value = mc.total_value()
+    with pytest.raises(ValueError, match="node 0 is already enrolled"):
+        mc.add_node(keygen(SEED, 0), 100, 50)
+    assert mc.deposits[0] == 0 and mc.balances[0] == 50 and 0 not in mc.pool
+    assert mc.total_value() == value
+    with pytest.raises(protocol.NotInSP):
+        mc.submit_commit(0, state.cid, se, it.round.commit_open)
 
 
 # --- rounds and decisions ----------------------------------------------------------
@@ -228,7 +247,7 @@ def test_zero_reveals_continue_with_fresh_nonce():
     n1 = it2.round.nonce
     n2 = sha256(it2.tx.nonce, be8(2))
     members = lambda nonce: {i for i in range(64)
-                             if check_sort(mc2.nodes[i].keys, nonce, 0.5).selected}
+                             if check_sort(mc2.keys[i], nonce, 0.5).selected}
     assert members(n1) != members(n2)
 
 
@@ -355,19 +374,19 @@ def test_majority_seed_rewarded_minority_forfeits():
     # groups {A: 8, B: 2}: 0.8 > th1 rewards, 0.2 < th2 forfeits
     mc, (a, b) = settle_with_seed_groups([8, 2])
     for node_id in a:
-        assert mc.nodes[node_id].balance == 50 + 10
-        assert mc.nodes[node_id].deposit == 100
+        assert mc.balances[node_id] == 50 + 10
+        assert mc.deposits[node_id] == 100
     for node_id in b:
-        assert mc.nodes[node_id].balance == 50
-        assert mc.nodes[node_id].deposit == 0
+        assert mc.balances[node_id] == 50
+        assert mc.deposits[node_id] == 0
 
 
 def test_split_seeds_neither_rewarded_nor_punished():
     # {A: 5, B: 5}: both fractions sit inside [th2, th1]
     mc, (a, b) = settle_with_seed_groups([5, 5])
     for node_id in a + b:
-        assert mc.nodes[node_id].balance == 50
-        assert mc.nodes[node_id].deposit == 100
+        assert mc.balances[node_id] == 50
+        assert mc.deposits[node_id] == 100
 
 
 def test_threshold_boundaries_are_strict():
@@ -375,11 +394,11 @@ def test_threshold_boundaries_are_strict():
     # not punished (both comparisons are strict)
     mc, (a, b) = settle_with_seed_groups([3, 1], th1=0.75, th2=0.25)
     for node_id in a:
-        assert mc.nodes[node_id].balance == 50
-        assert mc.nodes[node_id].deposit == 100
+        assert mc.balances[node_id] == 50
+        assert mc.deposits[node_id] == 100
     for node_id in b:
-        assert mc.nodes[node_id].balance == 50
-        assert mc.nodes[node_id].deposit == 100
+        assert mc.balances[node_id] == 50
+        assert mc.deposits[node_id] == 100
 
 
 def test_wrong_root_in_early_round_forfeits_despite_later_decision():
@@ -394,10 +413,10 @@ def test_wrong_root_in_early_round_forfeits_despite_later_decision():
     assert run_one_full_round(mc, model, state, range(5)) is not None
     mc.tick(it.decide_deadline)
     for node_id in range(5, 10):
-        assert mc.nodes[node_id].deposit == 0, "early wrong root must forfeit"
+        assert mc.deposits[node_id] == 0, "early wrong root must forfeit"
     for node_id in range(5):
-        assert mc.nodes[node_id].deposit == 100
-        assert mc.nodes[node_id].balance == 50 + 2 * 10  # rewarded in both rounds
+        assert mc.deposits[node_id] == 100
+        assert mc.balances[node_id] == 50 + 2 * 10  # rewarded in both rounds
 
 
 def test_value_conservation_through_settlement():
@@ -895,7 +914,7 @@ def test_freeloader_failed_guesses_forfeit_at_settlement():
                 and event["node"] in freeload_ids):
             late_revealers.add(event["node"])
     for node_id in late_revealers:
-        assert mc.nodes[node_id].deposit == 0
+        assert mc.deposits[node_id] == 0
     # and they never drag the consensus to a wrong root
     settled = next(e for e in result.events if e["type"] == "settled")
     honest_root = next(e for e in result.events if e["type"] == "reveal"
@@ -909,7 +928,7 @@ def test_silent_nodes_only_ever_forfeit():
     result = run_scenario(sc)
     mc = result.mc
     for node_id in (10, 11):
-        assert mc.nodes[node_id].balance == sc.node_balance  # never rewarded
+        assert mc.balances[node_id] == sc.node_balance  # never rewarded
     rewards = {e["node"] for e in result.events if e["type"] == "reward"}
     assert rewards.isdisjoint({10, 11})
 
@@ -939,8 +958,8 @@ def _bump(owner, attr):
 
 # every term of MasterContract.total_value, each given one unit from nowhere
 LEDGER_TERMS = {
-    "node balance": lambda mc: _bump(mc.nodes[0], "balance"),
-    "node deposit": lambda mc: _bump(mc.nodes[0], "deposit"),
+    "node balance": lambda mc: mc.balances.update({0: mc.balances[0] + 1}),
+    "node deposit": lambda mc: mc.deposits.update({0: mc.deposits[0] + 1}),
     "creator": lambda mc: mc.creators.update(creator0=mc.creators["creator0"] + 1),
     "treasury": lambda mc: _bump(mc, "treasury"),
     "burned": lambda mc: _bump(mc, "burned"),
@@ -1130,7 +1149,7 @@ def test_small_scope_every_loss_of_up_to_two_messages():
     assert {(kind, block) for kind, _, block in sim.posted[1:9]} == {("commit", 2),
                                                                       ("reveal", 7)}
     assert len(result.events) == 22 and result.settled == 1
-    honest = {n for n, rec in sim.mc.nodes.items() if rec.strategy.kind == adversary.HONEST}
+    honest = {n for n, s in enumerate(sim.strategies) if s.kind == adversary.HONEST}
     honest_reveals = [seq for seq, (kind, node_id, _) in enumerate(sim.posted)
                       if kind == "reveal" and node_id in honest]
     cases = [frozenset(c) for size in range(3) for c in combinations(range(12), size)]
@@ -1156,3 +1175,53 @@ def test_small_scope_every_order_of_round_one_commits_and_reveals():
         for reveal_order in orders:
             result = _checked_run(lambda: OrderedDelivery(SMALL, commit_order, reveal_order))
             assert result.settled == 1 and _outcome(result) == base, (commit_order, reveal_order)
+
+
+# each strategy kind by its letter, and the cases of SMALL's every strategy assignment in
+# which an honest node is forfeited
+LETTERS = {"h": adversary.HONEST, "s": "silent", "b": "byz_single", "m": "byz_multi",
+           "f": "freeloader", "c": "colluder"}
+WRONG_ROOT_OVER_HONEST = {
+    "hsbb", "hbsb", "hbbs", "hbbb", "hmsm", "shbb", "sbhb", "sbbh", "smhm", "bhsb",
+    "bhbs", "bhbb", "bshb", "bsbh", "bbhs", "bbhb", "bbsh", "bbbh", "mhms", "msmh"}
+
+
+def test_small_scope_every_strategy_assignment():
+    """SMALL with each node of any kind of `adversary.KINDS`, each at its default
+    parameter. No honest node is ever forfeited for an unrevealed commitment,
+    and one is forfeited for a wrong root only where a wrong root won: the
+    pinned cases, each one honest node outvoted by two or more Byzantine
+    nodes of one kind, whose wrong root beta = 1e-2 lets a round decide."""
+    assert sorted(LETTERS.values()) == sorted(adversary.KINDS)
+    right = next(e["root"] for e in run_scenario(SMALL).events
+                 if e["type"] == "reveal" and e["node"] == 0)
+    hit = set()
+    for case in map("".join, product(LETTERS, repeat=SMALL.m_total)):
+        sc = replace(SMALL, strategies=tuple((LETTERS[k], 1, {}) for k in case))
+        result = _checked_run(lambda: Simulation(sc))
+        wrong_won = any(e["type"] == "settled" and e["winning_root"] != right
+                        for e in result.events)
+        reasons = {e["reason"] for e in result.events
+                   if e["type"] == "forfeit" and case[e["node"]] == "h"}
+        assert "unrevealed commitment" not in reasons, case
+        assert wrong_won or "wrong root" not in reasons, case
+        if reasons:
+            hit.add(case)
+    assert hit == WRONG_ROOT_OVER_HONEST
+    for case in hit:
+        assert case.count("h") == 1 and max(case.count("b"), case.count("m")) >= 2, case
+
+
+def test_a_protocol_run_and_replay_import_no_numpy():
+    """Only the experiment harness uses numpy: importing the protocol, running a
+    scenario and replaying it load none of it, and the package still hands
+    out `experiments` when asked."""
+    code = ("import sys, cicsim; from cicsim import protocol; s = protocol.Scenario(); "
+            "r = protocol.run_scenario(s); assert protocol.replay_check(s, r.lines).identical; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'; "
+            "assert cicsim.experiments is sys.modules['cicsim.experiments']")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
