@@ -344,7 +344,7 @@ class MasterContract:
             raise NotInSP(f"node {node_id} is not in the stake pool")
         if it is None or it.phase != COMMITTING:
             raise OutsideWindow("no commit window is open")
-        rnd = it.round
+        rnd = it.rounds[-1]
         if not rnd.commit_open <= block <= rnd.commit_close:
             raise OutsideWindow(
                 f"block {block} outside [{rnd.commit_open}, {rnd.commit_close}]")
@@ -359,7 +359,7 @@ class MasterContract:
         it = self.active.get(cid)
         if it is None or it.phase != REVEALING:
             raise OutsideWindow("no reveal window is open")
-        rnd = it.round
+        rnd = it.rounds[-1]
         if not rnd.reveal_open <= block <= rnd.reveal_close:
             raise OutsideWindow(
                 f"block {block} outside [{rnd.reveal_open}, {rnd.reveal_close}]")
@@ -367,7 +367,7 @@ class MasterContract:
         if se is None:
             raise NoCommitment(f"node {node_id} never committed")
         encoded = sort.encode()
-        if sha256(digest.encode(), encoded) != se:
+        if sha256(digest.seed, digest.root.value, encoded) != se:
             raise CommitMismatch("reveal does not match the commitment")
         # a node forfeited in another transaction still reveals here
         if not self.oracle.verify(self.keys[node_id].pk, rnd.nonce, self.params.q, sort):
@@ -462,28 +462,27 @@ class MasterContract:
         gas_fee = it.tx.gas_price * min(it.tx.gas_limit, executed)
         refund = it.escrow - policy.d_min - gas_fee
         self.treasury += policy.d_min + gas_fee
+        reward, th1, th2, balances = policy.reward, policy.th1, policy.th2, self.balances
         for rnd in it.rounds:
-            groups: dict = {}
+            index, groups = rnd.round_index, {}
             for node_id, (digest, _) in sorted(rnd.reveals.items()):
                 if digest.root.value != winning:
-                    self._forfeit(node_id, block, "wrong root", cid,
-                                  round_index=rnd.round_index)
+                    self._forfeit(node_id, block, "wrong root", cid, round_index=index)
                 else:
                     groups.setdefault(digest.seed, []).append(node_id)
             total = sum(map(len, groups.values()))
             for _, members in sorted(groups.items()):
                 fraction = len(members) / total
-                if fraction > policy.th1:
+                if fraction > th1:
                     for node_id in members:
-                        amount = min(policy.reward, self.treasury)
+                        amount = min(reward, self.treasury)
                         self.treasury -= amount
-                        self.balances[node_id] += amount
-                        self.emit(block, "reward", cid=cid, node=node_id,
-                                  round=rnd.round_index, amount=amount)
-                elif fraction < policy.th2:
+                        balances[node_id] += amount
+                        self.emit(block, "reward", cid=cid, node=node_id, round=index,
+                                  amount=amount)
+                elif fraction < th2:
                     for node_id in members:
-                        self._forfeit(node_id, block, "minority seed", cid,
-                                      round_index=rnd.round_index)
+                        self._forfeit(node_id, block, "minority seed", cid, round_index=index)
         self._finish(it, block, refund, "settled", rounds=len(it.rounds),
                      winning_root=winning, gas_fee=gas_fee, refund=refund)
 
@@ -635,7 +634,9 @@ class Simulation:
     opens; inclusion happens at block boundaries in a canonical order. Three
     passes visit all M nodes: enrolment once per run, the sweep of the stake
     pool once per round, and the conservation check once per block, which
-    recomputes every ledger term on purpose so a leak shows in its block."""
+    recomputes every ledger term on purpose so a leak shows in its block.
+    A selected node posts in the first block of a window of jitter 1, the
+    default, and draws nothing; above jitter 1 its block is a PRF draw."""
 
     _POST_ORDER = {"enqueue": 0, "commit": 1, "reveal": 2, "witness": 3}
 
@@ -693,17 +694,20 @@ class Simulation:
         return planned[preimages]
 
     def _jitter(self, label: bytes, tag: bytes, lo: int, hi: int, jitter: int) -> int:
-        """A block in [lo, hi], drawn from its first `jitter` blocks."""
+        """A block in [lo, hi], drawn from its first `jitter` blocks. Jitter 1 draws
+        nothing: its block is `lo`, so `_plan_round` calls this only above jitter 1."""
         span = min(jitter, hi - lo + 1)
         return lo if span == 1 else lo + self._prf_value(label, tag) % span
 
     def _plan_round(self, cid: bytes) -> None:
         mc, scenario = self.mc, self.scenario
         it = mc.active[cid]
-        rnd = it.round
+        rnd = it.rounds[-1]
         nonce, q, index, tid = rnd.nonce, scenario.q, rnd.round_index, it.tx.tid
         commit_window = rnd.commit_open, rnd.commit_close, scenario.commit_jitter
         reveal_window = rnd.reveal_open, rnd.reveal_close, scenario.reveal_jitter
+        # a window of jitter 1 posts every message at its first block (windows are never empty)
+        commit_at, reveal_at = rnd.commit_open, rnd.reveal_open
         honest, planned, suffix = None, {}, cid + be8(index)
         # the post order of different nodes decides nothing: delivery sorts by node
         for node_id, keys in mc.pool.items():
@@ -717,12 +721,14 @@ class Simulation:
                                                      gas_limit=it.tx.gas_limit)
             strategy = self.strategies[node_id]
             digest = self._plan_digest(node_id, strategy, tid, honest, index, planned)
-            se = sha256(digest.encode(), sort.encode())
-            tag = be8(node_id) + suffix
-            commit_at = self._jitter(b"cjit", tag, *commit_window)
+            # the bytes of sha256(digest.encode(), sort.encode()) for a selected sort
+            se = sha256(digest.seed, digest.root.value, sort.output, sort.proof)
+            if commit_window[2] > 1:
+                commit_at = self._jitter(b"cjit", be8(node_id) + suffix, *commit_window)
             self._post(commit_at, "commit", node_id, mc.submit_commit, node_id, cid, se)
             if adversary.KINDS[strategy.kind].reveals:
-                reveal_at = self._jitter(b"rjit", tag, *reveal_window)
+                if reveal_window[2] > 1:
+                    reveal_at = self._jitter(b"rjit", be8(node_id) + suffix, *reveal_window)
                 self._post(reveal_at, "reveal", node_id, mc.submit_reveal,
                            node_id, cid, digest, sort)
 
@@ -763,17 +769,20 @@ class Simulation:
             self._post(spec.submit_block, "enqueue", -1, self.mc.enqueue,
                        tx, f"creator{index}")
         baseline = self.mc.total_value()
-        block = 0
+        block = settled = 0
         while block < MAX_BLOCKS:
             block += 1
             seen = len(self.mc.events)
             self._deliver(block)
             self.mc.tick(block)
             for event in self.mc.events[seen:]:
-                if event["type"] == "round_started":
+                kind = event["type"]
+                if kind == "round_started":
                     self._plan_round(bytes.fromhex(event["cid"]))
-                elif event["type"] == "round_closed" and event["accepted"]:
+                elif kind == "round_closed" and event["accepted"]:
                     self._plan_witnesses(bytes.fromhex(event["cid"]), block)
+                elif kind == "settled":
+                    settled += 1
             actual = self.mc.total_value()
             if actual != baseline:
                 self.mc.emit(block, "conservation_violated", expected=baseline, actual=actual)
@@ -785,7 +794,7 @@ class Simulation:
                          pending=sum(map(len, self.inbox.values())))
         return RunResult(scenario=scenario, events=self.mc.events, lines=self.mc.lines,
                          conserved=actual == baseline, total_blocks=block, mc=self.mc,
-                         settled=sum(e["type"] == "settled" for e in self.mc.events))
+                         settled=settled)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -802,11 +811,26 @@ class ReplayReport:
     recorded_line: Optional[str] = None
     replayed_line: Optional[str] = None
     event_type: Optional[str] = None
+    # the first differing field and each side's JSON value of it (None where that side
+    # lacks it); all None where a line is missing or does not parse to a JSON object
+    field: Optional[str] = None
+    recorded_value: object = None
+    replayed_value: object = None
+
+
+def _parsed(line: Optional[str]) -> Optional[dict]:
+    try:
+        doc = json.loads(line)
+    except (ValueError, TypeError):
+        return None
+    return doc if type(doc) is dict else None
 
 
 def replay_check(scenario: Scenario, recorded_lines: list) -> ReplayReport:
     """Re-run a scenario from its seeds and diff the event stream; a
-    divergent event's type is the replay's unless the replay has ended."""
+    divergent event's type is the replay's unless the replay has ended, and
+    its first differing field is the first key in the canonical line's
+    order whose JSON text differs (or that one side lacks)."""
     fresh = run_scenario(scenario)
     recorded, replayed = list(recorded_lines), fresh.lines
     counts = (len(recorded), len(replayed))
@@ -814,8 +838,10 @@ def replay_check(scenario: Scenario, recorded_lines: list) -> ReplayReport:
         return ReplayReport(True, None, *counts)
     first, (mine, theirs) = next((i, pair) for i, pair in enumerate(
         zip_longest(recorded, replayed)) if pair[0] != pair[1])
-    try:
-        kind = fresh.events[first]["type"] if theirs is not None else json.loads(mine)["type"]
-    except (ValueError, TypeError, KeyError):
-        kind = None
-    return ReplayReport(False, first, *counts, mine, theirs, kind)
+    old, new = _parsed(mine), _parsed(theirs)
+    kind = fresh.events[first]["type"] if theirs is not None else (old or {}).get("type")
+    if old is None or new is None:
+        return ReplayReport(False, first, *counts, mine, theirs, kind)
+    key = next((key for key in sorted(old.keys() | new.keys()) if key not in old
+                or key not in new or canonical_json(old[key]) != canonical_json(new[key])), None)
+    return ReplayReport(False, first, *counts, mine, theirs, kind, key, old.get(key), new.get(key))

@@ -50,7 +50,7 @@ class NodeKeys:
 
 
 def keygen(experiment_seed: bytes, node_id: int) -> NodeKeys:
-    sk = sha256(_SK_TAG, experiment_seed, be8(node_id))
+    sk = sha256(_SK_TAG, experiment_seed, node_id.to_bytes(8, "big"))  # be8, once per node
     return NodeKeys(node_id, sha256(_PK_TAG, sk), sk)
 
 

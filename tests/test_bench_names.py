@@ -9,6 +9,8 @@ wrapped function by name would show up only as a count that reads 0.
 
 from pathlib import Path
 
+import pytest
+
 from cicsim import experiments, protocol, rice
 from cicsim.hashing import sha256
 from cicsim.merkle_state import CicState
@@ -83,17 +85,19 @@ def test_every_event_passes_through_emit(monkeypatch):
     assert recorder.counts["protocol.rejected"] == 2 * sum(e["type"] == "rejected" for e in events)
 
 
-def test_a_paper_scale_run_makes_each_per_node_call_once(monkeypatch):
-    """The traced run's per-layer counts of the three passes over all M nodes:
-    one `keygen` per node, one `check_sort` per pool member per round, and one
-    `total_value` per block plus the baseline. A later inlining or fast path
-    that bypasses a wrapped name shows here as a count that moved."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import spans
+@pytest.fixture(scope="module")
+def paper_trace():
+    """One traced paper-scale run, after an untraced one fills the process's caches
+    (`toy_vm`'s code ids), as the benchmark's warm-up does: its scenario, result
+    and recorder."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
 
     scenario = protocol.Scenario(seed=sha256(b"traced-run-passes").hex(), m_total=1600,
                                  q=0.125, f_max=0.45, beta=1e-6,
                                  strategies=(("honest", 880), ("byz_single", 720)))
+    protocol.run_scenario(scenario)
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -101,6 +105,15 @@ def test_a_paper_scale_run_makes_each_per_node_call_once(monkeypatch):
             result = protocol.run_scenario(scenario)
     finally:
         recorder.uninstall()
+    return scenario, result, recorder
+
+
+def test_a_paper_scale_run_makes_each_per_node_call_once(paper_trace):
+    """The traced run's per-layer counts of the three passes over all M nodes:
+    one `keygen` per node, one `check_sort` per pool member per round, and one
+    `total_value` per block plus the baseline. A later inlining or fast path
+    that bypasses a wrapped name shows here as a count that moved."""
+    scenario, result, recorder = paper_trace
     forfeited, sweeps = 0, 0
     for event in result.events:
         forfeited += event["type"] == "forfeit"
@@ -109,3 +122,17 @@ def test_a_paper_scale_run_makes_each_per_node_call_once(monkeypatch):
     assert recorder.calls("randomness.keygen") == scenario.m_total
     assert recorder.calls("randomness.check_sort") == sweeps
     assert recorder.calls("protocol.total_value") == result.total_blocks + 1
+
+
+# traced calls of the paper-scale run above, as the tree before the per-selected-node trims
+# counted them; each trim kept every hash, sortition check, event and contract call
+PAPER_TRACE_CALLS = {"hashing.sha256": 7248, "randomness.verify": 979, "protocol.emit": 2974,
+                     "protocol.commit": 979, "protocol.reveal": 979, "protocol.settle": 1}
+
+
+def test_a_paper_scale_run_keeps_its_traced_call_counts(paper_trace):
+    """A trim of per-node work that bypasses a wrapped call, or adds a hash, fails
+    here by the name whose count moved."""
+    _, result, recorder = paper_trace
+    assert {name: recorder.calls(name) for name in PAPER_TRACE_CALLS} == PAPER_TRACE_CALLS
+    assert len(result.events) == PAPER_TRACE_CALLS["protocol.emit"]

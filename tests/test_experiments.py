@@ -237,6 +237,8 @@ def test_event_log_file_round_trip_and_replay(tmp_path):
     assert report["recorded_line"] == lines[idx]
     assert report["replayed_line"] == result.lines[idx - 1]
     assert report["event_type"] == "commit"
+    assert report["field"] == "se"
+    assert report["recorded_value"] == "ff" + report["replayed_value"]
 
 
 def test_cli_es_sizing_stdout(capsys):
@@ -280,6 +282,8 @@ def test_cli_protocol_scenario_and_replay(tmp_path, capsys):
     assert report["first_divergence"] == idx - 1
     assert report["recorded_line"] == lines[idx]
     assert report["event_type"] == "reveal"
+    assert report["field"] == "seed"
+    assert report["recorded_value"] == "ff" + report["replayed_value"]
 
 
 @pytest.mark.parametrize("log_text", ["", "\n\n", "not json\n", '{"format":1}\n'])

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -661,6 +662,7 @@ def test_full_run_is_replayable_and_conserved():
     report = replay_check(result.scenario, result.lines)
     assert report.identical and report.first_divergence is None
     assert report.recorded_line is report.replayed_line is report.event_type is None
+    assert report.field is report.recorded_value is report.replayed_value is None
 
 
 @pytest.mark.parametrize("its,windows,active", [
@@ -705,6 +707,10 @@ def test_replay_names_a_one_byte_edit_of_a_commit():
     assert report.replayed_line == lines[target]
     assert report.recorded_line == _flip_one_se_digit(list(lines))[target]
     assert report.event_type == "commit"
+    assert report.field == "se"
+    assert report.recorded_value == json.loads(report.recorded_line)["se"]
+    assert report.replayed_value == json.loads(lines[target])["se"]
+    assert report.recorded_value != report.replayed_value
 
 
 def test_replay_names_a_dropped_last_line():
@@ -714,6 +720,7 @@ def test_replay_names_a_dropped_last_line():
     assert report.recorded_line is None
     assert report.replayed_line == lines[-1]
     assert report.event_type == json.loads(lines[-1])["type"]
+    assert report.field is report.recorded_value is report.replayed_value is None
 
 
 def test_replay_names_an_appended_line():
@@ -724,6 +731,30 @@ def test_replay_names_an_appended_line():
     assert report.recorded_line == extra
     assert report.replayed_line is None
     assert report.event_type == "reward"
+    assert report.field is report.recorded_value is report.replayed_value is None
+
+
+@pytest.mark.parametrize("old,new,field,values", [
+    ('{"block":', "not json ", None, (None, None)),             # does not parse
+    ('{"block":', '[{"block":', None, (None, None)),           # parses to no object
+    ('"node":0', '"node":false', "node", (False, 0)),          # same value, not the same JSON
+    ('"node":0', '"node":0.0', "node", (0.0, 0)),
+    ('"node":0', '"mode":0', "mode", (0, None)),               # a key on one side only
+    ('"block":2', '"block":2,"block":3', "block", (3, 2)),     # JSON keeps the last duplicate
+], ids=["unparsable", "no-object", "bool-for-int", "float-for-int", "key-one-side",
+        "duplicate-key"])
+def test_replay_names_the_first_differing_field_and_both_values(old, new, field, values):
+    def edit(lines):
+        i = _first_commit(lines)
+        lines[i] = lines[i].replace(old, new, 1)
+        return lines
+
+    report, lines = _replay_edited(edit)
+    assert report.first_divergence == _first_commit(lines)
+    assert report.event_type == "commit"
+    assert report.field == field
+    # as JSON text, since False == 0 == 0.0 in Python
+    assert json.dumps([report.recorded_value, report.replayed_value]) == json.dumps(values)
 
 
 # quotes, backslashes, control characters, non-ASCII and lone surrogates
@@ -1046,6 +1077,26 @@ def test_a_lone_transaction_outcome_ignores_timing_within_its_windows():
     assert moved and reordered      # both perturbations changed the runs
 
 
+def test_a_window_of_jitter_one_draws_no_block(monkeypatch):
+    """A window of jitter 1 posts at its first block with no PRF draw: a default
+    paper-scale run draws none, and one that jitters only its commits draws once
+    per posted commit."""
+    counts = Counter()
+    prf_value, post = Simulation._prf_value, Simulation._post
+    monkeypatch.setattr(Simulation, "_prf_value", lambda sim, label, *parts: (
+        counts.update([label]) or prf_value(sim, label, *parts)))
+    monkeypatch.setattr(Simulation, "_post", lambda sim, block, kind, *rest: (
+        counts.update([kind]) or post(sim, block, kind, *rest)))
+    paper = Scenario(seed=sha256(b"jitter-draws").hex(), m_total=1600, q=0.125, f_max=0.45,
+                     beta=1e-6, strategies=(("honest", 880), ("byz_single", 720)))
+    assert run_scenario(paper).settled == 1
+    assert counts[b"cjit"] == counts[b"rjit"] == 0 and counts["commit"] > 0
+    counts.clear()
+    result = run_scenario(scenario(commit_jitter=3, reveal_jitter=1))
+    assert counts[b"rjit"] == 0 and counts[b"cjit"] == counts["commit"] > 0
+    assert len({e["block"] for e in result.events if e["type"] == "commit"}) > 1
+
+
 def test_same_block_order_couples_transactions_only_through_enqueue_and_witness():
     """With several transactions, shuffling each block's commits and reveals
     among themselves, enqueues kept first and witnesses last in canonical
@@ -1089,13 +1140,14 @@ SMALL = Scenario(seed=sha256(b"smallscope", bytes([0])).hex(), m_total=4, q=0.99
 
 
 class LossyDelivery(Simulation):
-    """Never delivers the messages whose post numbers are in `dropped`; the
-    numbers of later messages do not move. `posted` lists (kind, node, block)
-    for every message posted, dropped or not."""
+    """Never delivers the messages whose post numbers are in `dropped`, and
+    delivers those in `delayed` one block after the block they were posted for;
+    the numbers of later messages do not move. `posted` lists (kind, node,
+    block) for every message posted, dropped or not, at its planned block."""
 
-    def __init__(self, scenario, dropped=frozenset()):
+    def __init__(self, scenario, dropped=frozenset(), delayed=frozenset()):
         super().__init__(scenario)
-        self.dropped = dropped
+        self.dropped, self.delayed = dropped, delayed
         self.posted = []
 
     def _post(self, block, kind, node_id, call, *args):
@@ -1103,7 +1155,7 @@ class LossyDelivery(Simulation):
         if self._msg_seq in self.dropped:
             self._msg_seq += 1
         else:
-            super()._post(block, kind, node_id, call, *args)
+            super()._post(block + (self._msg_seq in self.delayed), kind, node_id, call, *args)
 
 
 class OrderedDelivery(Simulation):
@@ -1166,6 +1218,48 @@ def test_small_scope_every_loss_of_up_to_two_messages():
             assert silent == {sim.posted[seq][1] for seq in dropped}
         else:
             assert result.settled == 1, dropped
+
+
+# SMALL with one-block commit and reveal windows, so that a one-block delay crosses an edge
+NARROW = replace(SMALL, windows=WindowConfig(w_src_slack=0, w_sr=1))
+
+
+@pytest.mark.parametrize("sc,crossing", [(SMALL, False), (NARROW, True)], ids=["small", "narrow"])
+def test_small_scope_every_delay_of_up_to_two_messages(sc, crossing):
+    """Each set of up to two of the unharmed run's 12 messages delivered one block late.
+    Every message posts in the first block of its window, and SMALL's windows are 3 and
+    4 blocks wide: no delay crosses an edge, and every outcome is the unharmed run's. In
+    NARROW a late commit or reveal is rejected; an honest node is forfeited exactly when
+    its reveal is late after an on-time commit, and two such end unconverged at the
+    round cap, as two lost honest reveals do. In both, an honest node whose messages all
+    went in on time is forfeited only for `minority seed`, and no case accepts a wrong
+    root; one that did would be pinned here with its case, as beta allows it."""
+    sim = LossyDelivery(sc)
+    base = _outcome(sim.run())
+    right = next(e["root"] for e in sim.mc.events if e["type"] == "reveal" and e["node"] == 0)
+    honest = {n for n, s in enumerate(sim.strategies) if s.kind == adversary.HONEST}
+    cases = [frozenset(c) for size in range(3) for c in combinations(range(12), size)]
+    assert len(sim.posted) == 12 and len(cases) == 79
+    wrong_root_accepted = set()
+    for delayed in cases:
+        result = _checked_run(lambda: LossyDelivery(sc, delayed=delayed))
+        late = {sim.posted[seq][:2] for seq in delayed}     # (kind, node)
+        forfeits = {e["node"]: e["reason"] for e in result.events
+                    if e["type"] == "forfeit" and e["node"] in honest}
+        assert all(reason == "minority seed" for node, reason in forfeits.items()
+                   if node not in {n for _, n in late}), delayed
+        lost = {n for kind, n in late if crossing and kind == "reveal" and n in honest
+                and ("commit", n) not in late}
+        assert forfeits == dict.fromkeys(lost, "unrevealed commitment"), delayed
+        if any(e["type"] == "round_closed" and e["accepted"] and e["winning_root"] != right
+               for e in result.events):
+            wrong_root_accepted.add(delayed)
+        if len(lost) == 2:
+            assert result.events[-1]["type"] == "no_convergence", delayed
+        else:
+            assert result.settled == 1, delayed
+        assert crossing or _outcome(result) == base, delayed
+    assert wrong_root_accepted == set()
 
 
 def test_small_scope_every_order_of_round_one_commits_and_reveals():
