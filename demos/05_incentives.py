@@ -34,6 +34,5 @@ print(f"\ncertain-majority collusion payoff {value:.4f}; deviation slack "
 # clearing th1 = 0.6 takes roughly 0.6 * 1600 = 960 members
 print("\ncoalition threshold probabilities (M=1600, q=0.125, th1=0.6, th2=0.25):")
 for size in (150, 800, 960, 1100, 1300):
-    g1, g2 = estimate_gammas(1600, 0.125, 0.6, 0.25, size, trials=200_000,
-                             seed=size)
+    g1, g2 = estimate_gammas(1600, 0.125, 0.6, 0.25, size)
     print(f"  |coalition|={size:4d}: gamma1={g1:8.5f}  gamma2={g2:8.5f}")

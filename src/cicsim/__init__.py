@@ -7,22 +7,17 @@ digests (`rice`), simulated beacon and sortition (`randomness`), multi-round
 likelihood consensus (`miracle`), the master-contract protocol with
 incentive accounting (`protocol`), node strategies and the utility calculus
 (`adversary`), and a reproducible Monte Carlo harness (`experiments`, `cli`).
-Only the harness and `adversary.estimate_gammas` load numpy, on first use.
+Only the harness's Monte Carlo and fit functions use numpy, and each imports
+it in its own body, so importing the package loads none.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
-from . import adversary, hashing, merkle_state, miracle, protocol, randomness, rice, toy_vm
+from . import (adversary, experiments, hashing, merkle_state, miracle, protocol,
+               randomness, rice, toy_vm)
 
 __all__ = [
     "adversary", "experiments", "hashing", "merkle_state", "miracle",
     "protocol", "randomness", "rice", "toy_vm", "__version__",
 ]
 
-
-def __getattr__(name: str):
-    if name == "experiments":
-        return importlib.import_module(f"{__name__}.experiments")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

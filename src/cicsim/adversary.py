@@ -10,6 +10,7 @@ overhead), c3 (collusion overhead) are abstract units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -142,21 +143,25 @@ def utility_collude(p: UtilityParams):
     return value, epsilon
 
 
-def estimate_gammas(m_total: int, q: float, th1: float, th2: float,
-                    coalition_size: int, trials: int = 100_000,
-                    seed: int = 0):
-    """Monte Carlo estimate of the coalition's threshold probabilities.
+def estimate_gammas(m_total: int, q: float, th1: float, th2: float, coalition_size: int):
+    """Exact threshold probabilities of the coalition, summed over the
+    pairs (|C ∩ ES|, |ES \\ C|) of two independent binomial counts.
 
     gamma1 = P(|C ∩ ES| > th1 |ES|), gamma2 = P(|C ∩ ES| < th2 |ES|) when
     every pool node joins the set independently with probability q.
     """
-    import numpy as np
-    if not 0 <= coalition_size <= m_total:
-        raise ValueError("coalition size out of range")
-    rng = np.random.default_rng(seed)
-    inside = rng.binomial(coalition_size, q, size=trials)
-    outside = rng.binomial(m_total - coalition_size, q, size=trials)
-    size = inside + outside
-    gamma1 = float(np.mean(inside > th1 * size))
-    gamma2 = float(np.mean(inside < th2 * size))
-    return gamma1, gamma2
+    if not (0 <= coalition_size <= m_total and 0.0 <= q <= 1.0):
+        raise ValueError("coalition size or membership probability out of range")
+    def pmf(n: int) -> list:
+        if q in (0.0, 1.0):
+            return [float(k == n * q) for k in range(n + 1)]
+        weights = [math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                            + k * math.log(q) + (n - k) * math.log1p(-q)) for k in range(n + 1)]
+        total = math.fsum(weights)  # normalizing cancels rounding common to every k
+        return [w / total for w in weights]
+    outside = pmf(m_total - coalition_size)
+    gamma1 = gamma2 = 0.0
+    for inside, p_inside in enumerate(pmf(coalition_size)):
+        gamma1 += p_inside * sum(p for b, p in enumerate(outside) if inside > th1 * (inside + b))
+        gamma2 += p_inside * sum(p for b, p in enumerate(outside) if inside < th2 * (inside + b))
+    return min(gamma1, 1.0), min(gamma2, 1.0)  # a sum of rounded terms can pass 1

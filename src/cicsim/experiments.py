@@ -16,8 +16,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import __version__, adversary, miracle, protocol, rice
 from .hashing import be8, sha256
 from .merkle_state import CicState
@@ -86,6 +84,7 @@ class ExperimentSpec:
 
 
 def _rng(seed: bytes, *tags: bytes) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng(int.from_bytes(sha256(seed, *tags), "big"))
 
 
@@ -116,6 +115,7 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
     adding (nh - nb)(nh + nb) a round, won above the threshold and lost below
     its negative, or lost when both hold (a negative threshold, beta > 0.5).
     `live` keeps the undecided trials in trial order, the order of the draws."""
+    import numpy as np
     if not 0 <= f <= 1:
         raise miracle.DegenerateParams("actual Byzantine fraction must lie in [0, 1]")
     n_byz = round(f * params.m_total)
@@ -276,6 +276,7 @@ def rice_overhead_rows(count: int, t_lo: int, t_hi: int, seed: bytes,
 def fit_phi_vs_log2_squared(rows: Sequence[dict]):
     """Least-squares fit phi ~ a (log2 T)^2 + b; returns (a, b, r_squared).
     Rows that all have one phi leave R^2 undefined: a `ConfigError`."""
+    import numpy as np
     x = np.array([math.log2(r["total"]) ** 2 for r in rows])
     y = np.array([r["phi"] for r in rows], dtype=float)
     total_ss = float(((y - y.mean()) ** 2).sum())

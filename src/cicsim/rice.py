@@ -149,7 +149,9 @@ def check_phi_bounds(trace: RiceTrace) -> bool:
 
 
 def check_total_exponent(trace: RiceTrace) -> bool:
-    """Group relation 2^k (k-2) + 2 < T <= 2^(k+1) (k-1) + 2 for k of T."""
+    """Group relation 2^k (k-2) + 2 < T <= 2^(k+1) (k-1) + 2, true by construction:
+    it is how `exponent_of_total` picks k of T. What ties `group_end` to the walked
+    schedule is `tests/test_rice.py::test_schedule_oracle_prefix_and_group_ends`."""
     k = exponent_of_total(trace.total)
     return 2 ** k * (k - 2) + 2 < trace.total <= 2 ** (k + 1) * (k - 1) + 2
 

@@ -505,24 +505,21 @@ class ComputeModel:
     at eta (the i-th store executes at dynamic index 6i + 1). That makes the
     state at any interruption point computable without interpretation, which
     is what lets schedule experiments reach T ~ 1e7 and beyond. Digests are
-    bit-identical to interpreting compute_program (covered by tests). A
-    cursor's root is `state_at`'s without the state: the pre-state's root
-    until the first store, then the root of the cursor's own `StorageTree`,
-    built over the words at the first nonzero counter, whose one leaf each
-    later root rewrites.
+    bit-identical to interpreting compute_program (covered by tests). The
+    final state applies the law at t = T, where the count is eta; a cursor
+    applies it at every t to the root alone: the pre-state's root until the
+    first store, then the root of the cursor's own `StorageTree`, built over
+    the words at the first nonzero counter, whose one leaf each later root
+    rewrites.
     """
 
     def __init__(self, key: int = 0):
         self.key = key
         self.code_id = _compute_code_id(key)
 
-    def state_at(self, base: CicState, eta: int, t: int) -> CicState:
-        count = min(max(t - 1, 0) // 6, eta)
-        counter = (from_word(base.get(self.key)) + count) & WORD_MASK
-        return base.put(self.key, counter) if count else base
-
     def final_state(self, base: CicState, eta: int) -> CicState:
-        return self.state_at(base, eta, compute_length(eta))
+        counter = (from_word(base.get(self.key)) + eta) & WORD_MASK
+        return base.put(self.key, counter) if eta else base
 
     def start(self, state: CicState, data: bytes = b"",
               gas_limit: Optional[int] = None) -> ClosedFormCursor:

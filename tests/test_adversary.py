@@ -67,26 +67,43 @@ def test_collusion_utility_and_epsilon():
     assert utility_honest(costly) > utility_collude(costly)[0]
 
 
-def test_gamma_extremes():
-    g1, g2 = estimate_gammas(1600, 0.125, 0.6, 0.25, coalition_size=1600,
-                             trials=20_000, seed=1)
-    assert g1 == pytest.approx(1.0)
-    assert g2 == pytest.approx(0.0)
-    g1, g2 = estimate_gammas(1600, 0.125, 0.6, 0.25, coalition_size=0,
-                             trials=20_000, seed=2)
-    assert g1 == pytest.approx(0.0)
-    assert g2 == pytest.approx(1.0)
+GAMMA_POINT = dict(m_total=1600, q=0.125, th1=0.6, th2=0.25)
 
 
-def test_gamma_monte_carlo_against_exact_binomial_sum():
-    m, q, th1, th2, coalition = 1600, 0.125, 0.6, 0.25, 150
-    exact1, exact2 = gamma_oracle(m, q, th1, th2, coalition)
-    mc1, mc2 = estimate_gammas(m, q, th1, th2, coalition, trials=100_000, seed=3)
-    # three-sigma binomial bands around the exact values
-    band1 = 3 * (exact1 * (1 - exact1) / 100_000) ** 0.5 + 1e-4
-    band2 = 3 * (exact2 * (1 - exact2) / 100_000) ** 0.5 + 1e-4
-    assert abs(mc1 - exact1) <= band1
-    assert abs(mc2 - exact2) <= band2
+@pytest.mark.parametrize("coalition", [0, 1, 150, 800, 960, 1100, 1600])
+def test_gammas_match_the_exact_oracle(coalition):
+    gammas = estimate_gammas(coalition_size=coalition, **GAMMA_POINT)
+    exact = gamma_oracle(*GAMMA_POINT.values(), coalition)
+    assert gammas == pytest.approx(exact, rel=0, abs=1e-11)
+    assert all(0.0 <= g <= 1.0 for g in gammas)
+
+
+def test_gammas_at_certain_membership_and_on_bad_input():
+    # with q = 1 the set is the whole pool, so each threshold holds or fails outright
+    point = {**GAMMA_POINT, "q": 1.0}
+    assert estimate_gammas(coalition_size=960, **point) == (0.0, 0.0)
+    assert estimate_gammas(coalition_size=961, **point) == (1.0, 0.0)
+    assert estimate_gammas(coalition_size=399, **point) == (0.0, 1.0)
+    for size in (-1, 1601):
+        with pytest.raises(ValueError):
+            estimate_gammas(coalition_size=size, **GAMMA_POINT)
+    for q in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            estimate_gammas(coalition_size=800, **{**GAMMA_POINT, "q": q})
+
+
+@pytest.mark.parametrize("coalition", [400, 960])
+def test_gammas_agree_with_a_seeded_monte_carlo(coalition):
+    import numpy as np
+
+    trials, (m, q, th1, th2) = 100_000, GAMMA_POINT.values()
+    rng = np.random.default_rng(coalition)
+    inside = rng.binomial(coalition, q, size=trials)
+    size = inside + rng.binomial(m - coalition, q, size=trials)
+    estimates = (np.mean(inside > th1 * size), np.mean(inside < th2 * size))
+    for exact, estimate in zip(estimate_gammas(coalition_size=coalition, **GAMMA_POINT), estimates):
+        # three-sigma binomial band around the exact value
+        assert abs(estimate - exact) <= 3 * (exact * (1 - exact) / trials) ** 0.5 + 1e-4
 
 
 def test_strategy_constructors_validate():

@@ -3,6 +3,10 @@
 import argparse
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,30 @@ def test_cli_protocol_scenario_and_replay(tmp_path, capsys):
     assert report["event_type"] == "reveal"
     assert report["field"] == "seed"
     assert report["recorded_value"] == "ff" + report["replayed_value"]
+
+
+def test_cli_loads_numpy_only_for_a_monte_carlo(tmp_path):
+    """A scenario run, its replay, a RICE trace, set sizing and a protocol
+    batch run through `cli.main` with numpy unloaded; a consensus sweep then
+    loads it, which shows that the probe can fail."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(experiments.random_scenario(5, SEED, max_parallel=2).to_json())
+    log, out = str(tmp_path / "log.jsonl"), str(tmp_path / "out.csv")
+    runs = [["protocol-run", "--scenario", str(scenario), "--log", log], ["replay", log],
+            ["rice-trace", "--eta", "50", "--out", out], ["es-sizing", "--out", out],
+            ["protocol-run", "--trials", "2", "--out", out],
+            ["miracle-mc", "--trials", "10", "--out", out]]
+    code = ("import json, sys; from cicsim import cli; loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
 
 
 @pytest.mark.parametrize("log_text", ["", "\n\n", "not json\n", '{"format":1}\n'])

@@ -1307,9 +1307,9 @@ def test_small_scope_every_strategy_assignment():
 
 
 def test_a_protocol_run_and_replay_import_no_numpy():
-    """Only the experiment harness uses numpy: importing the protocol, running a
-    scenario and replaying it load none of it, and the package still hands
-    out `experiments` when asked."""
+    """Numpy is imported only inside the harness functions that call it:
+    importing the package, `experiments` included, running a scenario and
+    replaying it load none of it."""
     code = ("import sys, cicsim; from cicsim import protocol; s = protocol.Scenario(); "
             "r = protocol.run_scenario(s); assert protocol.replay_check(s, r.lines).identical; "
             "assert 'numpy' not in sys.modules, 'numpy imported'; "

@@ -391,12 +391,14 @@ def test_compute_model_matches_interpreter_states_and_totals():
         state = CicState(4, program.code_id)
         vm_final, total = run_full(program, state, compute_data(eta))
         assert model.final_state(state, eta) == vm_final
-        # interior states agree at every prefix length
+        # interior roots agree at every prefix length
         for t in range(0, total + 1, max(total // 7, 1)):
             cursor = program.start(state, compute_data(eta))
+            closed = model.start(state, compute_data(eta))
             if t:
                 run_sub(program, cursor, 1, t)
-            assert model.state_at(state, eta, t) == cursor.state
+                closed.resume(1, t)
+            assert closed.root_bytes() == cursor.state.root().value
 
 
 def test_compute_model_gas_semantics_match_the_vm():
@@ -422,7 +424,7 @@ CLOSED_FORM_STATES = [
 @pytest.mark.parametrize("storage, key", CLOSED_FORM_STATES)
 def test_compute_model_cursor_root_is_the_state_root_at_every_index(storage, key):
     # the cursor keeps its own tree; at every dynamic index its root must be
-    # that of the state `state_at` builds, and a RICE round must leave the
+    # that of the interpreter's state, and a RICE round must leave the
     # pre-state's words, root and proofs as they were
     eta = 30
     model = ComputeModel(key=key)
@@ -432,11 +434,14 @@ def test_compute_model_cursor_root_is_the_state_root_at_every_index(storage, key
         return (state.storage, state.root(), [prove_inclusion(state, k) for k in sorted(storage)])
     before = observed()
     cursor = model.start(state, compute_data(eta))
+    program = compute_program(key)
+    interpreted = program.start(state, compute_data(eta))
     for t in range(1, compute_length(eta) + 1):
         assert cursor.resume(t, t) == (cursor, t)
-        assert cursor.root_bytes() == model.state_at(state, eta, t).root().value
-    assert cursor.halted
-    final = run_full(compute_program(key), state, compute_data(eta))[0]
+        run_sub(program, interpreted, t, t)
+        assert cursor.root_bytes() == interpreted.state.root().value
+    assert cursor.halted and interpreted.halted
+    final = run_full(program, state, compute_data(eta))[0]
     assert model.final_state(state, eta) == final
     assert final.get(key) == to_word((int.from_bytes(state.get(key), "big") + eta) % 2 ** 256)
     rice_execute_traced(model, state, compute_data(eta), 2, sha256(b"closed-form"))
