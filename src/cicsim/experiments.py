@@ -83,7 +83,8 @@ class ExperimentSpec:
         return sha256(self.canonical().encode()).hex()
 
 
-def _rng(seed: bytes, *tags: bytes) -> np.random.Generator:
+def _rng(seed: bytes, *tags: bytes):
+    """A numpy `Generator` seeded from sha256(seed, *tags)."""
     import numpy as np
     return np.random.default_rng(int.from_bytes(sha256(seed, *tags), "big"))
 
@@ -106,11 +107,11 @@ class SweepStats:
 MC_MAX_ROUNDS = 100
 
 
-def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int,
-                      rng: np.random.Generator):
+def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int, rng):
     """All Byzantine nodes pool on one incorrect root; honest nodes submit
     the correct one. Returns per-trial (rounds, wrong, nodes_used, unconverged
-    mask) using the exact integer score and the real-valued threshold.
+    mask) using the exact integer score, the real-valued threshold and the
+    numpy `Generator` `rng`.
     The wrong root's score is minus the right one's, so a trial is one walk
     adding (nh - nb)(nh + nb) a round, won above the threshold and lost below
     its negative, or lost when both hold (a negative threshold, beta > 0.5).

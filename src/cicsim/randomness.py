@@ -25,6 +25,8 @@ from .hashing import WORD_MODULUS, be8, sha256, to_word
 _SORT_PROOF_TAG = b"cicsim/sortition-proof/v1"
 _SK_TAG = b"cicsim/node-sk/v1"
 _PK_TAG = b"cicsim/node-pk/v1"
+# a hashlib hash object's runtime type, which typing names only in stubs
+_Hash = type(hashlib.sha256())
 
 
 def random_gen(experiment_seed: bytes, counter: int) -> bytes:
@@ -39,7 +41,7 @@ class NodeKeys:
     node_id: int
     pk: bytes
     sk: bytes
-    prf: "hashlib._Hash" = field(init=False, compare=False, repr=False)
+    prf: _Hash = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.prf = hashlib.sha256(self.sk)

@@ -28,11 +28,19 @@ leader (an entry point, a jump target, or the instruction after a `jmp`,
 has copied as many instructions from outside its own block as that block
 has, so all traces together hold at most twice the program. It keeps the
 registers it touches in locals, loaded on entry and written back on exit;
-one whose `jnz` branches back to its start runs as a loop. The interpreter
-runs a trace only where it fits whole before min(t_f, gas limit), a loop
-as many whole times as fit, and single-steps the rest: the halt and the
-partial traces at either edge. So cut points, `GasExhausted` positions and
-errors are those of single-stepping.
+one whose `jnz` branches back to its start runs as a loop. A loop whose
+every `load` and `store` goes through one key register that none of its
+instructions assigns keeps that storage slot in a local: read once on
+entry and, if the loop stores, written back with its key added to
+`written` once on exit. A loop is straight-line up to its `jnz`, so every
+store runs on each of its one or more iterations, and no effect raises
+part-way, so storage and `written` at every exit are those of
+single-stepping. Loops with two key registers, which may alias, keep
+plain loads and stores. The interpreter runs a trace only where it fits
+whole before min(t_f, gas limit), a loop as many whole times as fit, and
+single-steps the rest: the halt and the partial traces at either edge.
+So cut points, `GasExhausted` positions and errors are those of
+single-stepping.
 """
 
 from __future__ import annotations
@@ -316,23 +324,37 @@ def _trace_pcs(code: tuple, leaders: set, start: int) -> list:
 
 def _trace_source(code: tuple, pcs: list) -> str:
     """`trace_<start>(regs, storage, written, n)`: returns (next pc, runs),
-    a loop running up to n >= 1 times, any other trace once."""
+    a loop running up to n >= 1 times, any other trace once. A loop keeps
+    its one storage slot in a local where the module docstring says."""
     ins = [code[pc] for pc in pcs]
     touched = sorted({r for op, *slots in ins
                       for kind, r in zip(_ISA[op][1], slots) if kind == "r"})
     op, a, b, _ = ins[-1]
-    if op == OP_JNZ and b == pcs[0]:
+    loop = op == OP_JNZ and b == pcs[0]
+    if loop:
         leave = [f"if not r{a}:", f"    pc = {pcs[-1] + 1}", "    break"]
     elif op == OP_JNZ:
         leave = [f"pc = {b} if r{a} else {pcs[-1] + 1}", "break"]
     else:
         leave = [f"pc = {a if op == OP_JMP else pcs[-1] + 1}", "break"]
-    body = [_ISA[op][2].format(ra=f"r{a}", rb=f"r{b}", rc=f"r{c}", b=b, m=WORD_MASK)
+    keys = {b if op == OP_LOAD else a for op, a, b, _ in ins if op in (OP_LOAD, OP_STORE)}
+    assigned = {a for op, a, _, _ in ins if _ISA[op][2] is not None and op != OP_STORE}
+    effects, enter, close = {}, [], []
+    if loop and len(keys) == 1 and not keys & assigned:
+        key = keys.pop()
+        effects = {OP_LOAD: "{ra} = slot", OP_STORE: "slot = {rb}"}
+        enter = [f"slot = storage.get(r{key}, 0)"]
+        if any(op == OP_STORE for op, _, _, _ in ins):
+            close = [f"storage[r{key}] = slot", f"written.add(r{key})"]
+    body = [effects.get(op, _ISA[op][2]).format(ra=f"r{a}", rb=f"r{b}", rc=f"r{c}", b=b,
+                                                m=WORD_MASK)
             for op, a, b, c in ins if _ISA[op][2] is not None]
     return "\n".join([f"def trace_{pcs[0]}(regs, storage, written, n):",
                       *(f"    r{r} = regs[{r}]" for r in touched),
+                      *(f"    {line}" for line in enter),
                       f"    pc = {pcs[0]}", "    for i in range(1, n + 1):",
                       *(f"        {line}" for line in body + leave),
+                      *(f"    {line}" for line in close),
                       *(f"    regs[{r}] = r{r}" for r in touched),
                       "    return pc, i"])
 

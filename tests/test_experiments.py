@@ -2,16 +2,21 @@
 
 import argparse
 import functools
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import cicsim
 from cicsim import cli, experiments, miracle, protocol
 from cicsim.hashing import sha256
 
@@ -312,6 +317,25 @@ def test_cli_loads_numpy_only_for_a_monte_carlo(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
+
+
+def test_every_annotation_in_the_package_resolves():
+    """`typing.get_type_hints` resolves every function, class and method that
+    a `cicsim` module defines, from the module's own names: a name bound
+    only inside a function body, as numpy is, or one only type stubs know
+    fails here."""
+    checked = 0
+    for info in pkgutil.iter_modules(cicsim.__path__):
+        module = importlib.import_module(f"cicsim.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for target in (obj, *(getattr(m, "__func__", getattr(m, "fget", m)) for m in members)):
+                if inspect.isclass(target) or inspect.isfunction(target):
+                    typing.get_type_hints(target)
+                    checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("log_text", ["", "\n\n", "not json\n", '{"format":1}\n'])

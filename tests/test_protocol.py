@@ -1160,16 +1160,19 @@ class LossyDelivery(Simulation):
 
 class OrderedDelivery(Simulation):
     """Delivers each block's commits, and separately its reveals, in the given
-    node orders; kinds keep their canonical order between them."""
+    node orders, and its enqueues in the given order of their transaction
+    indexes, which are their post numbers; kinds keep their canonical order
+    between them."""
 
-    def __init__(self, scenario, commit_order, reveal_order):
+    def __init__(self, scenario, commit_order=None, reveal_order=None, enqueue_order=None):
         super().__init__(scenario)
-        self.orders = {"commit": commit_order, "reveal": reveal_order}
+        self.orders = {"commit": commit_order, "reveal": reveal_order, "enqueue": enqueue_order}
 
     def _deliver(self, block):
         def position(message):
             rank, node_id, seq, kind, *_ = message
-            return rank, self.orders.get(kind, (node_id,)).index(node_id), seq
+            mine, order = (seq if kind == "enqueue" else node_id), self.orders.get(kind)
+            return rank, order.index(mine) if order else 0, seq
 
         messages = sorted(self.inbox.get(block, []), key=position)
         self.inbox[block] = [(rank, *message[1:]) for rank, message in enumerate(messages)]
@@ -1269,6 +1272,48 @@ def test_small_scope_every_order_of_round_one_commits_and_reveals():
         for reveal_order in orders:
             result = _checked_run(lambda: OrderedDelivery(SMALL, commit_order, reveal_order))
             assert result.settled == 1 and _outcome(result) == base, (commit_order, reveal_order)
+
+
+def test_small_scope_two_transactions_in_every_inclusion_order():
+    """Two transactions on SMALL, queued on one CID or running on two CIDs,
+    their enqueues in one block in either order, or either one in each of the
+    11 blocks after the other's, up to past the first settlement. In every
+    case both settle in one round, the honest root winning; the one included
+    first deploys first and draws the beacon's first nonce, under which the
+    Byzantine node 3 is selected and forfeited for its wrong root, and under
+    the second nonce it is not selected. An honest node, which delivers every
+    message it plans here, is never forfeited, and no wrong root is accepted."""
+    configs = {"queue": (SMALL.cics, (0, 0)), "two cids": ((CicSpec(), CicSpec(key=1)), (0, 1))}
+    nonces = None
+    for name, (cics, cic_of) in configs.items():
+        blocks = [(1, 1, (0, 1)), (1, 1, (1, 0))]
+        blocks += [pair for later in range(2, 13) for pair in ((1, later, None), (later, 1, None))]
+        for b0, b1, order in blocks:
+            sc = replace(SMALL, cics=cics, its=(ItSpec(cic_index=cic_of[0], submit_block=b0),
+                                                ItSpec(cic_index=cic_of[1], submit_block=b1)))
+            case = name, b0, b1, order
+            result = _checked_run(lambda: OrderedDelivery(sc, enqueue_order=order))
+            events = result.events
+            # transaction i is creator i's
+            index = {e["tid"]: int(e["creator"][len("creator"):])
+                     for e in events if e["type"] == "queued"}
+            first = order[0] if order else int(b1 < b0)
+            deployed = [e for e in events if e["type"] == "deployed"]
+            assert [index[e["tid"]] for e in deployed] == [first, 1 - first], case
+            nonces = nonces or [e["nonce"] for e in deployed]
+            assert [e["nonce"] for e in deployed] == nonces, case
+            honest_root, closed = {}, 0      # by CID, the root honest node 0 last revealed
+            for e in events:
+                if e["type"] == "reveal" and e["node"] == 0:
+                    honest_root[e["cid"]] = e["root"]
+                elif e["type"] == "round_closed":
+                    assert e["accepted"] and e["winning_root"] == honest_root[e["cid"]], case
+                    closed += 1
+            assert closed == 2, case
+            assert sorted(e["rounds"] for e in events if e["type"] == "settled") == [1, 1], case
+            forfeits = [(e["cid"], e["node"], e["reason"]) for e in events
+                        if e["type"] == "forfeit"]
+            assert forfeits == [(deployed[0]["cid"], 3, "wrong root")], case
 
 
 # each strategy kind by its letter, and the cases of SMALL's every strategy assignment in

@@ -3,7 +3,7 @@
 import pickle
 import random
 from dataclasses import replace
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -277,20 +277,140 @@ spin:
 """
 
 
+# Loops whose loads and stores all go through one key register they never
+# assign, so each keeps its storage slot in a local: one that only loads a
+# key absent from storage, which must stay absent,
+LOAD_ONLY = """
+func main
+  mov r0 r8
+  const r1 99
+  const r6 1
+loop:
+  load r2 r1
+  add r3 r3 r2
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# one that only stores,
+STORE_ONLY = """
+func main
+  mov r0 r8
+  const r1 2
+  const r6 1
+loop:
+  add r3 r3 r0
+  store r1 r3
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# and one that hashes the slot's word on every iteration.
+HASHED_SLOT = """
+func main
+  mov r0 r8
+  const r1 3
+  const r6 1
+loop:
+  load r2 r1
+  hash r2 r2
+  store r1 r2
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# Loops that compile generically: one that assigns its key register,
+LOAD_OWN_KEY = """
+func main
+  mov r0 r8
+  const r1 1
+  const r6 1
+loop:
+  load r1 r1
+  store r1 r0
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# one whose two key registers hold equal values, so they alias,
+ALIASED_KEYS = """
+func main
+  mov r0 r8
+  const r1 3
+  const r2 3
+  const r6 1
+loop:
+  load r3 r1
+  add r3 r3 r6
+  store r2 r3
+  sub r0 r0 r6
+  jnz r0 loop
+  halt
+"""
+
+# and the update shape, whose key register advances every iteration.
+UPDATE_LOOP = """
+func main
+  mov r0 r8
+  const r3 1
+loop:
+  jnz r0 body
+  halt
+body:
+  load r2 r1
+  add r2 r2 r3
+  store r1 r2
+  add r1 r1 r3
+  sub r0 r0 r3
+  jmp loop
+"""
+
+
 def cursor_view(cursor):
     return cursor.pc, list(cursor.regs), cursor.state.storage, cursor.dynamic_index
 
 
-def oracle_prefix(program, storage, data, cap=300):
-    """[None, state after 1, ..., state after T], T the halt or else cap;
-    and whether the program halted."""
-    states = [None]
+def cut_view(cursor):
+    """`cursor_view` and the state root from the cursor's kept tree, read at
+    the cut as RICE reads it: right only if `written` holds every key stored
+    since the last read."""
+    return (*cursor_view(cursor), cursor.root_bytes())
+
+
+def oracle_prefix(program, state, data, cap=300):
+    """[None, `cut_view` after 1, ..., after T], T the halt or else cap, the
+    root that of the oracle's storage from scratch, as `cursor.state.root()`
+    computes it; and whether the program halted."""
+    views = [None]
     for k in range(1, cap + 1):
-        state = oracle_state_after(program.instructions, program.entry(), storage, data, k)
-        if state[3] < k:
-            return states, True
-        states.append(state)
-    return states, False
+        view = oracle_state_after(program.instructions, program.entry(), state.storage, data, k)
+        if view[3] < k:
+            return views, True
+        views.append((*view, CicState(state.cid, state.code, view[2]).root().value))
+    return views, False
+
+
+def trace_sources(program):
+    """The source `_compile_traces` generates for each trace of `program`."""
+    make, sources = toy_vm._trace_source, []
+
+    def record(code, pcs):
+        sources.append(make(code, pcs))
+        return sources[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toy_vm, "_trace_source", record)
+        toy_vm._compile_traces(program.instructions, program.entries)
+    return sources
+
+
+def loop_trace(program):
+    """The source of `program`'s one trace that runs as a loop."""
+    (loop,) = [source for source in trace_sources(program) if "        if not r" in source]
+    return loop
 
 
 def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
@@ -298,16 +418,21 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
     # so every prefix, every resume after it and every GasExhausted position
     # must equal the one-instruction-at-a-time oracle, whenever the program
     # is compiled: from its first instruction (COMPILE_AFTER 0), after any
-    # number of single steps, or never (the single-stepper alone)
+    # number of single steps, or never (the single-stepper alone); and the
+    # root read at every cut shows that `written` is complete there, also
+    # where a loop defers its one slot's write to its exit
     rng = random.Random(61)
     cases = [(random_program(rng, max_iterations=12), b"") for _ in range(6)]
     cases += [(assemble(EVERY_OP_LOOP), to_word(9)), (assemble(DO_WHILE), to_word(9)),
               (assemble(JMP_INTO_A_LONG_BLOCK), b""), (assemble(JMP_INTO_A_BLOCK), to_word(9)),
-              (assemble(SPIN), b"")]
+              (assemble(SPIN), b""), (compute_program(), to_word(9)),
+              (compute_program(key=9), to_word(9))]
+    cases += [(assemble(source), to_word(9))
+              for source in (LOAD_ONLY, STORE_ONLY, HASHED_SLOT, LOAD_OWN_KEY, ALIASED_KEYS)]
     storage = {to_word(n): to_word(n * n + 1) for n in range(4)}
     for program, data in cases:
         state = CicState(5, program.code_id, storage)
-        oracle, halts = oracle_prefix(program, storage, data)
+        oracle, halts = oracle_prefix(program, state, data)
         total = len(oracle) - 1
         for compile_after in (0, 10 ** 9):
             monkeypatch.setattr(toy_vm, "COMPILE_AFTER", compile_after)
@@ -316,23 +441,49 @@ def test_compiled_traces_match_the_stepping_oracle_at_every_cut(monkeypatch):
                 cursor = program.start(state, data)
                 cursor, last = run_sub(program, cursor, 1, k)
                 assert (last, cursor.halted) == (k, halts and k == total)
-                assert cursor_view(cursor) == oracle[k]
+                assert cut_view(cursor) == oracle[k]
                 if k < total:
                     cursor, last = run_sub(program, cursor, k + 1, total)
-                    assert cursor_view(cursor) == oracle[total]
+                    assert cut_view(cursor) == oracle[total]
             for limit in range(1, total):
                 cursor = program.start(state, data, gas_limit=limit)
                 with pytest.raises(GasExhausted):
                     run_sub(program, cursor, 1, total)
                 assert cursor.dynamic_index == limit
-                assert cursor_view(cursor) == oracle[limit]
+                assert cut_view(cursor) == oracle[limit]
             assert (program.warmth[1] is None) == (compile_after > 0)
         for after in range(1, total):
             monkeypatch.setattr(toy_vm, "COMPILE_AFTER", after)
             fresh = Program(program.instructions, program.entries, program.source)
             cursor, last = run_sub(fresh, fresh.start(state, data), 1, total)
-            assert cursor_view(cursor) == oracle[total]
+            assert cut_view(cursor) == oracle[total]
             assert fresh.warmth[0] == after and fresh.warmth[1] is not None
+
+
+def loop_body(source):
+    """The lines of a trace's `for` body."""
+    lines = source.splitlines()
+    start = lines.index("    for i in range(1, n + 1):") + 1
+    return list(takewhile(lambda line: line.startswith("        "), lines[start:]))
+
+
+def test_a_loop_keeps_its_one_storage_slot_in_a_local_only_where_the_rule_holds():
+    # compute_program's loop loads and stores through r1 and never assigns
+    # it: the slot is read once before the loop, written back once after
+    loop = loop_trace(compute_program())
+    assert not any("storage" in line or "written" in line for line in loop_body(loop))
+    assert loop.count("slot = storage.get(r1, 0)") == loop.count("written.add(r1)") == 1
+    assert loop.index("written.add(r1)") > loop.index("            break")
+    # the update shape advances its key register, so its body keeps both
+    loop = loop_trace(assemble(UPDATE_LOOP))
+    body = "\n".join(loop_body(loop))
+    assert "slot" not in loop
+    assert "r2 = storage.get(r1, 0)" in body and "written.add(r1)" in body
+    for source, slot, stores in [(LOAD_ONLY, True, False), (STORE_ONLY, True, True),
+                                 (HASHED_SLOT, True, True), (LOAD_OWN_KEY, False, True),
+                                 (ALIASED_KEYS, False, True)]:
+        loop = loop_trace(assemble(source))
+        assert ("slot" in loop) == slot and ("written.add" in loop) == stores
 
 
 def test_a_program_compiles_once_it_has_single_stepped_compile_after():
