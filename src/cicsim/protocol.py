@@ -287,7 +287,6 @@ class MasterContract:
         node_id = keys.node_id
         if node_id in self.keys:
             raise ValueError(f"node {node_id} is already enrolled")
-        self.oracle.register(keys)
         self.keys[node_id] = self.pool[node_id] = keys
         self.deposits[node_id], self.balances[node_id] = deposit, balance
 
@@ -370,7 +369,7 @@ class MasterContract:
         if sha256(digest.seed, digest.root.value, encoded) != se:
             raise CommitMismatch("reveal does not match the commitment")
         # a node forfeited in another transaction still reveals here
-        if not self.oracle.verify(self.keys[node_id].pk, rnd.nonce, self.params.q, sort):
+        if not self.oracle.verify(self.keys[node_id], rnd.nonce, self.params.q, sort):
             raise InvalidSortition(f"sortition proof rejected for node {node_id}")
         rnd.reveals[node_id] = (digest, sort)
         self.emit(block, "reveal", cid=cid, round=rnd.round_index, node=node_id,

@@ -9,8 +9,8 @@ the node's own sk) and independent across nodes. Each `NodeKeys` keeps the
 midstate sha256(sk) from keygen, so a check hashes only the nonce, and the
 test out / 2^256 < q is exact in integers as out < `sortition_bound(q)`, as
 correctly rounded int/int division is monotone in the numerator. Proof
-verification is simulation-grade: a registry oracle maps pk back to the
-node's keys and re-runs `check_sort` on them, mimicking a real VRF's
+verification is simulation-grade: the verifier re-runs `check_sort` on the
+keys the contract enrolled for the node, mimicking a real VRF's
 verifiability without its cryptography.
 """
 
@@ -107,7 +107,7 @@ def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
 
     Selected iff PRF(sk, nonce) as a fraction of 2^256 is below q. The
     output doubles as the node's round-specific pseudorandom tag; the proof
-    is re-derivable only with sk (or, in simulation, via the oracle).
+    is re-derivable only with sk (in simulation, from the enrolled keys).
     """
     prf = keys.prf.copy()
     prf.update(nonce)
@@ -118,24 +118,9 @@ def check_sort(keys: NodeKeys, nonce: bytes, threshold_q: float) -> SortResult:
 
 
 class SortitionOracle:
-    """Simulator-held registry standing in for VRF proof verification.
+    """Stand-in for VRF proof verification: a claim verifies only if it is
+    selected and is exactly `check_sort` re-run on the node's keys."""
 
-    Holds the pk -> `NodeKeys` map; verification re-runs `check_sort` on the
-    registered keys and accepts a selected claim only if it is exactly that
-    result. Nothing outside the oracle ever needs another node's sk.
-    """
-
-    def __init__(self) -> None:
-        self._by_pk: dict = {}
-
-    def register(self, keys: NodeKeys) -> None:
-        existing = self._by_pk.get(keys.pk)
-        if existing is not None and existing.sk != keys.sk:
-            raise ValueError("pk already registered with a different sk")
-        self._by_pk[keys.pk] = keys
-
-    def verify(self, pk: bytes, nonce: bytes, threshold_q: float,
+    def verify(self, keys: NodeKeys, nonce: bytes, threshold_q: float,
                result: SortResult) -> bool:
-        keys = self._by_pk.get(pk)
-        return (keys is not None and result.selected
-                and check_sort(keys, nonce, threshold_q) == result)
+        return result.selected and check_sort(keys, nonce, threshold_q) == result

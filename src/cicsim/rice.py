@@ -49,11 +49,11 @@ def init_seed(round_index: int, round1_entropy: bytes) -> bytes:
     """Starting seed for a round: the (round-1)-fold hash of round-1 entropy."""
     if round_index < 1:
         raise ValueError("rounds are 1-based")
+    if len(round1_entropy) != WORD_BYTES:
+        raise ValueError("round-1 entropy is exactly 32 bytes")
     seed = round1_entropy
     for _ in range(round_index - 1):
         seed = sha256(seed)
-    if len(seed) != WORD_BYTES:
-        raise ValueError("seed is exactly 32 bytes")
     return seed
 
 

@@ -41,6 +41,14 @@ def test_nash_condition_cases():
     assert not nash_condition(boundary)
 
 
+@pytest.mark.parametrize("c1, c2", [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
+def test_a_perfect_guesser_is_beaten_on_costs_alone(c1, c2):
+    """At gamma = 1 free-loading earns the honest payoff with c2 in place of
+    c1, so honesty strictly wins exactly when c1 < c2."""
+    p = up(gamma=1.0, c1=c1, c2=c2)
+    assert nash_condition(p) == (utility_honest(p) > utility_freeload(p)) == (c1 < c2)
+
+
 def test_nash_matches_direct_sign_comparison_on_a_grid():
     import numpy as np
     rng = np.random.default_rng(42)

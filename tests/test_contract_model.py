@@ -8,7 +8,8 @@ that do not match their commitment. After every step it checks:
 * value is conserved, and the treasury never goes negative;
 * every accepted commit and reveal lies inside its round's window, read
   from the event log;
-* every accepted reveal opens the commitment its node made in that round;
+* every accepted reveal opens the commitment its node made in that round,
+  and carries the sortition result its node's enrolled keys give;
 * every event's log line is the oracle's canonical line;
 * a contract's queue holds transactions only behind its active one: an
   unfunded transaction leaves its queue, whether it is refused at enqueue
@@ -24,6 +25,7 @@ skips hypothesis's shrink phase: shrinking a failing 100-step run takes
 minutes, so a failure reports its falsifying example unshrunk, in seconds.
 """
 
+import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -32,7 +34,8 @@ from cicsim import rice
 from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState, MerkleRoot, prove_inclusion
 from cicsim.miracle import ConsensusParams
-from cicsim.protocol import MasterContract, ProtocolError, SettlementPolicy, WindowConfig
+from cicsim.protocol import (InvalidSortition, MasterContract, ProtocolError, SettlementPolicy,
+                             WindowConfig)
 from cicsim.randomness import NOT_SELECTED, check_sort, keygen
 from cicsim.rice import Digest
 from cicsim.toy_vm import ComputeModel, Transaction, compute_data, compute_eta, compute_length
@@ -45,6 +48,29 @@ Q = 0.8
 OUTSIDER = keygen(sha256(b"outsider"), 0)
 DUMMY = Digest(seed=sha256(b"dummy-seed"), root=MerkleRoot(sha256(b"dummy-root")))
 
+# sortition results a committed reveal opens and the contract must refuse
+BAD_SORTS = ["outsider", "other_node", "stale", "forged_output", "forged_proof", "unselected"]
+
+
+def claimed_sort(kind, keys, other, nonce):
+    """The sortition result a node commits to: its own at Q, or one of `BAD_SORTS`
+    (`other` is another enrolled node's keys)."""
+    if kind == "outsider":
+        return check_sort(OUTSIDER, nonce, 1.0)
+    if kind == "other_node":
+        return check_sort(other, nonce, 1.0)
+    if kind == "stale":
+        return check_sort(keys, sha256(b"stale", nonce), 1.0)
+    genuine = check_sort(keys, nonce, 1.0)
+    if kind == "forged_output":
+        return genuine._replace(output=sha256(b"forged", genuine.output))
+    if kind == "forged_proof":
+        return genuine._replace(proof=sha256(b"forged", genuine.proof))
+    if kind == "unselected":
+        return NOT_SELECTED
+    return check_sort(keys, nonce, Q)
+
+
 # most messages go to the first contract, at the current block
 cics = st.sampled_from([0, 0, 0, 1])
 deltas = st.sampled_from([0, 0, 0, 0, -1, 1, -3, 3])
@@ -54,7 +80,7 @@ picks = st.integers(0, 2 * N_NODES)
 ARGUMENTS = {
     "commit": st.tuples(cics, picks, deltas,
                         st.sampled_from(["honest"] * 6 + ["wrong_root", "other_seed"]),
-                        st.sampled_from(["own"] * 6 + ["outsider", "other_node", "stale"]),
+                        st.sampled_from(["own"] * 10 + BAD_SORTS),
                         st.sampled_from([False] * 5 + [True])),
     "reveal": st.tuples(cics, picks, deltas,
                         st.sampled_from(["none"] * 5 + ["seed", "root", "unselected"])),
@@ -143,14 +169,7 @@ class ContractModel(RuleBasedStateMachine):
             digest = Digest(seed=sha256(b"seed", be8(node)), root=digest.root)
         nonce = it.round.nonce
         keys = OUTSIDER if node == N_NODES else self.mc.keys[node]
-        if sort_kind == "outsider":
-            sort = check_sort(OUTSIDER, nonce, 1.0)
-        elif sort_kind == "other_node":
-            sort = check_sort(self.mc.keys[(node + 1) % N_NODES], nonce, 1.0)
-        elif sort_kind == "stale":
-            sort = check_sort(keys, sha256(b"stale", nonce), 1.0)
-        else:
-            sort = check_sort(keys, nonce, Q)
+        sort = claimed_sort(sort_kind, keys, self.mc.keys[(node + 1) % N_NODES], nonce)
         se = sha256(digest.encode(), sort.encode())
         if forged_se:
             se = sha256(b"forged", se)
@@ -171,7 +190,8 @@ class ContractModel(RuleBasedStateMachine):
             digest = Digest(seed=digest.seed, root=MerkleRoot(sha256(b"tamper", digest.root.value)))
         elif tamper == "unselected":
             sort = NOT_SELECTED
-        self.send(self.mc.submit_reveal, node, cid, digest, sort, max(1, self.block + delta))
+        if self.send(self.mc.submit_reveal, node, cid, digest, sort, max(1, self.block + delta)):
+            assert sort.selected and sort == check_sort(self.mc.keys[node], it.round.nonce, Q)
 
     def witness(self, cic, pick, delta, valid):
         cid = self.cids[cic]
@@ -234,3 +254,24 @@ ContractModel.TestCase.settings = settings(max_examples=30, stateful_step_count=
                                            phases=(Phase.explicit, Phase.reuse,
                                                    Phase.generate))
 TestContractModel = ContractModel.TestCase
+
+
+@pytest.mark.parametrize("kind", BAD_SORTS)
+def test_a_reveal_opening_a_refused_sortition_raises_invalid_sortition(kind):
+    """An enrolled node that sortition did not select commits to a result its
+    keys do not give, even the true "not selected", and opens exactly that
+    commitment in the reveal window: it is refused for its sortition alone."""
+    machine = ContractModel()
+    mc, cid = machine.mc, machine.cids[1]
+    # at the second contract's deployment nonce, sortition passes a node over
+    mc.enqueue(machine.transaction(1, 1, 4, 0), "alice", 1)
+    rnd = mc.active[cid].round
+    passed_over = [n for n, keys in mc.keys.items() if not check_sort(keys, rnd.nonce, Q).selected]
+    assert passed_over
+    node = passed_over[0]
+    sort = claimed_sort(kind, mc.keys[node], mc.keys[(node + 1) % N_NODES], rnd.nonce)
+    mc.submit_commit(node, cid, sha256(DUMMY.encode(), sort.encode()), rnd.commit_open)
+    mc.tick(rnd.reveal_open)
+    with pytest.raises(InvalidSortition):
+        mc.submit_reveal(node, cid, DUMMY, sort, rnd.reveal_open)
+    assert node not in rnd.reveals

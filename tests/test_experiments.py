@@ -222,6 +222,39 @@ def test_audit_catches_forged_binding():
     assert not audit["reveal_binding"]
 
 
+def test_audit_catches_window_breaches_inside_their_round():
+    """Two edits that keep each event inside its round: a commit one block
+    past its commit window, and a node's round-r reveal re-sent in its
+    round-(r+1) reveal's block, whose round number is then stale though it
+    still opens its commitment. Each breaks window discipline, not binding."""
+    scenario = experiments.random_scenario(0, SEED, max_parallel=2)
+    events = [dict(e) for e in protocol.run_scenario(scenario).events]
+    assert experiments.audit_event_log(events) == {"window_discipline": True,
+                                                   "reveal_binding": True}
+    late, windows = [dict(e) for e in events], {}
+    for event in late:
+        if event["type"] == "round_started":
+            windows[event["cid"]] = event
+        elif event["type"] == "commit":
+            window = windows[event["cid"]]
+            event["block"] = window["commit_close"] + 1
+            assert event["block"] <= window["reveal_close"]
+            break
+    stale, reveals = [dict(e) for e in events], {}
+    for index, event in enumerate(stale):
+        if event["type"] == "reveal":
+            earlier = reveals.get((event["cid"], event["node"], event["round"] - 1))
+            if earlier is not None:
+                stale[index] = dict(earlier, block=event["block"])
+                break
+            reveals[(event["cid"], event["node"], event["round"])] = event
+    else:
+        raise AssertionError("no node revealed in two consecutive rounds")
+    for edited in (late, stale):
+        assert experiments.audit_event_log(edited) == {"window_discipline": False,
+                                                       "reveal_binding": True}
+
+
 def test_utility_surface_agrees_everywhere():
     rows = experiments.utility_surface_rows(500, SEED)
     assert all(r["agrees"] for r in rows)
@@ -317,6 +350,31 @@ def test_cli_loads_numpy_only_for_a_monte_carlo(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
+
+
+def test_batch_rows_and_event_lines_do_not_depend_on_the_hash_seed():
+    """A protocol batch's rows and every event line of its runs hash the same
+    in two processes under different `PYTHONHASHSEED`s, which the processes'
+    own `hash` of a string shows took effect."""
+    code = ("import hashlib, json; from cicsim import experiments, protocol\n"
+            "seed, digest = bytes(32), hashlib.sha256()\n"
+            "rows = experiments.protocol_batch_rows(20, seed, max_parallel=4)\n"
+            "digest.update(json.dumps(rows, sort_keys=True).encode())\n"
+            "for index in range(20):\n"
+            "    scenario = experiments.random_scenario(index, seed, max_parallel=4)\n"
+            "    digest.update('\\n'.join(protocol.run_scenario(scenario).lines).encode())\n"
+            "print(hash('cicsim'), digest.hexdigest())")
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    (hash0, digest0), (hash1, digest1) = outputs
+    assert hash0 != hash1 and digest0 == digest1
 
 
 def test_every_annotation_in_the_package_resolves():

@@ -1,4 +1,4 @@
-"""Beacon determinism, sortition statistics, and the verification oracle."""
+"""Beacon determinism, sortition statistics, and sortition verification."""
 
 import copy
 import math
@@ -72,12 +72,10 @@ def test_check_sort_and_verify_agree_with_the_float_rule(sk, nonce, q, at_own_fr
     expected = sortition_oracle(sk, nonce, q)
     result = check_sort(keys, nonce, q)
     assert (result.selected, result.output, result.proof) == expected
-    # the oracle, shown the genuine output and proof, accepts iff the rule selects
-    oracle = SortitionOracle()
-    oracle.register(keys)
+    # the verifier, shown the genuine output and proof, accepts iff the rule selects
     claim = SortResult(selected=True, output=sha(sk + nonce),
                        proof=sha(SORT_PROOF_TAG + sk + nonce))
-    assert oracle.verify(keys.pk, nonce, q, claim) == expected[0]
+    assert SortitionOracle().verify(keys, nonce, q, claim) == expected[0]
 
 
 def test_node_keys_round_trip_with_their_midstate():
@@ -126,53 +124,48 @@ def test_selection_is_independent_across_nodes():
 def test_oracle_verifies_genuine_results_and_rejects_forgeries():
     oracle = SortitionOracle()
     keys = keygen(SEED, 3)
-    oracle.register(keys)
     nonce = sha256(b"it-nonce")
     q = 0.9
     result = check_sort(keys, nonce, q)
     assert result.selected
-    assert oracle.verify(keys.pk, nonce, q, result)
-    # unknown key, tampered output, tampered proof, wrong nonce
+    assert oracle.verify(keys, nonce, q, result)
+    # another node's keys, tampered output, tampered proof, wrong nonce
     stranger = keygen(SEED, 4)
-    assert not oracle.verify(stranger.pk, nonce, q, result)
+    assert not oracle.verify(stranger, nonce, q, result)
     forged = type(result)(selected=True, output=sha256(b"x"), proof=result.proof)
-    assert not oracle.verify(keys.pk, nonce, q, forged)
+    assert not oracle.verify(keys, nonce, q, forged)
     forged = type(result)(selected=True, output=result.output, proof=sha256(b"x"))
-    assert not oracle.verify(keys.pk, nonce, q, forged)
-    assert not oracle.verify(keys.pk, sha256(b"other-nonce"), q, result)
+    assert not oracle.verify(keys, nonce, q, forged)
+    assert not oracle.verify(keys, sha256(b"other-nonce"), q, result)
 
 
 def _claims(keys, stranger, nonce, other_nonce, q, junk):
-    """(pk, claim) pairs a node could reveal: its own result, the same with a
+    """(keys, claim) pairs a node could reveal: its own result, the same with a
     forged output, proof or `selected`, its result at another nonce, a
-    stranger's result, and its own result under the stranger's pk."""
+    stranger's result, and its own result checked against the stranger's keys."""
     own = check_sort(keys, nonce, q)
     genuine = SortResult(True, sha(keys.sk + nonce), sha(SORT_PROOF_TAG + keys.sk + nonce))
-    return [(keys.pk, claim) for claim in (
+    return [(keys, claim) for claim in (
         own, genuine, NOT_SELECTED,
         SortResult(True, junk, genuine.proof), SortResult(True, genuine.output, junk),
         SortResult(True, None, None), SortResult(False, genuine.output, genuine.proof),
         check_sort(keys, other_nonce, q), check_sort(stranger, nonce, q),
-        check_sort(keys, nonce, 1.0))] + [(stranger.pk, own), (stranger.pk, genuine)]
+        check_sort(keys, nonce, 1.0))] + [(stranger, own), (stranger, genuine)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(sk=st.binary(min_size=32, max_size=32), other_sk=st.binary(min_size=32, max_size=32),
        nonce=st.binary(min_size=32, max_size=32), q=st.floats(0.0, 1.0),
        junk=st.binary(min_size=32, max_size=32))
-def test_verify_is_check_sort_rerun_on_the_registered_keys(sk, other_sk, nonce, q, junk):
-    """A claim verifies iff it is selected and equal to `check_sort` run on
-    the keys registered under its pk; an unregistered pk verifies nothing."""
+def test_verify_is_check_sort_rerun_on_the_given_keys(sk, other_sk, nonce, q, junk):
+    """A claim verifies iff it is selected and equal to the float rule's
+    result for the given keys' sk at this nonce and q."""
     keys = NodeKeys(node_id=0, pk=sha(b"pk" + sk), sk=sk)
     stranger = NodeKeys(node_id=1, pk=sha(b"pk" + other_sk), sk=other_sk)
-    oracle = SortitionOracle()
-    oracle.register(keys)
     other_nonce = sha(b"other" + nonce)
-    for pk, claim in _claims(keys, stranger, nonce, other_nonce, q, junk):
-        registered = keys if pk == keys.pk else None
-        expected = (registered is not None and claim.selected
-                    and check_sort(registered, nonce, q) == claim)
-        assert oracle.verify(pk, nonce, q, claim) == expected, claim
+    for checked, claim in _claims(keys, stranger, nonce, other_nonce, q, junk):
+        expected = claim.selected and tuple(claim) == sortition_oracle(checked.sk, nonce, q)
+        assert SortitionOracle().verify(checked, nonce, q, claim) == expected, claim
 
 
 def test_verify_hashes_once_per_valid_claim(monkeypatch):
@@ -187,29 +180,15 @@ def test_verify_hashes_once_per_valid_claim(monkeypatch):
     monkeypatch.setattr(randomness, "sha256", counting)
     oracle = SortitionOracle()
     keys = keygen(SEED, 6)
-    oracle.register(keys)
     for j in range(20):
         nonce = sha256(b"count", bytes([j]))
         result = check_sort(keys, nonce, 1.0)
         calls.clear()
-        assert oracle.verify(keys.pk, nonce, 1.0, result)
+        assert oracle.verify(keys, nonce, 1.0, result)
         assert len(calls) == 1
         calls.clear()
-        assert not oracle.verify(keys.pk, nonce, 1.0, NOT_SELECTED)
+        assert not oracle.verify(keys, nonce, 1.0, NOT_SELECTED)
         assert not calls
-
-
-def test_register_refuses_a_pk_under_another_sk():
-    oracle = SortitionOracle()
-    keys = keygen(SEED, 8)
-    oracle.register(keys)
-    # the same keys again, even under another node id, are accepted
-    oracle.register(keys)
-    oracle.register(NodeKeys(node_id=9, pk=keys.pk, sk=keys.sk))
-    with pytest.raises(ValueError, match="different sk"):
-        oracle.register(NodeKeys(node_id=8, pk=keys.pk, sk=sha256(b"impostor")))
-    nonce = sha256(b"after-refusal")
-    assert oracle.verify(keys.pk, nonce, 1.0, check_sort(keys, nonce, 1.0))
 
 
 def test_result_encoding_is_fixed_width():

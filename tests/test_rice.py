@@ -15,7 +15,7 @@ from cicsim import hashing, merkle_state
 from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState
 from cicsim.experiments import SyntheticRunner, rice_overhead_rows
-from cicsim.rice import (check_phi_bounds, check_total_exponent,
+from cicsim.rice import (Digest, RiceTrace, check_phi_bounds, check_total_exponent,
                          exponent_of_total, group_end, init_seed, phi_bounds,
                          rice_execute_traced, strong_unmatched)
 from cicsim.toy_vm import (ComputeModel, assemble, compute_data, compute_length,
@@ -187,6 +187,21 @@ def test_schedule_bounds_hold_on_vm_and_model_runs():
         assert lo < trace.phi <= hi
 
 
+@pytest.mark.parametrize("k, lo, hi", [(2, 1, 3), (3, 3, 6), (5, 10, 15)])
+def test_phi_check_refuses_update_counts_outside_the_band(k, lo, hi):
+    """Hand-built traces whose last update ends group k: the band (lo, hi]
+    admits its top and refuses its bottom and one past its top; a trace
+    with no updates passes only if it ran at most 2 instructions."""
+    end = group_end(k)
+    digest = Digest(seed=bytes(32), root=merkle_state.MerkleRoot(bytes(32)))
+
+    def trace(phi, total=end):
+        return RiceTrace(1, total, tuple(range(end - phi + 1, end + 1)), digest)
+
+    assert [check_phi_bounds(trace(phi)) for phi in (lo, hi, hi + 1)] == [False, True, False]
+    assert check_phi_bounds(trace(0, total=2)) and not check_phi_bounds(trace(0, total=3))
+
+
 def test_single_round_report_is_vacuously_strong():
     model = ComputeModel()
     state = CicState(5, model.code_id)
@@ -313,7 +328,8 @@ def test_c07_misses_match_the_exact_law_of_its_corpus():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         init_seed(0, sha256(b"e"))
-    with pytest.raises(ValueError):
-        init_seed(1, b"short")
+    for round_index in (1, 2):
+        with pytest.raises(ValueError, match="entropy"):
+            init_seed(round_index, bytes(31))
     with pytest.raises(ValueError):
         strong_unmatched_tail_bound(5, 2, 9, 1)

@@ -524,7 +524,9 @@ def test_hand_built_programs_are_checked_and_pickle(monkeypatch):
 
 
 @pytest.mark.parametrize("line", ["add r1 r2", "const r1", "jmp", "jnz r1", "const r1 zz",
-                                  "halt extra", "mov r1 r16", "func main"])
+                                  "halt extra", "mov r1 r16", "func main", "jmp nowhere",
+                                  "mov x1 r2", "const r1 -1", f"const r1 {2 ** 256}",
+                                  "end:", "frob r1"])
 def test_malformed_lines_raise_assembly_error_naming_the_line(line):
     with pytest.raises(AssemblyError, match="^line 4: "):
         assemble(f"func main\nend:\n  const r2 1\n  {line}\n  halt\n")
