@@ -101,7 +101,8 @@ def canonical_json(doc) -> str:
     return "".join(_ENCODE(doc, 0))
 
 
-# every event kind and its payload fields in call-site order, each of a type in _FIELD_TYPES
+# every event kind and its payload fields in call-site order, each of a type in _FIELD_TYPES;
+# the per-node call sites (commit, reveal, reward, forfeit, rejected) pass them positionally
 DECLARED_EVENTS = {
     "queued": dict(cid=bytes, tid=bytes, creator=str),
     "deployed": dict(cid=bytes, tid=bytes, nonce=bytes, entropy=bytes, escrow=int),
@@ -139,9 +140,10 @@ _FIELD_TYPES = {
 
 
 def _declare(kind: str, declared: dict):
-    """`render(block, **payload) -> (event, line)`, compiled: its signature checks the field
-    names and its fit test their types (TypeError); the event's keys go block, type, fields, and
-    its line is an f-string of `canonical_json`'s layout with each field's text in place."""
+    """`render(block, *fields, **payload) -> (event, line)`, compiled: its signature checks
+    the fields' count and names and its fit test their types (TypeError); the event's keys go
+    block, type, fields, and its line is an f-string of `canonical_json`'s layout with each
+    field's text in place."""
     types = dict(block=int, **declared)
     fields = {key: [s and s.replace("$", key) for s in _FIELD_TYPES[t]] for key, t in types.items()}
     line = canonical_json({key: f"@{i}@" for i, key in enumerate(types)} | {"type": kind})
@@ -149,7 +151,7 @@ def _declare(kind: str, declared: dict):
     for i, (_, _, text) in enumerate(fields.values()):
         line = line.replace(f'"@{i}@"', text)
     source = "\n    ".join([
-        f"def render({', '.join(['block', '*', *declared])}):",
+        f"def render({', '.join(['block', *declared])}):",
         "if not (" + " and ".join(f"({fit})" for fit, _, _ in fields.values()) + "):",
         f"    raise TypeError({f'{kind} fields do not fit DECLARED_EVENTS[{kind!r}]'!r})",
         *(f"{key} = {value}" for key, (_, value, _) in fields.items() if value),
@@ -270,10 +272,10 @@ class MasterContract:
         self._counter += 1
         return value
 
-    def emit(self, block: int, kind: str, **payload) -> None:
-        """Append the event and its canonical line, both from the kind's renderer,
-        which raises TypeError on a payload that does not fit `DECLARED_EVENTS`."""
-        event, line = _RENDERERS[kind](block, **payload)
+    def emit(self, block: int, kind: str, *fields, **payload) -> None:
+        """Append the event and its canonical line from the kind's renderer, which takes fields
+        by position, in `DECLARED_EVENTS` order, or by name, and raises TypeError on a misfit."""
+        event, line = _RENDERERS[kind](block, *fields, **payload)
         self.events.append(event)
         self.lines.append(line)
 
@@ -350,8 +352,7 @@ class MasterContract:
         if node_id in rnd.commitments:
             raise DuplicateCommit(f"node {node_id} already committed")
         rnd.commitments[node_id] = se
-        self.emit(block, "commit", cid=cid, round=rnd.round_index,
-                  node=node_id, se=se)
+        self.emit(block, "commit", cid, rnd.round_index, node_id, se)
 
     def submit_reveal(self, node_id: int, cid: bytes, digest: Digest,
                       sort: SortResult, block: int) -> None:
@@ -372,8 +373,8 @@ class MasterContract:
         if not self.oracle.verify(self.keys[node_id], rnd.nonce, self.params.q, sort):
             raise InvalidSortition(f"sortition proof rejected for node {node_id}")
         rnd.reveals[node_id] = (digest, sort)
-        self.emit(block, "reveal", cid=cid, round=rnd.round_index, node=node_id,
-                  root=digest.root.value, seed=digest.seed, sort=encoded)
+        self.emit(block, "reveal", cid, rnd.round_index, node_id, digest.root.value,
+                  digest.seed, encoded)
 
     # -- S4: the phase clock and one consensus round -----------------------------
 
@@ -477,8 +478,7 @@ class MasterContract:
                         amount = min(reward, self.treasury)
                         self.treasury -= amount
                         balances[node_id] += amount
-                        self.emit(block, "reward", cid=cid, node=node_id, round=index,
-                                  amount=amount)
+                        self.emit(block, "reward", cid, node_id, index, amount)
                 elif fraction < th2:
                     for node_id in members:
                         self._forfeit(node_id, block, "minority seed", cid, round_index=index)
@@ -504,8 +504,7 @@ class MasterContract:
                 self.deploy_it(queue[0][0], block + 1)
                 break
             except InsufficientEscrow as exc:
-                self.emit(block + 1, "rejected", message="enqueue", node=-1,
-                          reason=type(exc).__name__, detail=str(exc))
+                self.emit(block + 1, "rejected", "enqueue", -1, type(exc).__name__, str(exc))
 
     def _forfeit(self, node_id: int, block: int, reason: str, cid: bytes,
                  round_index: Optional[int] = None) -> None:
@@ -513,8 +512,7 @@ class MasterContract:
         if amount:
             self.pool.pop(node_id, None)
             self.burned += amount
-            self.emit(block, "forfeit", cid=cid, node=node_id, amount=amount,
-                      reason=reason, round=round_index)
+            self.emit(block, "forfeit", cid, node_id, amount, reason, round_index)
 
 
 # --- scenario-driven simulation ------------------------------------------------
@@ -754,8 +752,7 @@ class Simulation:
             try:
                 call(*args, block)
             except ProtocolError as exc:
-                self.mc.emit(block, "rejected", message=kind, node=node_id,
-                             reason=type(exc).__name__, detail=str(exc))
+                self.mc.emit(block, "rejected", kind, node_id, type(exc).__name__, str(exc))
 
     def run(self) -> RunResult:
         scenario = self.scenario

@@ -5,13 +5,13 @@ and a monotone counter, so whole experiments replay bit-exactly. Sortition
 is a keyed PRF standing in for a VRF: a node is selected for an execution
 set when PRF(sk, nonce), read as a uniform fraction, falls below the
 per-node inclusion probability q. Selection is secret (it depends only on
-the node's own sk) and independent across nodes. Each `NodeKeys` keeps the
-midstate sha256(sk) from keygen, so a check hashes only the nonce, and the
-test out / 2^256 < q is exact in integers as out < `sortition_bound(q)`, as
-correctly rounded int/int division is monotone in the numerator. Proof
-verification is simulation-grade: the verifier re-runs `check_sort` on the
-keys the contract enrolled for the node, mimicking a real VRF's
-verifiability without its cryptography.
+the node's own sk) and independent across nodes. A node's keys are its sk
+and the midstate sha256(sk) from keygen; there is no public key. A check
+hashes only the nonce, and the test out / 2^256 < q is exact in integers as
+out < `sortition_bound(q)`, as correctly rounded int/int division is
+monotone in the numerator. Proof verification is simulation-grade: the
+verifier re-runs `check_sort` on the keys the contract enrolled for the
+node, mimicking a real VRF's verifiability without its cryptography.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .hashing import WORD_MODULUS, be8, sha256, to_word
 
 _SORT_PROOF_TAG = b"cicsim/sortition-proof/v1"
 _SK_TAG = b"cicsim/node-sk/v1"
-_PK_TAG = b"cicsim/node-pk/v1"
 # a hashlib hash object's runtime type, which typing names only in stubs
 _Hash = type(hashlib.sha256())
 
@@ -36,10 +35,9 @@ def random_gen(experiment_seed: bytes, counter: int) -> bytes:
 
 @dataclass(slots=True, unsafe_hash=True)
 class NodeKeys:
-    """A node's keys and `prf`, the midstate sha256(sk); unfrozen, as nothing reassigns them."""
+    """A node's sk and `prf`, the midstate sha256(sk); unfrozen, as nothing reassigns them."""
 
     node_id: int
-    pk: bytes
     sk: bytes
     prf: _Hash = field(init=False, compare=False, repr=False)
 
@@ -48,12 +46,12 @@ class NodeKeys:
 
     def __reduce__(self):
         # hash objects do not pickle; the midstate is rebuilt from sk
-        return (NodeKeys, (self.node_id, self.pk, self.sk))
+        return (NodeKeys, (self.node_id, self.sk))
 
 
 def keygen(experiment_seed: bytes, node_id: int) -> NodeKeys:
-    sk = sha256(_SK_TAG, experiment_seed, node_id.to_bytes(8, "big"))  # be8, once per node
-    return NodeKeys(node_id, sha256(_PK_TAG, sk), sk)
+    # be8 inlined, once per node
+    return NodeKeys(node_id, sha256(_SK_TAG, experiment_seed, node_id.to_bytes(8, "big")))
 
 
 class SortResult(NamedTuple):

@@ -149,11 +149,15 @@ def check_phi_bounds(trace: RiceTrace) -> bool:
 
 
 def check_total_exponent(trace: RiceTrace) -> bool:
-    """Group relation 2^k (k-2) + 2 < T <= 2^(k+1) (k-1) + 2, true by construction:
-    it is how `exponent_of_total` picks k of T. What ties `group_end` to the walked
-    schedule is `tests/test_rice.py::test_schedule_oracle_prefix_and_group_ends`."""
-    k = exponent_of_total(trace.total)
-    return 2 ** k * (k - 2) + 2 < trace.total <= 2 ** (k + 1) * (k - 1) + 2
+    """Group relation 2^k (k-2) + 2 < T <= 2^(k+1) (k-1) + 2: `exponent_of_total`'s k of
+    T is the exponent of the segment holding T in the schedule as `rice_execute_traced`
+    walks it, (start, k, left) from (1, 1, 1), so a wrong `group_end` reads False."""
+    start, k, left = 1, 1, 1
+    while trace.total >= start + 2 ** k:
+        start, left = start + 2 ** k, left - 1
+        if not left:
+            k = left = k + 1
+    return exponent_of_total(trace.total) == k
 
 
 def strong_unmatched(traces: Sequence[RiceTrace]) -> list:

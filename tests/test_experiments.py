@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -17,8 +18,9 @@ import pytest
 import scipy.stats
 
 import cicsim
-from cicsim import cli, experiments, miracle, protocol
+from cicsim import cli, experiments, miracle, protocol, randomness, toy_vm
 from cicsim.hashing import sha256
+from cicsim.merkle_state import CicState
 
 from oracles import walk_first_passage
 
@@ -375,6 +377,32 @@ def test_batch_rows_and_event_lines_do_not_depend_on_the_hash_seed():
         outputs.append(done.stdout.split())
     (hash0, digest0), (hash1, digest1) = outputs
     assert hash0 != hash1 and digest0 == digest1
+
+
+def test_what_a_pool_worker_receives_or_returns_round_trips_through_pickle():
+    """Each thing a batch worker would receive or return comes back from `pickle`
+    equal: a node's keys, whose `__reduce__` rebuilds the midstate from sk, so that a
+    check at a fixed nonce agrees at q = 1 and at a small q; a `Program`, compiled
+    trace and all; a `random_scenario`; and the rows of a 4-scenario batch."""
+    seed, nonce = sha256(b"pickle-round-trips"), sha256(b"pickle-nonce")
+    selected = 0
+    for node_id in range(64):
+        keys = randomness.keygen(seed, node_id)
+        twin = pickle.loads(pickle.dumps(keys))
+        assert twin == keys
+        for q in (1.0, 0.05):
+            assert randomness.check_sort(twin, nonce, q) == randomness.check_sort(keys, nonce, q)
+        selected += randomness.check_sort(twin, nonce, 0.05).selected
+    assert 0 < selected < 64
+    program = toy_vm.compute_program(key=3)
+    data = toy_vm.compute_data(2 * toy_vm.COMPILE_AFTER)
+    toy_vm.run_full(program, CicState(1, program.code_id), data)
+    assert program.warmth[1] is not None        # compiled: pickling drops its trace table
+    assert pickle.loads(pickle.dumps(program)) == program
+    scenario = experiments.random_scenario(3, seed)
+    assert pickle.loads(pickle.dumps(scenario)) == scenario
+    rows = experiments.protocol_batch_rows(4, seed)
+    assert pickle.loads(pickle.dumps(rows)) == rows
 
 
 def test_every_annotation_in_the_package_resolves():

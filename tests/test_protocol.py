@@ -875,6 +875,43 @@ def test_emit_raises_on_a_misfit_and_appends_nothing(misfit):
     assert mc.events == events and mc.lines == lines
 
 
+@pytest.mark.parametrize("kind", sorted(DECLARED_EVENTS))
+@settings(max_examples=15, deadline=None)
+@given(block=st.integers(0, 2 ** 40), data=st.data(), extra=_ANY)
+def test_a_positional_emit_is_the_keyword_call(kind, block, data, extra):
+    """Fields passed by position in `DECLARED_EVENTS` order append the keyword call's
+    event, with its key order, and its line; one field too few or too many raises
+    TypeError and appends nothing."""
+    declared = DECLARED_EVENTS[kind]
+    fields = [data.draw(_OF_TYPE[t]) for t in declared.values()]
+    (by_name, _, _), (by_position, _, _) = build_mc(n_nodes=1), build_mc(n_nodes=1)
+    by_name.emit(block, kind, **dict(zip(declared, fields)))
+    by_position.emit(block, kind, *fields)
+    assert [[(k, type(v), v) for k, v in e.items()] for e in by_position.events] == [
+        [(k, type(v), v) for k, v in e.items()] for e in by_name.events]
+    assert by_position.lines == by_name.lines
+    for bad in (fields[:-1], [*fields, extra]):
+        with pytest.raises(TypeError):
+            by_position.emit(block, kind, *bad)
+    assert by_position.events == by_name.events and by_position.lines == by_name.lines
+
+
+def test_a_positional_emit_call_passes_every_declared_field():
+    """An `emit` call in `protocol.py` that passes fields after its literal kind by
+    position passes exactly the kind's declared fields, by position alone; the per-node
+    call sites are among them."""
+    positional = [node for node in ast.walk(ast.parse(Path(protocol.__file__).read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "emit" and isinstance(node.args[1], ast.Constant)
+                  and len(node.args) > 2]
+    assert {call.args[1].value for call in positional} >= {"commit", "reveal", "reward",
+                                                           "forfeit", "rejected"}
+    for call in positional:
+        kind, fields = call.args[1].value, call.args[2:]
+        assert not any(isinstance(arg, ast.Starred) for arg in fields), kind
+        assert (len(fields), call.keywords) == (len(DECLARED_EVENTS[kind]), []), kind
+
+
 def test_every_emitted_kind_is_declared_and_every_declaration_emitted():
     """The kinds `protocol.py` passes to `emit` and `_finish` as string literals
     (the one other kind is `_finish` forwarding its own) are the declared kinds."""
@@ -1141,21 +1178,25 @@ SMALL = Scenario(seed=sha256(b"smallscope", bytes([0])).hex(), m_total=4, q=0.99
 
 class LossyDelivery(Simulation):
     """Never delivers the messages whose post numbers are in `dropped`, and
-    delivers those in `delayed` one block after the block they were posted for;
-    the numbers of later messages do not move. `posted` lists (kind, node,
-    block) for every message posted, dropped or not, at its planned block."""
+    delivers those in `delayed` one block after the block they were posted for,
+    and every honest commit and reveal `lag` blocks after it; the numbers of
+    later messages do not move. `posted` lists (kind, node, block) for every
+    message posted, dropped or not, at its planned block."""
 
-    def __init__(self, scenario, dropped=frozenset(), delayed=frozenset()):
+    def __init__(self, scenario, dropped=frozenset(), delayed=frozenset(), lag=0):
         super().__init__(scenario)
-        self.dropped, self.delayed = dropped, delayed
+        self.dropped, self.delayed, self.lag = dropped, delayed, lag
         self.posted = []
 
     def _post(self, block, kind, node_id, call, *args):
         self.posted.append((kind, node_id, block))
         if self._msg_seq in self.dropped:
             self._msg_seq += 1
-        else:
-            super()._post(block + (self._msg_seq in self.delayed), kind, node_id, call, *args)
+            return
+        late = self._msg_seq in self.delayed
+        if kind in ("commit", "reveal") and self.strategies[node_id].kind == adversary.HONEST:
+            late += self.lag
+        super()._post(block + late, kind, node_id, call, *args)
 
 
 class OrderedDelivery(Simulation):
@@ -1179,11 +1220,12 @@ class OrderedDelivery(Simulation):
         super()._deliver(block)
 
 
-def _checked_run(make):
-    """Run a case twice; both runs give the same lines, and the first keeps
-    value, window discipline and binding, and never reaches the block cap."""
-    result, again = make().run(), make().run()
-    assert result.lines == again.lines
+def _checked_run(make, twice=True):
+    """Run a case, twice unless `twice` is False; both runs give the same lines,
+    and the first keeps value, window discipline and binding, and never reaches
+    the block cap."""
+    result = make().run()
+    assert not twice or result.lines == make().run().lines
     assert result.conserved
     assert all(audit_event_log(result.events).values())
     assert "block_cap" not in [e["type"] for e in result.events]
@@ -1263,6 +1305,88 @@ def test_small_scope_every_delay_of_up_to_two_messages(sc, crossing):
             assert result.settled == 1, delayed
         assert crossing or _outcome(result) == base, delayed
     assert wrong_root_accepted == set()
+
+
+# a window setting of the delay grid below at which one block of delay accepts a wrong root:
+# (w_src_slack, w_buf, w_sr, commit jitter, reveal jitter)
+LATE_BY_ONE = (1, 0, 3, 2, 3)
+# the outcomes of the delay grid's cases that break the law, by (winning root, whether an
+# honest node forfeits)
+DELAY_OUTCOMES = {("byzantine", False): 1008, ("byzantine", True): 108,
+                  ("none", True): 12, ("honest", False): 105}
+
+
+def test_small_scope_every_bounded_delay_of_the_honest_messages():
+    """SMALL over w_src_slack 0-2, w_buf 0-2, w_sr 1-4 and both jitters 1-3, with every
+    honest commit and reveal delivered d = 0-4 blocks late: 1,620 cases. A message goes
+    out in the first min(j, w) blocks of a w-block window of jitter j (SMALL's gas fits
+    one block, so its commit window is 1 + w_src_slack wide), so where d <= w - min(j, w)
+    for both windows every message still lands in its window, and all 387 such cases
+    settle on the honest root with no honest forfeit. The cases that break the law are
+    pinned by outcome, and at d = 1 171 of the 324 window settings settle on the
+    Byzantine root: MIRACLE counts only revealed votes, so a late honest message works
+    like a larger Byzantine share."""
+    spec = SMALL.its[0]
+    gas_limit = compute_length(spec.eta) + spec.gas_margin
+    right = next(e["root"] for e in run_scenario(SMALL).events
+                 if e["type"] == "reveal" and e["node"] == 0)
+    honest = {n for n, s in enumerate(SMALL.expand_strategies()) if s.kind == adversary.HONEST}
+    lawful, outcomes, byzantine_at_one = 0, Counter(), 0
+    for slack, w_buf, w_sr, cj, rj, d in product(range(3), range(3), range(1, 5),
+                                                 range(1, 4), range(1, 4), range(5)):
+        sc = replace(SMALL, windows=WindowConfig(w_src_slack=slack, w_buf=w_buf, w_sr=w_sr),
+                     commit_jitter=cj, reveal_jitter=rj)
+        w_src = sc.windows.w_src(gas_limit)
+        # one run a case keeps this grid's time down; the other small-scope tests rerun theirs
+        result = _checked_run(lambda: LossyDelivery(sc, lag=d), twice=False)
+        won = [e["winning_root"] for e in result.events if e["type"] == "settled"]
+        root = "none" if not won else "honest" if won == [right] else "byzantine"
+        forfeits = any(e["type"] == "forfeit" and e["node"] in honest for e in result.events)
+        case = slack, w_buf, w_sr, cj, rj, d
+        byzantine_at_one += d == 1 and root == "byzantine"
+        if d <= w_src - min(cj, w_src) and d <= w_sr - min(rj, w_sr):
+            assert (root, forfeits) == ("honest", False), case
+            lawful += 1
+        else:
+            outcomes[root, forfeits] += 1
+    assert lawful == 387 and outcomes == DELAY_OUTCOMES and byzantine_at_one == 171
+
+
+def test_one_block_of_delay_lets_a_lone_byzantine_reveal_decide():
+    """The case LATE_BY_ONE with every honest commit and reveal one block late. Commits
+    go out in blocks 1-2 of a 2-block window and reveals in blocks 1-3 of a 3-block one,
+    so a message drawn for a window's last block misses it. Round 1: node 1's commit is
+    refused and node 2's reveal misses, so node 2 forfeits its deposit for an
+    unrevealed commitment, and node 0's honest vote ties the Byzantine one. Round 2
+    ties the same way, with node 1 voting. In round 3 nodes 0 and 1 both commit late,
+    and the lone Byzantine reveal decides it under SMALL's beta of 1e-2. Settlement then
+    forfeits nodes 0 and 1 for their wrong roots of rounds 1 and 2 and rewards node 3
+    for all three rounds."""
+    slack, w_buf, w_sr, cj, rj = LATE_BY_ONE
+    sc = replace(SMALL, windows=WindowConfig(w_src_slack=slack, w_buf=w_buf, w_sr=w_sr),
+                 commit_jitter=cj, reveal_jitter=rj)
+    right = next(e["root"] for e in run_scenario(SMALL).events
+                 if e["type"] == "reveal" and e["node"] == 0)
+    events = _checked_run(lambda: LossyDelivery(sc, lag=1)).events
+    wrong = next(e["root"] for e in events if e["type"] == "reveal" and e["node"] == 3)
+    name = {right: "honest", wrong: "byzantine"}
+    assert [(e["round"], {name[r]: n for r, n in e["tally"].items()},
+             e["accepted"]) for e in events if e["type"] == "round_closed"] == [
+        (1, {"honest": 1, "byzantine": 1}, False), (2, {"honest": 1, "byzantine": 1}, False),
+        (3, {"byzantine": 1}, True)]
+    assert [(e["block"], e["message"], e["node"], e["reason"]) for e in events
+            if e["type"] == "rejected"] == [
+        (4, "commit", 1, "OutsideWindow"), (7, "reveal", 1, "OutsideWindow"),
+        (7, "reveal", 2, "OutsideWindow"), (9, "commit", 0, "OutsideWindow"),
+        (10, "reveal", 0, "NoCommitment"), (14, "commit", 0, "OutsideWindow"),
+        (14, "commit", 1, "OutsideWindow"), (15, "reveal", 0, "NoCommitment"),
+        (17, "reveal", 1, "OutsideWindow")]
+    assert [(e["node"], e["reason"], e["round"]) for e in events if e["type"] == "forfeit"] == [
+        (2, "unrevealed commitment", None), (0, "wrong root", 1), (1, "wrong root", 2)]
+    assert [(e["node"], e["round"]) for e in events if e["type"] == "reward"] == [
+        (3, 1), (3, 2), (3, 3)]
+    [settled] = [e for e in events if e["type"] == "settled"]
+    assert (settled["winning_root"], settled["rounds"]) == (wrong, 3)
 
 
 def test_small_scope_every_order_of_round_one_commits_and_reveals():

@@ -68,7 +68,7 @@ def test_check_sort_and_verify_agree_with_the_float_rule(sk, nonce, q, at_own_fr
         fraction = int.from_bytes(sha(sk + nonce), "big") / 2 ** 256
         q = [math.nextafter(fraction, 0.0), fraction,
              math.nextafter(fraction, 1.0)][at_own_fraction + 1]
-    keys = NodeKeys(node_id=0, pk=sha(b"pk" + sk), sk=sk)
+    keys = NodeKeys(node_id=0, sk=sk)
     expected = sortition_oracle(sk, nonce, q)
     result = check_sort(keys, nonce, q)
     assert (result.selected, result.output, result.proof) == expected
@@ -84,13 +84,13 @@ def test_node_keys_round_trip_with_their_midstate():
     # a check copies the midstate, so it can be repeated
     assert check_sort(keys, nonce, 0.5) == check_sort(keys, nonce, 0.5)
     for twin in (pickle.loads(pickle.dumps(keys)), copy.deepcopy(keys),
-                 NodeKeys(node_id=7, pk=keys.pk, sk=keys.sk)):
+                 NodeKeys(node_id=7, sk=keys.sk)):
         assert twin == keys and hash(twin) == hash(keys)
         assert twin.prf is not keys.prf and twin.prf.digest() == keys.prf.digest()
         for j in range(64):
             n = sha256(nonce, bytes([j]))
             assert check_sort(twin, n, 0.3) == check_sort(keys, n, 0.3)
-    assert repr(keys) == f"NodeKeys(node_id=7, pk={keys.pk!r}, sk={keys.sk!r})"
+    assert repr(keys) == f"NodeKeys(node_id=7, sk={keys.sk!r})"
 
 
 def test_selection_probability_and_variance():
@@ -160,8 +160,8 @@ def _claims(keys, stranger, nonce, other_nonce, q, junk):
 def test_verify_is_check_sort_rerun_on_the_given_keys(sk, other_sk, nonce, q, junk):
     """A claim verifies iff it is selected and equal to the float rule's
     result for the given keys' sk at this nonce and q."""
-    keys = NodeKeys(node_id=0, pk=sha(b"pk" + sk), sk=sk)
-    stranger = NodeKeys(node_id=1, pk=sha(b"pk" + other_sk), sk=other_sk)
+    keys = NodeKeys(node_id=0, sk=sk)
+    stranger = NodeKeys(node_id=1, sk=other_sk)
     other_nonce = sha(b"other" + nonce)
     for checked, claim in _claims(keys, stranger, nonce, other_nonce, q, junk):
         expected = claim.selected and tuple(claim) == sortition_oracle(checked.sk, nonce, q)
@@ -201,5 +201,5 @@ def test_result_encoding_is_fixed_width():
 
 
 def test_keygen_is_unique_per_node():
-    keys = {keygen(SEED, i).pk for i in range(100)}
+    keys = {keygen(SEED, i).sk for i in range(100)}
     assert len(keys) == 100

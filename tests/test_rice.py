@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from cicsim import hashing, merkle_state
+from cicsim import hashing, merkle_state, rice
 from cicsim.hashing import be8, sha256, to_word
 from cicsim.merkle_state import CicState
 from cicsim.experiments import SyntheticRunner, rice_overhead_rows
@@ -200,6 +200,28 @@ def test_phi_check_refuses_update_counts_outside_the_band(k, lo, hi):
 
     assert [check_phi_bounds(trace(phi)) for phi in (lo, hi, hi + 1)] == [False, True, False]
     assert check_phi_bounds(trace(0, total=2)) and not check_phi_bounds(trace(0, total=3))
+
+
+def _wrong_group_end(change):
+    return lambda k: 0 if k < 1 else change(k)
+
+
+@pytest.mark.parametrize("wrong", [
+    _wrong_group_end(lambda k: (k - 1) * 2 ** (k + 1) + 3),     # one past each group's end
+    _wrong_group_end(lambda k: (k - 1) * 2 ** (k + 1) + 1),     # one short of it
+    _wrong_group_end(lambda k: (k - 1) * 2 ** k + 2),           # groups half as long
+    _wrong_group_end(lambda k: k * 2 ** (k + 1) + 2),           # a group too many
+], ids=["one-past", "one-short", "half", "shifted"])
+def test_total_exponent_check_reads_false_under_a_wrong_group_end(monkeypatch, wrong):
+    """Against the schedule `rice_execute_traced` walks, every T reads True, each group's last
+    index and the next one up to k = 20 included; a wrong `group_end` patched into
+    `rice` moves `exponent_of_total` off the walk, and some T reads False."""
+    digest = Digest(seed=bytes(32), root=merkle_state.MerkleRoot(bytes(32)))
+    edges = [group_end(k) + step for k in range(1, 21) for step in (0, 1)]
+    traces = [RiceTrace(1, total, (), digest) for total in [*range(1, 3000), *edges]]
+    assert all(map(check_total_exponent, traces))
+    monkeypatch.setattr(rice, "group_end", wrong)
+    assert not all(map(check_total_exponent, traces))
 
 
 def test_single_round_report_is_vacuously_strong():
