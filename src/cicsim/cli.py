@@ -18,11 +18,12 @@ event log, a bad seed, a config file that is not a JSON object, a parameter the
 experiment does not read, of another type than its default or an empty list, a
 consensus parameter, a Byzantine fraction `--f` (in [0, 1], above `--f-max`
 allowed) or a `rice-overhead` length range (2 <= t_lo <= t_hi) outside its
-domain, `rice-overhead` runs that all have one phi (the fit's R^2 is undefined),
-a `--max-parallel` or `--rounds` below 1, a `rice-trace --eta` or a scenario
-`its` entry's `eta` outside [0, 2**256 - 1], an `adaptive` target round count
-that no q in (0, 1) reaches (NaN included), or a `protocol-run` flag that the
-presence or absence of `--scenario` would leave unused.
+domain, a Monte Carlo pool `--m` with M**2 + |threshold| >= 2**63 (its int64
+walk could overflow), `rice-overhead` runs that all have one phi (the fit's R^2
+is undefined), a `--max-parallel` or `--rounds` below 1, a `rice-trace --eta` or
+a scenario `its` entry's `eta` outside [0, 2**256 - 1], an `adaptive` target
+round count that no q in (0, 1) reaches (NaN included), or a `protocol-run` flag
+that the presence or absence of `--scenario` would leave unused.
 """
 
 from __future__ import annotations

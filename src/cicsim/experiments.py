@@ -33,7 +33,7 @@ def seed_from_hex(text: str) -> bytes:
     """A 32-byte seed from its hex spelling; ConfigError for anything else."""
     try:
         raw = bytes.fromhex(text)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:     # TypeError: not a str
         raise ConfigError(f"seed must be hex: {exc}") from None
     if len(raw) != 32:
         raise ConfigError("seed must be 32 bytes of hex")
@@ -71,8 +71,8 @@ class ExperimentSpec:
                                   f"the type of its default {default!r}")
             if value == []:
                 raise ConfigError(f"{self.kind} parameter {key} lists no value")
-        if self.trials <= 0:
-            raise ConfigError("trial count must be positive")
+        if type(self.trials) is not int or self.trials <= 0:
+            raise ConfigError(f"trial count must be a positive int, not {self.trials!r}")
         seed_from_hex(self.seed)
 
     def canonical(self) -> str:
@@ -119,9 +119,11 @@ def simulate_two_root(params: miracle.ConsensusParams, f: float, trials: int, rn
     import numpy as np
     if not 0 <= f <= 1:
         raise miracle.DegenerateParams("actual Byzantine fraction must lie in [0, 1]")
+    gate = miracle.threshold(params)
+    if params.m_total ** 2 >= 2 ** 63 - abs(gate):     # an undecided walk is within the gate
+        raise miracle.DegenerateParams("M**2 + |threshold| overflows the int64 walk")
     n_byz = round(f * params.m_total)
     n_hon = params.m_total - n_byz
-    gate = miracle.threshold(params)
     rounds = np.full(trials, MC_MAX_ROUNDS, dtype=np.int64)
     wrong = np.zeros(trials, dtype=bool)
     nodes_used = np.zeros(trials, dtype=np.int64)
@@ -508,7 +510,7 @@ def run(spec: ExperimentSpec):
 
 def write_event_log(path: str, result: protocol.RunResult) -> None:
     header = {"format": FORMAT_VERSION, "lib": __version__,
-              "scenario": json.loads(result.scenario.to_json())}
+              "scenario": asdict(result.scenario)}
     with open(path, "w") as fh:
         fh.write(protocol.canonical_json(header) + "\n")
         for line in result.lines:

@@ -26,7 +26,7 @@ import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import adversary, miracle, rice
@@ -86,19 +86,11 @@ SETTLED = "settled"
 # a run that is still going after this many blocks stops there, logging `block_cap`
 MAX_BLOCKS = 100_000
 
-if c_make_encoder is None:
-    raise ImportError("the canonical event encoder needs CPython's _json accelerator")
-# json.dumps(e, sort_keys=True, separators=(",", ":")) made once, as dumps makes
-# a C encoder per call; with no circular-reference table to leave stale entries in
-_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                         None, ":", ",", True, False, True)
-
 
 def canonical_json(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, separators=(",", ":"))` by the one
-    encoder: every scenario document, log header and experiment spec, and the
-    line layout each event renderer's f-string is generated from."""
-    return "".join(_ENCODE(doc, 0))
+    """Sorted keys, no spaces: every scenario document, log header and experiment
+    spec, and the line layout each event renderer's f-string is generated from."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # every event kind and its payload fields in call-site order, each of a type in _FIELD_TYPES;
@@ -126,16 +118,19 @@ DECLARED_EVENTS = {
     "block_cap": dict(max_blocks=int, active=int, pending=int),
 }
 
-# each field type as source over its argument `$`: fit test, event value if not `$`, JSON text
+# each field type as source over its argument `$`: fit test, event value if not `$`, and
+# its JSON text as an f-string field, each string through `_text` and a tally's keys sorted
 _FIELD_TYPES = {
     int: ("type($) is int", None, "{$}"),     # never a bool
-    bool: ("type($) is bool", None, "{_json($)}"),
+    bool: ("type($) is bool", None, '{"true" if $ else "false"}'),
     str: ("type($) is str", None, "{_text($)}"),
     bytes: ("type($) is bytes", "$.hex()", '"{$}"'),
-    Optional[int]: ("$ is None or type($) is int", None, "{_json($)}"),
-    Optional[bytes]: ("$ is None or type($) is bytes", "$ if $ is None else $.hex()", "{_json($)}"),
+    Optional[int]: ("$ is None or type($) is int", None, '{"null" if $ is None else $}'),
+    Optional[bytes]: ("$ is None or type($) is bytes", "$ if $ is None else $.hex()",
+                      '{"null" if $ is None else _text($)}'),
     dict[str, int]: ("type($) is dict and all(type(k) is str and type(n) is int"
-                     " for k, n in $.items())", None, "{_json($)}"),
+                     " for k, n in $.items())", None,
+                     '{"{%s}" % ",".join(_text(k) + ":" + str(n) for k, n in sorted($.items()))}'),
 }
 
 
@@ -158,7 +153,7 @@ def _declare(kind: str, declared: dict):
         f"return {{'block': block, 'type': {kind!r}, "
         + "".join(f"{key!r}: {key}, " for key in declared) + f"}}, f{line!r}"])
     exec(compile(source, f"<render {kind}>", "exec"),
-         namespace := dict(_text=encode_basestring_ascii, _json=canonical_json))
+         namespace := dict(_text=encode_basestring_ascii))
     return namespace["render"]
 
 
@@ -196,7 +191,8 @@ class SettlementPolicy:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Block-count windows; the commit window scales with the gas limit."""
+    """Block-count windows; the commit window scales with the gas limit. A message
+    d blocks late still lands in a w-block window of jitter j when d <= w - min(j, w)."""
 
     gas_per_block: int = 10_000
     w_src_slack: int = 2

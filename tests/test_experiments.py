@@ -5,6 +5,7 @@ import functools
 import importlib
 import inspect
 import json
+import math
 import os
 import pickle
 import pkgutil
@@ -22,7 +23,7 @@ from cicsim import cli, experiments, miracle, protocol, randomness, toy_vm
 from cicsim.hashing import sha256
 from cicsim.merkle_state import CicState
 
-from oracles import walk_first_passage
+from oracles import canonical_line, walk_first_passage
 
 SEED = sha256(b"experiments-tests")
 
@@ -34,6 +35,11 @@ def test_spec_validation():
         experiments.ExperimentSpec(kind="es_sizing", seed="zz")
     with pytest.raises(experiments.ConfigError):
         experiments.ExperimentSpec(kind="es_sizing", trials=0)
+    # a bool or a float is no trial count, and a seed is its hex text
+    for bad, message in ((dict(trials=True), "positive int"), (dict(trials=2.5), "positive int"),
+                         (dict(seed=5), "seed must be hex")):
+        with pytest.raises(experiments.ConfigError, match=message):
+            experiments.ExperimentSpec(kind="utility_surface", **bad)
     spec = experiments.ExperimentSpec(kind="es_sizing", seed="ab" * 32)
     assert len(spec.spec_hash()) == 64
 
@@ -64,6 +70,26 @@ def test_vectorized_engine_agrees_with_the_scalar_engine():
     se = (rounds_vec.std(ddof=1) ** 2 / trials
           + rounds_eng.std(ddof=1) ** 2 / trials) ** 0.5
     assert abs(rounds_vec.mean() - rounds_eng.mean()) < 4 * se + 0.05
+
+
+def test_monte_carlo_refuses_a_pool_whose_walk_could_overflow_int64():
+    """An undecided walk lies within the threshold and a round moves it by at
+    most M**2, so the walk stays in int64 while M**2 + |threshold| < 2**63: at
+    q = 0.125, f_max = 0.4 and beta = 1e-6 up to M = 3,037,000,498. One more
+    node is refused, as is any pool that would wrap the walk (at M = 3e10 and
+    no Byzantine node it read p_wrong 1)."""
+    def params(m):
+        return miracle.ConsensusParams(m_total=m, f_max=0.4, q=0.125, beta=1e-6)
+    largest = 3_037_000_498
+    # the walk's largest value, in exact integers: M**2 past the threshold's floor
+    assert [m ** 2 + math.floor(miracle.threshold(params(m))) < 2 ** 63
+            for m in (largest, largest + 1)] == [True, False]
+    rounds, wrong, _, unconverged = experiments.simulate_two_root(
+        params(largest), 0.0, 20, np.random.default_rng(1))
+    assert rounds.tolist() == [1] * 20 and not wrong.any() and not unconverged.any()
+    for m in (largest + 1, 3 * 10 ** 10):
+        with pytest.raises(miracle.DegenerateParams, match="overflows the int64 walk"):
+            experiments.simulate_two_root(params(m), 0.0, 20, np.random.default_rng(1))
 
 
 def test_protocol_round_counts_match_the_consensus_monte_carlo():
@@ -330,6 +356,18 @@ def test_cli_protocol_scenario_and_replay(tmp_path, capsys):
     assert report["recorded_value"] == "ff" + report["replayed_value"]
 
 
+def _python(code: str, *args: str, **env: str) -> str:
+    """The stdout of `python -c code *args` in a fresh process that imports this
+    checkout's cicsim, with `env` added to the environment; it must exit 0."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cli_loads_numpy_only_for_a_monte_carlo(tmp_path):
     """A scenario run, its replay, a RICE trace, set sizing and a protocol
     batch run through `cli.main` with numpy unloaded; a consensus sweep then
@@ -346,12 +384,8 @@ def test_cli_loads_numpy_only_for_a_monte_carlo(tmp_path):
             "    assert cli.main(argv) == 0, argv\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(json.dumps(loaded))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
+    stdout = _python(code, json.dumps(runs))
+    assert json.loads(stdout.splitlines()[-1]) == [False] * 5 + [True]
 
 
 def test_batch_rows_and_event_lines_do_not_depend_on_the_hash_seed():
@@ -366,17 +400,24 @@ def test_batch_rows_and_event_lines_do_not_depend_on_the_hash_seed():
             "    scenario = experiments.random_scenario(index, seed, max_parallel=4)\n"
             "    digest.update('\\n'.join(protocol.run_scenario(scenario).lines).encode())\n"
             "print(hash('cicsim'), digest.hexdigest())")
-    src = Path(__file__).resolve().parents[1] / "src"
-    outputs = []
-    for hash_seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.split())
-    (hash0, digest0), (hash1, digest1) = outputs
+    (hash0, digest0), (hash1, digest1) = (_python(code, PYTHONHASHSEED=hash_seed).split()
+                                          for hash_seed in ("0", "1"))
     assert hash0 != hash1 and digest0 == digest1
+
+
+def test_runs_without_the_json_accelerator_write_the_same_lines():
+    """With CPython's `_json` blocked, so that `json` falls back to its pure-Python
+    encoder, cicsim imports, and 20 random scenarios write the same documents and
+    event lines as in this process, each line the event's plain `json.dumps`."""
+    code = ("import sys; sys.modules['_json'] = None\n"
+            "import json, json.encoder; from cicsim import experiments, protocol\n"
+            "assert json.encoder.c_make_encoder is None\n"
+            "runs = [protocol.run_scenario(experiments.random_scenario(i, bytes(32), 4))\n"
+            "        for i in range(20)]\n"
+            "print(json.dumps([[r.scenario.to_json(), r.lines] for r in runs]))")
+    runs = [protocol.run_scenario(experiments.random_scenario(i, bytes(32), 4)) for i in range(20)]
+    assert json.loads(_python(code)) == [[r.scenario.to_json(), r.lines] for r in runs]
+    assert all(r.lines == [canonical_line(e) for e in r.events] for r in runs)
 
 
 def test_what_a_pool_worker_receives_or_returns_round_trips_through_pickle():
@@ -509,7 +550,11 @@ def test_cli_rejects_a_strategy_parameter_out_of_range(tmp_path, capsys):
                                   # no q in (0, 1) makes the design point that slow
                                   ["adaptive", "--target-rounds", "1000"],
                                   ["adaptive", "--target-rounds", "nan"],
-                                  ["adaptive", "--beta", "0.6"]])
+                                  ["adaptive", "--beta", "0.6"],
+                                  # a pool whose int64 walk could overflow
+                                  *(["miracle-mc", "--m", m, "--q", "0.125", "--f", "0.0",
+                                     "--f-max", "0.4", "--beta", "1e-6", "--trials", "20"]
+                                    for m in ("30000000000", "100000000000000000000"))])
 def test_cli_rejects_experiment_flags_outside_their_domain(tmp_path, capsys, argv):
     # the text after --config is written to a file and passed by its path
     if "--config" in argv:

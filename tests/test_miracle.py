@@ -110,8 +110,9 @@ ROOTS = [sha256(b"oracle-root", bytes([i])) for i in range(5)]
 def test_table_and_step_match_the_score_oracle_every_round(rounds, p):
     """Random per-round counts, with roots first seen late, zero counts and
     empty rounds: after every round each root's score is the oracle's sum,
-    and `step` returns a root exactly when its oracle score exceeds the
-    threshold (at most one can), else None."""
+    the table holds exactly the roots that have had a vote, and `step`
+    returns a root exactly when its oracle score exceeds the threshold (at
+    most one can), else None."""
     gate = threshold(p)
     table = LikelihoodTable()
     history = np.zeros((1, 0, len(ROOTS)), dtype=np.int64)
@@ -122,6 +123,7 @@ def test_table_and_step_match_the_score_oracle_every_round(rounds, p):
         history = np.concatenate([history, np.array(row, dtype=np.int64)], axis=1)
         expected = scores_from_counts(history)[0]
         assert [table.score(root) for root in ROOTS] == expected.tolist()
+        assert set(table.scores) == {ROOTS[i] for c in rounds[:index] for i, n in c.items() if n}
         over = [root for root, score in zip(ROOTS, expected) if score > gate]
         assert len(over) <= 1
         assert step(table, p) == (over[0] if over else None)
