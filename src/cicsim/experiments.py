@@ -73,7 +73,7 @@ class ExperimentSpec:
                 raise ConfigError(f"{self.kind} parameter {key} lists no value")
         if type(self.trials) is not int or self.trials <= 0:
             raise ConfigError(f"trial count must be a positive int, not {self.trials!r}")
-        seed_from_hex(self.seed)
+        object.__setattr__(self, "seed", seed_from_hex(self.seed).hex())  # one spelling
 
     def canonical(self) -> str:
         return protocol.canonical_json({"kind": self.kind, "params": self.params,

@@ -563,8 +563,10 @@ class Scenario:
                                               self.policy.th1, self.policy.th2)):
             raise ValueError("q, f_max, beta, th1 and th2 are numbers, not bools")
         miracle.ConsensusParams(self.m_total, self.f_max, self.q, self.beta)
-        if len(bytes.fromhex(self.seed)) != 32:
+        seed = bytes.fromhex(self.seed)
+        if len(seed) != 32:
             raise ValueError("seed must be 32 bytes of hex")
+        object.__setattr__(self, "seed", seed.hex())  # one spelling: lowercase, no spaces
         if not all(0 <= it.cic_index < len(self.cics) for it in self.its):
             raise ValueError("an its entry names a cic_index outside cics")
         _require_ints(self, 0, "node_balance", "creator_balance", "treasury")

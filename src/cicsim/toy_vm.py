@@ -515,8 +515,8 @@ class ClosedFormCursor:
         return self.root_at(self.dynamic_index)
 
 
-# per key the id only: a cached Program would share its mutable `warmth`
-_compute_code_id = lru_cache(maxsize=256)(lambda key: compute_program(key).code_id)
+# per key the program, whose `warmth` no model runs; each model hashes its own id
+_compute_program = lru_cache(maxsize=256)(compute_program)
 
 
 class ComputeModel:
@@ -532,12 +532,17 @@ class ComputeModel:
     applies it at every t to the root alone: the pre-state's root until the
     first store, then the root of the cursor's own `StorageTree`, built over
     the words at the first nonzero counter, whose one leaf each later root
-    rewrites.
+    rewrites. The model keeps those roots by counter value for the one
+    pre-state it last started from, held and compared by identity (a
+    `CicState` is immutable), and derives a root only on a miss: one entry
+    suffices, as every round of a transaction starts from the same state
+    until a witness replaces it, so later rounds read what earlier ones derived.
     """
 
     def __init__(self, key: int = 0):
         self.key = key
-        self.code_id = _compute_code_id(key)
+        self.code_id = _compute_program(key).code_id
+        self._pre, self._roots = None, {}
 
     def final_state(self, base: CicState, eta: int) -> CicState:
         counter = (from_word(base.get(self.key)) + eta) & WORD_MASK
@@ -546,15 +551,20 @@ class ComputeModel:
     def start(self, state: CicState, data: bytes = b"",
               gas_limit: Optional[int] = None) -> ClosedFormCursor:
         eta, key = compute_eta(data), self.key
-        words, tree = state.words(), StorageTree([], [[]])
+        if state is not self._pre:
+            self._pre, self._roots = state, {}
+        words, tree, roots = state.words(), StorageTree([], [[]]), self._roots
         base = words.get(key, 0)
 
         def root_at(t: int) -> bytes:
             count = min(max(t - 1, 0) // 6, eta)
             if not count:
                 return state.root().value
-            words[key] = (base + count) & WORD_MASK
-            return state_root(state.cid, state.code, tree.root(words, (key,) if tree.keys else words))
+            if count not in roots:
+                words[key] = (base + count) & WORD_MASK
+                roots[count] = state_root(state.cid, state.code,
+                                          tree.root(words, (key,) if tree.keys else words))
+            return roots[count]
         return ClosedFormCursor(compute_length(eta), root_at, gas_limit=gas_limit)
 
 

@@ -56,7 +56,7 @@ TARGETS = [
     "experiments:seed_from_hex", "experiments:ExperimentSpec.__post_init__",
     "experiments:simulate_two_root", "experiments:audit_event_log",
     "experiments:rice_overhead_rows", "experiments:protocol_batch_rows", "experiments:Kind.passed",
-    "experiments:replay",
+    "experiments:replay", "toy_vm:ComputeModel.start",
 ]
 
 # module -> the test files its mutants run against; any other module runs
@@ -65,6 +65,7 @@ TESTS = {
     "randomness": ["test_randomness.py", "test_contract_model.py", "test_refusals.py"],
     "protocol": ["test_protocol.py", "test_contract_model.py", "test_refusals.py"],
     "experiments": ["test_experiments.py", "test_artifacts.py", "test_refusals.py"],
+    "toy_vm": ["test_toy_vm.py", "test_rice.py", "test_refusals.py"],
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.Lt: ast.GtE, ast.Gt: ast.LtE, ast.Is: ast.IsNot,

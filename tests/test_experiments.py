@@ -792,6 +792,16 @@ def test_kind_audit_fails_on_a_false_audited_field():
     assert not utility_kind.passed([{"agrees": True}, {"agrees": False}])
 
 
+def test_an_experiment_seed_has_one_spelling():
+    # bytes.fromhex ignores case and whitespace, so these run with one seed:
+    # one spec, one spec hash and one CSV, meta line included
+    specs = [experiments.ExperimentSpec(kind="es_sizing", seed=spelling)
+             for spelling in ("ab" * 32, "AB" * 32, " " + "AB " * 32)]
+    assert {spec.seed for spec in specs} == {"ab" * 32}
+    assert len({spec.spec_hash() for spec in specs}) == 1
+    assert len({experiments.render_csv(*experiments.run(spec)) for spec in specs}) == 1
+
+
 @pytest.mark.parametrize("seed", ["zz", "abcd"])
 def test_cli_rice_trace_rejects_a_bad_seed(capsys, seed):
     assert cli.main(["rice-trace", "--seed", seed]) == 2

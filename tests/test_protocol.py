@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cicsim import adversary, protocol
-from cicsim.experiments import audit_event_log, random_scenario
+from cicsim.experiments import audit_event_log, random_scenario, write_event_log
 from cicsim.hashing import be8, sha256
 from cicsim.merkle_state import CicState, MerkleRoot
 from cicsim.miracle import ConsensusParams
@@ -512,6 +512,18 @@ def test_scenario_json_round_trip():
     again = Scenario.from_json(sc.to_json())
     assert again == sc
     assert again.to_json() == sc.to_json()
+
+
+def test_a_scenario_seed_has_one_spelling(tmp_path):
+    # bytes.fromhex ignores case and whitespace, so these name one seed: one
+    # document, one log header and one event log
+    logs = []
+    for spelling in ("ab" * 32, "AB" * 32, " " + "AB " * 32):
+        sc = scenario(seed=spelling)
+        assert sc.seed == "ab" * 32 and Scenario.from_json(sc.to_json()) == sc
+        write_event_log(tmp_path / "run.log", run_scenario(sc))
+        logs.append((tmp_path / "run.log").read_bytes())
+    assert logs[0] == logs[1] == logs[2]
 
 
 def _edited_scenario_json(**changes) -> str:

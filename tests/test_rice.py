@@ -101,10 +101,29 @@ def test_the_driver_walks_the_schedule_across_many_groups():
         assert exponent_of_total(updates[-1]) == 12
 
 
-def test_a_closed_form_round_hashes_as_building_each_state_did(monkeypatch):
+def test_one_model_across_pre_states_reads_as_a_fresh_model_and_the_interpreter():
+    # one ComputeModel runs rounds over A, A, B, A' and A, where A' equals A but
+    # is another object, with two iteration counts on A: its table of roots by
+    # counter value must serve each round as a fresh model and the interpreter do
+    entropy = sha256(b"table-entropy")
+    model, program = ComputeModel(key=7), compute_program(key=7)
+    a = CicState(sha256(b"table-cic"), model.code_id).put(7, 40)
+    b, a_again = a.put(7, 41), CicState(sha256(b"table-cic"), model.code_id).put(7, 40)
+    assert a_again == a and a_again is not a
+    runs = [(a, 30, 1), (a, 50, 2), (b, 30, 3), (a_again, 30, 4), (a, 30, 2)]
+    for state, eta, round_index in runs:
+        shared = rice_execute_traced(model, state, compute_data(eta), round_index, entropy)
+        fresh = rice_execute_traced(ComputeModel(key=7), state, compute_data(eta),
+                                    round_index, entropy)
+        interpreted = rice_execute_traced(program, state, compute_data(eta), round_index, entropy)
+        assert shared == fresh == interpreted
+        assert shared[1].update_indices
+
+
+def test_a_closed_form_round_hashes_twice_per_distinct_counter_value(monkeypatch):
     # one ComputeModel round on a one-key state whose root is already known:
-    # the cursor never builds a tree from scratch, and it hashes exactly as
-    # often as building each interrupted state and its root did (pinned)
+    # the cursor never builds a tree from scratch, and it hashes a root once
+    # per distinct nonzero counter value its updates and halt reach (pinned)
     model = ComputeModel(key=7)
     state = CicState(sha256(b"count-cic"), model.code_id).put(7, 40)
     entropy, data = sha256(b"count"), compute_data(5_000)
@@ -124,10 +143,13 @@ def test_a_closed_form_round_hashes_as_building_each_state_did(monkeypatch):
     monkeypatch.undo()
     assert trace.total == compute_length(5_000) and trace.phi == 61
     assert calls["storage_root"] == 0
-    # one to start round 2's seed, one per update, two per root after the
-    # first store (the counter's leaf, then cid and code): 59 updates and
-    # the final root
-    assert calls["sha256"] == 1 + 61 + 2 * 60
+    # one to start round 2's seed, one per update, and two per distinct
+    # nonzero counter value (the counter's leaf, then cid and code): the 59
+    # updates after the first store and the final root reach 59 of them, as
+    # two updates fall within one 6-instruction iteration
+    counters = [min(max(t - 1, 0) // 6, 5_000) for t in (*trace.update_indices, trace.total)]
+    assert sum(map(bool, counters)) == 60 and len(set(counters) - {0}) == 59
+    assert calls["sha256"] == 1 + 61 + 2 * 59
 
 
 def test_trivial_program_has_zero_updates():
