@@ -18,10 +18,10 @@ only at the edges: where they come in, where they are handed out, and in
 `_word_leaf`, the one leaf encoding; ints sort as those encodings do.
 `StorageTree` is the one tree algorithm. It keeps every level between
 calls and, given the keys written since its last root, rehashes the paths
-above rewritten leaves and recomputes, level by level, the tail of nodes
-whose positions an insert shifted. A tree is built by inserting every key
-into an empty one: `storage_root` does so from scratch, and a `CicState`
-keeps the tree it builds for its proofs and cursors.
+above rewritten leaves, splices the new keys in as one sorted run, and
+recomputes, level by level, the tail of nodes the run shifted. A tree is
+built by splicing every key into an empty one: `storage_root` does so from
+scratch, and a `CicState` keeps the tree it builds for its proofs and cursors.
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ class MerkleRoot:
 
     def hex(self) -> str:
         return self.value.hex()
-
-
-def _parents(level: list[bytes]) -> list[bytes]:
-    """The level above `level`: pairs are hashed, an odd last node is
-    promoted. On the slice `level[2 * lo:]` it gives the nodes from lo on."""
-    nxt = [sha256(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-    if len(level) % 2:
-        nxt.append(level[-1])
-    return nxt
 
 
 def _word_leaf(key: int, value: int) -> bytes:
@@ -87,12 +78,13 @@ class StorageTree:
 
     It holds the sorted keys and every level of the tree, and starts empty
     or from another tree's copy. Each `root` call is told which keys were
-    written since the previous one, or the start; keys are never removed.
-    Written keys go in by bisection, in ascending order: a present key's
-    leaf is rehashed and its position marked dirty, a new key's leaf is
-    inserted. Dirty positions move up a level at a time, each dirty parent
-    rehashed in place. From the first inserted position on, positions
-    shift, so every node of each level is recomputed as a slice.
+    written since the previous one, or the start. Keys are never removed and
+    storage changes only at written keys, so storage outgrows the tree by
+    the new keys: if they are all the written ones, none is searched for.
+    A present key's leaf is rehashed and its dirty position moves up a
+    level at a time, each dirty parent rehashed in place. The new keys go
+    in as one sorted run, merged with any present keys it straddles; from
+    the run's position on, every node of each level is recomputed.
     """
 
     __slots__ = ("keys", "levels")
@@ -111,19 +103,26 @@ class StorageTree:
     def _refresh(self, storage: Mapping[int, int], written) -> None:
         keys, levels = self.keys, self.levels
         leaves = levels[0]
-        # in ascending order, an insert shifts no position taken before it;
-        # from position `start` of a level on, every node is recomputed, and
-        # left of it only the `dirty` ones
-        dirty, start = set(), len(keys)
-        for k in sorted(written):
-            i = bisect_left(keys, k)
-            if i < len(keys) and keys[i] == k:
-                dirty.add(i)
-            else:
-                keys.insert(i, k)
-                leaves.insert(i, b"")
-                start = min(start, i)
-            leaves[i] = _word_leaf(k, storage[k])
+        written = sorted(written)
+        dirty, new = set(), written
+        if len(storage) - len(keys) != len(written):
+            new = []
+            for k in written:
+                i = bisect_left(keys, k)
+                if i < len(keys) and keys[i] == k:
+                    dirty.add(i)
+                    leaves[i] = _word_leaf(k, storage[k])
+                else:
+                    new.append(k)
+        # from position `start` of a level on, every node is recomputed
+        start = len(keys)
+        if new:
+            start = bisect_left(keys, new[0])
+            end = bisect_left(keys, new[-1], start)
+            fresh = [_word_leaf(k, storage[k]) for k in new]
+            if end > start:     # present keys interleave with the run
+                new, fresh = zip(*sorted(zip(keys[start:end] + new, leaves[start:end] + fresh)))
+            keys[start:end], leaves[start:end] = new, fresh
         level = 0
         while len(levels[level]) > 1:
             prev = levels[level]
@@ -131,8 +130,11 @@ class StorageTree:
                 levels.append([])
             nxt = levels[level + 1]
             if start < len(prev):
-                start >>= 1
-                nxt[start:] = _parents(prev[2 * start:])
+                start >>= 1     # pairs are hashed, an odd last node is promoted
+                nxt[start:] = [sha256(left, right) for left, right
+                               in zip(prev[2 * start::2], prev[2 * start + 1::2])]
+                if len(prev) % 2:
+                    nxt.append(prev[-1])
             else:
                 start = len(nxt)
             dirty = {i >> 1 for i in dirty if i >> 1 < start}

@@ -25,7 +25,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -571,7 +571,7 @@ class Scenario:
             raise ValueError("an its entry names a cic_index outside cics")
         _require_ints(self, 0, "node_balance", "creator_balance", "treasury")
         _require_ints(self, 1, "m_total", "max_rounds", "commit_jitter", "reveal_jitter")
-        self.expand_strategies()    # raises on any entry a run cannot use
+        self._strategy_counts()     # raises on any entry a run cannot use
 
     def to_json(self) -> str:
         return canonical_json(asdict(self))
@@ -594,19 +594,22 @@ class Scenario:
         except (ValueError, KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario: {exc!r}") from exc
 
-    def expand_strategies(self) -> list:
-        """One Strategy per node from `[kind, count]` or `[kind, count,
-        {param: value}]` entries; `adversary.Strategy` checks the kind and
-        its parameter against `adversary.KINDS`."""
+    def _strategy_counts(self) -> list:
+        """(Strategy, count) per `[kind, count]` or `[kind, count, {param:
+        value}]` entry, checked without building the pool; `adversary.Strategy`
+        checks the kind and its parameter against `adversary.KINDS`."""
         out = []
         for kind, count, *rest in self.strategies:
             if type(count) is not int or count < 0 or len(rest) > 1:
                 raise ValueError(f"not a [kind, count, params] entry: {[kind, count, *rest]}")
-            out += [adversary.Strategy(kind, **(rest[0] if rest else {}))] * count
-        if len(out) != self.m_total:
-            raise ValueError(
-                f"strategy counts sum to {len(out)}, pool size is {self.m_total}")
+            out.append((adversary.Strategy(kind, **(rest[0] if rest else {})), count))
+        if (total := sum(count for _, count in out)) != self.m_total:
+            raise ValueError(f"strategy counts sum to {total}, pool size is {self.m_total}")
         return out
+
+    def expand_strategies(self) -> list:
+        """One Strategy per node, entry by entry."""
+        return list(chain.from_iterable([s] * count for s, count in self._strategy_counts()))
 
 
 @dataclass

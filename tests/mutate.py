@@ -44,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TARGETS = [
     "randomness:sortition_bound", "randomness:check_sort", "randomness:SortitionOracle.verify",
     "merkle_state:MerkleRoot.__post_init__", "merkle_state:prove_inclusion",
-    "merkle_state:verify_inclusion",
+    "merkle_state:verify_inclusion", "merkle_state:StorageTree._refresh",
     "rice:exponent_of_total", "rice:phi_bounds", "rice:check_phi_bounds",
     "rice:check_total_exponent", "rice:strong_unmatched",
     "miracle:ConsensusParams.__post_init__", "miracle:RoundTally.__post_init__",
@@ -63,6 +63,7 @@ TARGETS = [
 # test_<module>.py and test_refusals.py
 TESTS = {
     "randomness": ["test_randomness.py", "test_contract_model.py", "test_refusals.py"],
+    "merkle_state": ["test_merkle_state.py", "test_toy_vm.py", "test_rice.py", "test_refusals.py"],
     "protocol": ["test_protocol.py", "test_contract_model.py", "test_refusals.py"],
     "experiments": ["test_experiments.py", "test_artifacts.py", "test_refusals.py"],
     "toy_vm": ["test_toy_vm.py", "test_rice.py", "test_refusals.py"],

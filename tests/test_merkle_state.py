@@ -188,7 +188,9 @@ def test_storage_tree_matches_the_oracle_after_every_batch(initial, writes):
 def test_storage_tree_inserts_before_among_and_after_odd_levels():
     # every present count from 0 to 33 (odd and even level sizes at every
     # height), with inserts left of all keys, between them and right of all,
-    # and rewrites alone of the first, the last and every key
+    # rewrites alone of the first, the last and every key, ascending runs
+    # that land, batch after batch, before the present keys as `rice_vm`'s
+    # inserts do, a run straddling present keys, and rewrites beside inserts
     for present in range(34):
         initial = {to_word(100 + 2 * n): to_word(n) for n in range(present)}
         writes = [
@@ -198,8 +200,16 @@ def test_storage_tree_inserts_before_among_and_after_odd_levels():
             ((0,), {}), ((-1,), {}), (tuple(range(present + 6)), {}),         # rewrites
             ((-1,), {to_word(0): to_word(3), to_word(100 + present): to_word(3),
                      to_word(2000): to_word(3)}),                             # all kinds
+            *(((), {to_word(first + n): to_word(n) for n in range(run)})     # runs before
+              for first, run in ((20, 1), (21, 2), (23, 3), (26, 5), (31, 9), (40, 17))),
+            ((), {to_word(k): to_word(5) for k in (95, 103, 105, 109)}),      # straddling
+            ((1, 2, -2), {to_word(97): to_word(2), to_word(99): to_word(2),
+                          to_word(3000): to_word(2)}),                        # rewrites beside
         ]
         tree_root_after_batches(initial, writes)
+    # from-scratch builds: one batch of every key into an empty tree
+    for count in (1, 2, 3, 7, 9, 15, 17, 31, 33, 63, 65):
+        tree_root_after_batches({}, [((), {to_word(3 * n): to_word(n) for n in range(count)})])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 from itertools import combinations, permutations, product
@@ -608,6 +609,22 @@ BAD_SCENARIO_VALUES = [
 def test_malformed_scenario_json_raises_scenario_error(text):
     with pytest.raises(ScenarioError):
         Scenario.from_json(text)
+
+
+def test_checking_the_strategy_counts_builds_no_pool():
+    # a million-node pool is checked by summing its counts, not by building
+    # one entry per node, whether they fill the pool or not; neither is run
+    tracemalloc.start()
+    try:
+        Scenario(m_total=10 ** 6, strategies=(("honest", 10 ** 6),))
+        filled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="^strategy counts sum to 1000000, pool size is 10$"):
+            Scenario(m_total=10, strategies=(("honest", 10 ** 6),))
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filled < 2 ** 20 and refused < 2 ** 20
 
 
 # every field that holds an amount, a count or a block offset, with a float or a

@@ -23,7 +23,7 @@ from cicsim.toy_vm import (ComputeModel, assemble, compute_data, compute_length,
 
 from oracles import (merkle_root_oracle, oracle_state_after, rice_round_oracle,
                      run_program_oracle, schedule_tail_miss, schedule_tail_supremum,
-                     segment_table_oracle, strong_unmatched_tail_bound)
+                     segment_table_oracle, strong_unmatched_tail_bound, tree_rehash_count)
 from test_acceptance import SEED as ACCEPTANCE_SEED
 
 
@@ -150,6 +150,69 @@ def test_a_closed_form_round_hashes_twice_per_distinct_counter_value(monkeypatch
     counters = [min(max(t - 1, 0) // 6, 5_000) for t in (*trace.update_indices, trace.total)]
     assert sum(map(bool, counters)) == 60 and len(set(counters) - {0}) == 59
     assert calls["sha256"] == 1 + 61 + 2 * 59
+
+
+# r8 = key count, r9 = first key, r10 = increment: `update` adds the
+# increment to each present key's value, `insert` stores key + increment at
+# each new key; both walk ascending keys
+KEYED_LOOP = """
+func {name}
+  mov r0 r8
+  mov r1 r9
+  mov r5 r10
+  const r3 1
+loop:
+  jnz r0 body
+  halt
+body:
+  {body}
+  store r1 r2
+  add r1 r1 r3
+  sub r0 r0 r3
+  jmp loop
+"""
+BASE = 7 << 200
+
+
+@pytest.mark.parametrize("name, body, count, present", [
+    # 60 present keys, each rewritten once
+    ("update", "load r2 r1\n  add r2 r2 r5", 60, range(BASE, BASE + 60)),
+    # 300 new keys, 4 present keys below the run and 4 above it
+    ("insert", "add r2 r1 r5", 300,
+     [*range(BASE - 40, BASE, 10), *range(BASE + 500, BASE + 540, 10)]),
+    # the same run over 8 present keys, each rewritten as the run reaches it
+    ("insert", "add r2 r1 r5", 300, range(BASE + 5, BASE + 300, 37)),
+], ids=["update", "insert", "insert-over-present"])
+def test_an_interpreter_round_hashes_what_its_roots_flush(monkeypatch, name, body, count, present):
+    # with the pre-state's tree built, a round's `merkle_state` hashes are,
+    # summed over its roots (each update and the halt), `tree_rehash_count`
+    # of the batch of keys whose word the stepping oracle changed since the
+    # previous root (here every store changes one), plus one for
+    # `state_root`'s sha256(cid || code || storage root)
+    program = assemble(KEYED_LOOP.format(name=name, body=body))
+    state = CicState(sha256(b"flush-cic"), program.code_id,
+                     {to_word(k): to_word(k % 997) for k in present})
+    data = to_word(count) + to_word(BASE) + to_word(3)
+    state.working_copy()
+    calls = []
+
+    def counted(*parts):
+        calls.append(parts)
+        return sha256(*parts)
+    monkeypatch.setattr(merkle_state, "sha256", counted)
+    digest, trace = rice_execute_traced(program, state, data, 1, sha256(b"flush"))
+    monkeypatch.undo()
+    expected, before = 0, state.storage
+    for t in (*trace.update_indices, trace.total):
+        after = oracle_state_after(program.instructions, program.entry(), state.storage, data, t)[2]
+        keys = sorted(after)
+        batch = [i for i, k in enumerate(keys) if before.get(k) != after[k]]
+        fresh = [i for i, k in enumerate(keys) if k not in before]
+        expected += tree_rehash_count(len(keys), batch, min(fresh, default=len(keys))) + 1
+        before = after
+    assert digest.root.value == merkle_root_oracle(state.cid, state.code, before)
+    assert len(after) == len({*present, *range(BASE, BASE + count)})
+    assert trace.phi > 10 and len(calls) == expected
 
 
 def test_trivial_program_has_zero_updates():
